@@ -21,10 +21,13 @@ element I with its chunk start n_p and matched length j, then applies:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import islice
+from operator import mul
+from typing import NamedTuple, Optional
 
-from . import bridge
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
                      NonTerminationError, NotEndCompleteError,
                      NotNearlySatisfyingError, NotSatisfyingError)
@@ -37,8 +40,6 @@ TRACE_FULL_STEPS = 1_000
 TRACE_THIN_EVERY = 100
 SUPPORT_SLACK_PER_K = 50
 _HARD_STEP_CAP = 10_000_000
-_DIRECT_THRESHOLD = 6
-_BRIDGE_INDEX_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -306,86 +307,160 @@ def _decompose_chain(c: RecurrenceVector, v: tuple, trace=None) -> tuple:
     return a
 
 
-_bridge_state = {}
+def _backward_log_growth(coeffs) -> float:
+    """log rho, the slowest growth rate among the expanding backward modes.
 
-
-def _decompose_bridge(c: RecurrenceVector, v: tuple):
-    """Fast candidate via the scalar bridge, verified exactly by re-evaluation.
-
-    Dot v with the level-n window, pull the greedy digits back through the
-    index map, and accept only when the candidate evaluates back to v; the
-    level doubles until the support fits.  The level hint warms up across
-    calls, so sweeps over a region pay one table build per level.
+    The terms X_{-i} are combinations of mu^i over the reciprocals mu of the
+    roots of x^k - c1 x^(k-1) - ... - ck.  A string of length m reaches only
+    about rho^m along the slowest mode with |mu| > 1, so rho bounds how short
+    the representation of v can be.  Roots by Durand-Kerner iteration.
     """
-    key = (c.coefficients, c.relaxed)
-    state = _bridge_state.get(key)
-    if state is None:
-        state = {"hint": c.k + 2, "levels": {}}
-        _bridge_state[key] = state
-    seq = c.scalar()
-    vec = c.vector()
+    poly = (1,) + tuple(-x for x in coeffs)
+    roots = [(0.4 + 0.9j) ** i for i in range(len(coeffs))]
+    for _ in range(500):
+        moved = 0.0
+        for i, r in enumerate(roots):
+            num = 0j
+            for a in poly:
+                num = num * r + a
+            den = 1
+            for j, s in enumerate(roots):
+                if j != i:
+                    den *= r - s
+            step = num / den
+            roots[i] = r - step
+            moved = max(moved, abs(step))
+        if moved < 1e-15:
+            break
+    return -math.log(max(abs(r) for r in roots if abs(r) < 1))
+
+
+class _BridgeTables(NamedTuple):
+    """What a recurrence vector holds for the bridge: constants and one level."""
+    log_growth: float   # log rho, see _backward_log_growth
+    alpha: tuple        # X_{-p}[d] = sum_j alpha[d][j] * t[p + j] for every p
+    level: int          # 0 until a level is built
+    xs: list            # X_0 .. X_level
+    t: list             # t[p] = last coordinate of X_{-p}, p = 0 .. level + k - 3
+
+
+def _held(c: RecurrenceVector) -> _BridgeTables:
+    held = c._bridge
+    if held is None:
+        # Coordinates d and d+1 of X_{-p} (1-based) satisfy
+        # s_d(p) = s_{d+1}(p+1) + c_{d+1} t[p]: both sides solve the
+        # recurrence and agree at p = 0..k-1.  Unrolled, coordinate d is
+        # sum_j c_{d+j+1} t[p+j], so one backward column serves every coordinate.
+        coeffs = c.coefficients
+        k = c.k
+        alpha = tuple(tuple(coeffs[d + j + 1] if d + j + 1 < k else 0 for j in range(k - 1))
+                      for d in range(k - 1))
+        held = c._bridge = _BridgeTables(_backward_log_growth(coeffs), alpha, 0, [], [])
+    return held
+
+
+def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
+    """First bridge level tried for a nonzero v: floor(log|v| / log rho) + 2k.
+
+    |v| is the l1 norm: with the sup norm, vectors whose coordinates nearly
+    cancel along the slow mode (tribonacci's (5, -8) has length 12) would
+    need a retry.
+    """
+    return int(math.log(sum(map(abs, v))) / _held(c).log_growth) + 2 * c.k
+
+
+def _extend(seq: list, taps, stop: int):
+    """Append seq[m] = sum(w * seq[m - j] for j, w in taps) until len(seq) == stop.
+
+    Every recurrence here has a tap of weight 1 (c_k = 1), which starts the sum.
+    """
+    plus = [j for j, w in taps if w == 1]
+    minus = [j for j, w in taps if w == -1]
+    scaled = [(j, w) for j, w in taps if w not in (1, -1)]
+    first = plus.pop()
+    append = seq.append
+    for m in range(len(seq), stop):
+        x = seq[m - first]
+        for j in plus:
+            x += seq[m - j]
+        for j in minus:
+            x -= seq[m - j]
+        for j, w in scaled:
+            x += w * seq[m - j]
+        append(x)
+
+
+def _build_level(c: RecurrenceVector, n: int) -> _BridgeTables:
+    """Build the level-n tables straight from the recurrence and hold them on
+    c in place of any other level."""
+    coeffs = c.coefficients
     k = c.k
-    dim = k - 1
-    n = state["hint"]
-    while n <= _BRIDGE_INDEX_CAP:
-        level = state["levels"].get(n)
-        if level is None:
-            xlist = [seq.term(j) for j in range(n + 1)]      # X_0 .. X_n
-            row = tuple(xlist[n - i] for i in range(1, k))   # X_{n-1} .. X_{n-k+1}
-            level = (xlist, row, vec.basis(n))
-            state["levels"][n] = level
-        xlist, row, basis = level
-        z = 0
-        for d in range(dim):
-            z += v[d] * row[d]
-        z %= xlist[n]
+    seq = c.scalar()
+    # X_0 = 1; the memo holds X_1..X_k from its construction, so it does not grow
+    xs = [1] + [seq.term(m) for m in range(1, k + 1)]
+    _extend(xs, [(i, coeffs[i - 1]) for i in range(1, k + 1)], n + 1)
+    # backward, as a recurrence in p: X_{-p} = X_{k-p} - sum_{i<k} c_i X_{k-i-p}
+    t = [0] * (k - 1) + [1]
+    _extend(t, [(k, 1)] + [(k - i, -coeffs[i - 1]) for i in range(1, k)], n + k - 2)
+    held = c._bridge = _held(c)._replace(level=n, xs=xs, t=t)
+    return held
+
+
+def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
+    """The satisfying string of v via the scalar bridge, verified exactly.
+
+    Dot v with the level-n window (X_{n-1}, ..., X_{n-k+1}) mod X_n, take
+    the greedy digits against X_{n-1}..X_1 and accept them when they
+    evaluate back to v.  The first level comes from |v|; a rejected level
+    doubles.  That terminates: both window maps satisfy the recurrence and
+    agree at i = 0..k-1, so z = S(a) mod X_n for the satisfying string a,
+    and S(a) < X_n once n > len(a).  The level held on c serves any need
+    up to twice below it; otherwise the needed level replaces it.
+    """
+    k = c.k
+    n = _bridge_level(c, v)
+    held = c._bridge
+    while True:
+        if not n <= held.level <= 2 * n:
+            held = _build_level(c, n)
+        _, alpha, n, xs, t = held
+        z = sum(map(mul, v, xs[n - 1:n - k:-1])) % xs[n]
         # greedy digits against X_{n-1}..X_1, written at string position n - index
         arr = [0] * (n - 1)
-        idx = n - 1
+        top = n
         while z:
-            while xlist[idx] > z:
-                idx -= 1
-            q, z = divmod(z, xlist[idx])
-            arr[n - idx - 1] = q
-            idx -= 1
-        m = n - 1
-        while m and arr[m - 1] == 0:
-            m -= 1
-        del arr[m:]
-        acc = [0] * dim
-        for i, coef in enumerate(arr):
-            if coef:
-                b = basis[i]
-                for d in range(dim):
-                    acc[d] += coef * b[d]
-        if tuple(acc) == v:
-            state["hint"] = n
+            top = bisect_right(xs, z, 1, top) - 1
+            arr[n - top - 1], z = divmod(z, xs[top])
+        del arr[n - top:]
+        # coordinate d of sum_p arr[p-1] X_{-p}, from k-1 shifted sums over t
+        sums = [sum(map(mul, arr, islice(t, j, None))) for j in range(1, k)]
+        for d in range(k - 1):
+            if sum(map(mul, alpha[d], sums)) != v[d]:
+                break
+        else:
             return tuple(arr)
         n *= 2
-    return None
 
 
 def decompose(c: RecurrenceVector, v, trace=None) -> tuple:
     """The unique satisfying representation of an arbitrary integer vector.
 
-    Builds the string by repeated increments: first enough copies of X_{-k}
-    to make every coordinate correction nonnegative, then the coordinate
-    counts on the basis indices.  Large inputs take a shortcut through the
-    scalar bridge (greedy digits pulled back through the index map), verified
-    exactly by re-evaluation; the rewriting path is kept whenever a trace is
-    requested, and both paths agree by uniqueness.
+    Without a trace the string comes from the scalar bridge (greedy digits
+    pulled back through the index map), verified exactly by re-evaluation.
+    With a trace it is built by repeated increments: first enough copies of
+    X_{-k} to make every coordinate correction nonnegative, then the
+    coordinate counts on the basis indices, so the trace shows every carry
+    and borrow.  Both paths agree by uniqueness.
     """
     if not c.weakly_decreasing:
         raise InvalidRecurrenceError("decomposition requires weakly decreasing coefficients")
-    v = tuple(int(x) for x in v)
+    v = tuple(map(int, v))
     if len(v) != c.k - 1:
         raise ValueError("vector dimension must be k-1 = %d" % (c.k - 1))
-    if all(x == 0 for x in v):
+    if not any(v):
         return ()
-    if trace is None and max(abs(x) for x in v) > _DIRECT_THRESHOLD:
-        candidate = _decompose_bridge(c, v)
-        if candidate is not None:
-            return candidate
+    if trace is None:
+        return _decompose_bridge(c, v)
     return _decompose_chain(c, v, trace=trace)
 
 

@@ -22,7 +22,7 @@ class RecurrenceVector:
     """
 
     __slots__ = ("coefficients", "k", "relaxed", "weakly_decreasing",
-                 "_scalar", "_vector")
+                 "_scalar", "_vector", "_bridge")
 
     def __init__(self, coefficients, relaxed: bool = False):
         coeffs = tuple(int(x) for x in coefficients)
@@ -46,6 +46,7 @@ class RecurrenceVector:
         self.weakly_decreasing = weakly
         self._scalar = None
         self._vector = None
+        self._bridge = None   # growth rate and one held level, kept by normalize
 
     @property
     def dimension(self) -> int:

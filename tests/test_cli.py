@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import pytest
 
@@ -28,6 +29,16 @@ def test_decompose(capsys):
     code, out, _ = run(capsys, "decompose", "--c", "2,1,1", "--v", "-2,1")
     assert code == 0
     assert out.strip() == "0,2,1"
+
+
+def test_decompose_large_vector(capsys):
+    from zeckvec import RecurrenceVector, evaluate
+    rng = random.Random(2400)
+    v = tuple(rng.randrange(10 ** 2399, 10 ** 2400) for _ in range(2))
+    code, out, _ = run(capsys, "decompose", "--c", "1,1,1", "--v", "%d,%d" % v)
+    assert code == 0
+    a = tuple(int(x) for x in out.strip().split(","))
+    assert evaluate(RecurrenceVector((1, 1, 1)), a) == v
 
 
 def test_decompose_zero_prints_empty(capsys):

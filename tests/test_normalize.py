@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,9 +8,12 @@ from zeckvec import (BorrowBlockedError, CarryBlockedError, NotEndCompleteError,
                      NotNearlySatisfyingError, RecurrenceVector, borrow, carry,
                      classify, coefficient_sum, decompose, evaluate, increment,
                      is_satisfying, normalize_nsr, prefix_sum,
-                     probe_termination, resolve_end_complete, spanning_probe)
-from zeckvec.normalize import NormalizationTrace, _decompose_chain
+                     probe_termination, resolve_end_complete, scalar_term,
+                     spanning_probe, vector_term)
+from zeckvec.normalize import (NormalizationTrace, _bridge_level, _build_level,
+                               _decompose_chain)
 
+STRICT = [(1, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 2, 1)]
 C211 = RecurrenceVector((2, 1, 1))
 FIB = RecurrenceVector((1, 1))
 BAD131 = RecurrenceVector((1, 3, 1), relaxed=True)
@@ -165,6 +169,80 @@ def test_decompose_chain_and_bridge_agree():
         for _ in range(25):
             v = tuple(rng.randint(-15, 15) for _ in range(dim))
             assert _decompose_chain(c, v) == decompose(c, v)
+
+
+# strict recurrences with k <= 5: weakly decreasing, c_1 <= 4, c_k = 1
+strict_coefficients = st.lists(st.integers(min_value=1, max_value=4), min_size=1,
+                               max_size=4).map(lambda xs: tuple(sorted(xs, reverse=True)) + (1,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(strict_coefficients, st.data())
+def test_bridge_matches_chain_and_enumeration(coeffs, data):
+    c = RecurrenceVector(coeffs)
+    v = data.draw(st.tuples(*[st.integers(min_value=-60, max_value=60)] * (c.k - 1)))
+    assert decompose(c, v) == _decompose_chain(c, v)
+    seq = c.scalar()
+    n = 1
+    while seq.term(n + 2) <= 300:
+        n += 1
+    from zeckvec import enumerate_representations
+    for a in enumerate_representations(c, n):
+        assert decompose(c, evaluate(c, a)) == a
+
+
+def test_bridge_tables_match_the_sequences():
+    # the level tables are built from the recurrence, not the memoised
+    # sequences; every coordinate of X_{-p} comes from the one backward column
+    for k in range(2, 6):
+        for head in itertools.combinations_with_replacement(range(4, 0, -1), k - 1):
+            c = RecurrenceVector(head + (1,))
+            tables = _build_level(c, 4 * k)
+            assert tables.xs == [scalar_term(c, m) for m in range(4 * k + 1)]
+            for p in range(4 * k):
+                coords = tuple(sum(w * tables.t[p + j] for j, w in enumerate(row))
+                               for row in tables.alpha)
+                assert coords == vector_term(c, -p)
+
+
+def _digits_vector(rng, dim, digits):
+    return tuple(rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+                 for _ in range(dim))
+
+
+def test_first_bridge_level_fits_without_retry():
+    # the first level exceeds the string length, so the first candidate is
+    # accepted, and it overshoots by little
+    for coeffs in STRICT:
+        c = RecurrenceVector(coeffs)
+        rng = random.Random(17)
+        for _ in range(200):
+            v = _digits_vector(rng, c.k - 1, rng.randint(1, 400))
+            length = len(decompose(c, v))
+            level = _bridge_level(c, v)
+            assert length < level <= 1.1 * length + 2 * c.k, (coeffs, v, length, level)
+
+
+def test_decompose_round_trips_4000_digit_vectors():
+    rng = random.Random(4000)
+    for coeffs in STRICT:
+        c = RecurrenceVector(coeffs)
+        v = _digits_vector(rng, c.k - 1, 4000)
+        a = decompose(c, v)
+        assert is_satisfying(c, a)
+        assert evaluate(c, a) == v
+
+
+def test_decompose_does_not_depend_on_call_order():
+    rng = random.Random(23)
+    for coeffs in [(1, 1, 1), (2, 1, 1)]:
+        c = RecurrenceVector(coeffs)
+        batch = [_digits_vector(rng, c.k - 1, rng.randint(1, 3)) for _ in range(40)]
+        before = [decompose(c, v) for v in batch]
+        decompose(c, _digits_vector(rng, c.k - 1, 2400))
+        assert [decompose(c, v) for v in batch] == before
+        # the level held on c is one a small vector asked for, not the large one's
+        assert c._bridge.level in {_bridge_level(c, v) for v in batch}
 
 
 def test_decompose_inverts_evaluate_on_enumerated_strings():
