@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import BridgeDomainError, CapExceededError
 from .fileio import atomic_write_text
@@ -45,11 +47,14 @@ def legal_decompose(c: RecurrenceVector, n: int) -> tuple:
         return ()
     seq = c.scalar()
     top = seq.max_index_at_most(n)
-    digits = []
+    xs = seq._up   # X_0 .. X_{top+1} at least, after the call above
+    digits = [0] * top
     rem = n
-    for idx in range(top, 0, -1):
-        q, rem = divmod(rem, seq.term(idx))
-        digits.append(q)
+    idx = top + 1
+    while rem:
+        # next nonzero digit: the largest X_idx <= rem, searched from X_1
+        idx = bisect_right(xs, rem, 1, idx) - 1
+        digits[top - idx], rem = divmod(rem, xs[idx])
     return tuple(digits)
 
 
@@ -209,17 +214,7 @@ def ball_coverage(c: RecurrenceVector, radius: int,
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    dim = c.k - 1
-    remaining = set()
-
-    def fill(prefix):
-        if len(prefix) == dim:
-            remaining.add(prefix)
-            return
-        for x in range(-radius, radius + 1):
-            fill(prefix + (x,))
-
-    fill(())
+    remaining = set(product(range(-radius, radius + 1), repeat=c.k - 1))
     n = 0
     while True:
         if scalar_term(c, n + 1) > cap:

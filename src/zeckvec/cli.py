@@ -16,8 +16,7 @@ import re
 import sys
 
 from . import analytics, bridge, normalize, representation
-from .errors import (CapExceededError, InvalidRecurrenceError,
-                     NonTerminationError, OracleExhaustedError, ZeckvecError)
+from .errors import ZeckvecError
 from .fileio import atomic_write_text
 from .recurrence import RecurrenceVector, scalar_term, vector_term
 
@@ -310,18 +309,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
+    except (_CliError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (InvalidRecurrenceError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (CapExceededError, OracleExhaustedError, NonTerminationError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except ZeckvecError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

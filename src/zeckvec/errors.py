@@ -2,7 +2,9 @@
 
 
 class ZeckvecError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; exit_code is what the CLI returns."""
+
+    exit_code = 1
 
 
 class InvalidRecurrenceError(ZeckvecError):
@@ -32,6 +34,8 @@ class BorrowBlockedError(ZeckvecError):
 class CapExceededError(ZeckvecError):
     """Enumeration would exceed the configured cap."""
 
+    exit_code = 2
+
 
 class BridgeDomainError(ZeckvecError):
     """Scalar bridge evaluated outside its domain (index too small)."""
@@ -40,6 +44,10 @@ class BridgeDomainError(ZeckvecError):
 class OracleExhaustedError(ZeckvecError):
     """Brute-force search frontier exceeded the node cap before finishing."""
 
+    exit_code = 2
+
 
 class NonTerminationError(ZeckvecError):
     """Normalization exhausted its step budget (possible only in relaxed mode)."""
+
+    exit_code = 2

@@ -24,16 +24,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import product
 from operator import mul
 from typing import NamedTuple, Optional
 
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
                      NonTerminationError, NotEndCompleteError,
                      NotNearlySatisfyingError, NotSatisfyingError)
-from .recurrence import RecurrenceVector
-from .representation import (KIND_NEARLY_SATISFYING, canonical, classify,
-                             evaluate, scan)
+from .recurrence import (RecurrenceVector, backward_column, column_value,
+                         column_weights, scalar_terms)
+from .representation import KIND_NEARLY_SATISFYING, canonical, classify, scan
 
 DEFAULT_BUDGET = 10_000
 TRACE_FULL_STEPS = 1_000
@@ -347,15 +347,9 @@ class _BridgeTables(NamedTuple):
 def _held(c: RecurrenceVector) -> _BridgeTables:
     held = c._bridge
     if held is None:
-        # Coordinates d and d+1 of X_{-p} (1-based) satisfy
-        # s_d(p) = s_{d+1}(p+1) + c_{d+1} t[p]: both sides solve the
-        # recurrence and agree at p = 0..k-1.  Unrolled, coordinate d is
-        # sum_j c_{d+j+1} t[p+j], so one backward column serves every coordinate.
         coeffs = c.coefficients
-        k = c.k
-        alpha = tuple(tuple(coeffs[d + j + 1] if d + j + 1 < k else 0 for j in range(k - 1))
-                      for d in range(k - 1))
-        held = c._bridge = _BridgeTables(_backward_log_growth(coeffs), alpha, 0, [], [])
+        held = c._bridge = _BridgeTables(_backward_log_growth(coeffs),
+                                         column_weights(coeffs), 0, [], [])
     return held
 
 
@@ -369,40 +363,12 @@ def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
     return int(math.log(sum(map(abs, v))) / _held(c).log_growth) + 2 * c.k
 
 
-def _extend(seq: list, taps, stop: int):
-    """Append seq[m] = sum(w * seq[m - j] for j, w in taps) until len(seq) == stop.
-
-    Every recurrence here has a tap of weight 1 (c_k = 1), which starts the sum.
-    """
-    plus = [j for j, w in taps if w == 1]
-    minus = [j for j, w in taps if w == -1]
-    scaled = [(j, w) for j, w in taps if w not in (1, -1)]
-    first = plus.pop()
-    append = seq.append
-    for m in range(len(seq), stop):
-        x = seq[m - first]
-        for j in plus:
-            x += seq[m - j]
-        for j in minus:
-            x -= seq[m - j]
-        for j, w in scaled:
-            x += w * seq[m - j]
-        append(x)
-
-
 def _build_level(c: RecurrenceVector, n: int) -> _BridgeTables:
     """Build the level-n tables straight from the recurrence and hold them on
     c in place of any other level."""
     coeffs = c.coefficients
-    k = c.k
-    seq = c.scalar()
-    # X_0 = 1; the memo holds X_1..X_k from its construction, so it does not grow
-    xs = [1] + [seq.term(m) for m in range(1, k + 1)]
-    _extend(xs, [(i, coeffs[i - 1]) for i in range(1, k + 1)], n + 1)
-    # backward, as a recurrence in p: X_{-p} = X_{k-p} - sum_{i<k} c_i X_{k-i-p}
-    t = [0] * (k - 1) + [1]
-    _extend(t, [(k, 1)] + [(k - i, -coeffs[i - 1]) for i in range(1, k)], n + k - 2)
-    held = c._bridge = _held(c)._replace(level=n, xs=xs, t=t)
+    held = c._bridge = _held(c)._replace(level=n, xs=scalar_terms(coeffs, n + 1),
+                                         t=backward_column(coeffs, n + c.k - 2))
     return held
 
 
@@ -432,12 +398,7 @@ def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
             top = bisect_right(xs, z, 1, top) - 1
             arr[n - top - 1], z = divmod(z, xs[top])
         del arr[n - top:]
-        # coordinate d of sum_p arr[p-1] X_{-p}, from k-1 shifted sums over t
-        sums = [sum(map(mul, arr, islice(t, j, None))) for j in range(1, k)]
-        for d in range(k - 1):
-            if sum(map(mul, alpha[d], sums)) != v[d]:
-                break
-        else:
+        if column_value(alpha, t, arr) == v:
             return tuple(arr)
         n *= 2
 
@@ -537,17 +498,7 @@ def spanning_probe(c: RecurrenceVector, radius: int, support_bound: int,
     vec = c.vector()
     gens = [vec.term(-i) for i in range(1, support_bound + 1)]
     dim = k - 1
-    targets = set()
-
-    def fill(prefix):
-        if len(prefix) == dim:
-            targets.add(prefix)
-            return
-        for x in range(-radius, radius + 1):
-            fill(prefix + (x,))
-
-    fill(())
-    remaining = set(targets)
+    remaining = set(product(range(-radius, radius + 1), repeat=dim))
     zero = (0,) * dim
     remaining.discard(zero)
     frontier = {zero}

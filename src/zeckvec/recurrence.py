@@ -1,11 +1,18 @@
 """Recurrence vectors and the scalar / lattice-vector term sequences they define.
 
-Everything here is exact integer arithmetic.  Terms grow exponentially in both
-directions, so sequences memoize aggressively; caches are append-only and the
-values handed out are immutable tuples/ints.
+Everything here is exact integer arithmetic.  Both sequences solve one
+recurrence, X_n = c1 X_{n-1} + ... + ck X_{n-k}, in both index directions;
+only their seeds differ.  `extend` is the one routine that steps it: it
+lengthens a plain list upward or downward.  A sequence keeps its terms in
+two such lists, one per direction, which only ever grow.  The vector
+sequence stores one integer column, the last coordinate of each term, and
+builds each vector term from k-1 consecutive entries of it on request.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from operator import mul
 
 from .errors import InvalidRecurrenceError
 
@@ -81,52 +88,112 @@ class RecurrenceVector:
         return "RecurrenceVector(%r%s)" % (list(self.coefficients), mode)
 
 
+def extend(seq: list, coefficients, stop: int, down: bool = False) -> list:
+    """Lengthen seq by the recurrence until len(seq) == stop; return seq.
+
+    Upward, seq[m] = c1 seq[m-1] + ... + ck seq[m-k].  Downward the list
+    runs toward lower indices, seq[m] holding the term before seq[m-1], so
+    X_m = X_{m+k} - c1 X_{m+k-1} - ... - c_{k-1} X_{m+1} becomes
+    seq[m] = seq[m-k] - c1 seq[m-k+1] - ... - c_{k-1} seq[m-1].  Either way
+    the tap seq[m-k] has weight 1 (ck = 1), which starts the sum.
+    """
+    k = len(coefficients)
+    taps = [(k - i, -w) if down else (i, w)
+            for i, w in enumerate(coefficients[:-1], 1) if w]
+    plus = [j for j, w in taps if w == 1]
+    minus = [j for j, w in taps if w == -1]
+    scaled = [(j, w) for j, w in taps if w not in (1, -1)]
+    append = seq.append
+    for m in range(len(seq), stop):
+        x = seq[m - k]
+        for j in plus:
+            x += seq[m - j]
+        for j in minus:
+            x -= seq[m - j]
+        for j, w in scaled:
+            x += w * seq[m - j]
+        append(x)
+    return seq
+
+
+def scalar_terms(coefficients, stop: int) -> list:
+    """A new list [X_0, X_1, ...] of at least k+1 and at least stop scalar terms.
+
+    X_0 = X_1 = 1 and X_n = c1 X_{n-1} + ... + c_{n-1} X_1 + 1 for
+    2 <= n <= k; the recurrence gives the rest.
+    """
+    xs = [1, 1]
+    for n in range(2, len(coefficients) + 1):
+        xs.append(sum(map(mul, coefficients, reversed(xs[1:]))) + 1)
+    return extend(xs, coefficients, stop)
+
+
+def backward_column(coefficients, stop: int) -> list:
+    """A new list t with t[p] = last coordinate of X_{-p}, at least k and
+    at least stop entries.
+
+    X_0 = 0 and X_{-i} = e_i for 1 <= i <= k-1, so the column starts with
+    k-1 zeros and a one.
+    """
+    k = len(coefficients)
+    return extend([0] * (k - 1) + [1], coefficients, stop, down=True)
+
+
+def column_weights(coefficients) -> tuple:
+    """alpha with X_n[d] = sum_j alpha[d][j] * t_{n-j}, t_m the last coordinate of X_m.
+
+    Coordinates d and d+1 of X_{-p} (1-based) satisfy
+    s_d(p) = s_{d+1}(p+1) + c_{d+1} t_{-p}: both sides solve the recurrence
+    and agree at p = 0..k-1.  Unrolled, coordinate d is sum_j c_{d+j+1}
+    t_{-p-j}, so one column serves every coordinate, for every index n.
+    """
+    return tuple(coefficients[d + 1:] + (0,) * d for d in range(len(coefficients) - 1))
+
+
+def column_value(alpha: tuple, t: list, a) -> tuple:
+    """sum_p a[p-1] * X_{-p} from the backward column t.
+
+    t must reach index len(a) + k - 2.  Takes the k-1 shifted column sums
+    S_j = sum_p a[p-1] t[p+j], then applies the alpha rows to them.
+    """
+    m = len(a)
+    sums = [sum(map(mul, a, t[j:j + m])) for j in range(1, len(alpha) + 1)]
+    return tuple([sum(map(mul, row, sums)) for row in alpha])
+
+
 class ScalarSequence:
     """Two-sided scalar sequence X_n attached to a recurrence vector.
 
     X_1 = 1; for 2 <= n <= k, X_n = c1*X_{n-1} + ... + c_{n-1}*X_1 + 1; the
     full recurrence holds for n > k.  Indices n <= 0 are defined by running
     the recurrence backwards (well defined because ck = 1), which forces
-    X_0 = 1.
+    X_0 = 1.  Terms live in two lists: X_n at index n, and X_{k-1-m} at
+    index m, whose first k entries X_{k-1}, ..., X_0 seed the descent.
     """
 
-    __slots__ = ("owner", "_cache", "_hi", "_lo")
+    __slots__ = ("owner", "_up", "_down")
 
     def __init__(self, owner: RecurrenceVector):
         self.owner = owner
-        c = owner.coefficients
-        k = owner.k
-        cache = {1: 1}
-        for n in range(2, k + 1):
-            cache[n] = sum(c[i] * cache[n - 1 - i] for i in range(n - 1)) + 1
-        self._cache = cache
-        self._hi = k
-        self._lo = 1
+        self._up = scalar_terms(owner.coefficients, 0)
+        self._down = self._up[owner.k - 1::-1]
 
     def term(self, n: int) -> int:
-        cache = self._cache
-        got = cache.get(n)
-        if got is not None:
-            return got
-        c = self.owner.coefficients
-        k = self.owner.k
-        if n > self._hi:
-            for m in range(self._hi + 1, n + 1):
-                cache[m] = sum(c[i] * cache[m - 1 - i] for i in range(k))
-            self._hi = n
+        if n >= 0:
+            seq, m, down = self._up, n, False
         else:
-            # descend: X_m = X_{m+k} - sum_{i<k} c_i X_{m+k-i}
-            for m in range(self._lo - 1, n - 1, -1):
-                cache[m] = cache[m + k] - sum(c[i] * cache[m + k - 1 - i] for i in range(k - 1))
-            self._lo = n
-        return cache[n]
+            seq, m, down = self._down, self.owner.k - 1 - n, True
+        if m >= len(seq):
+            extend(seq, self.owner.coefficients, m + 1, down)
+        return seq[m]
 
     def max_index_at_most(self, value: int) -> int:
         """Largest n >= 0 with X_n <= value (value >= 1)."""
-        n = 1
-        while self.term(n + 1) <= value:
-            n += 1
-        return n
+        up = self._up
+        while up[-1] <= value:
+            extend(up, self.owner.coefficients, len(up) + 1)
+        # X_0 = X_1 = 1: searching from index 2 answers 1 for value 1 (and below)
+        return bisect_right(up, value, 2) - 1
 
 
 class VectorSequence:
@@ -134,54 +201,30 @@ class VectorSequence:
 
     X_0 = 0, X_{-i} = e_i for 1 <= i <= k-1, forward recurrence for n >= 1,
     backward recurrence for n <= -k.  All entries stay integral because
-    ck = 1.
+    ck = 1.  Only the last coordinate t_n of each term is stored: t_{-p} at
+    index p of one list, t_{m-k+1} at index m of the other.  A term is
+    built on request as X_n[d] = sum_j alpha[d][j] * t_{n-j}.
     """
 
-    __slots__ = ("owner", "_cache", "_hi", "_lo")
+    __slots__ = ("owner", "_alpha", "_up", "_down")
 
     def __init__(self, owner: RecurrenceVector):
         self.owner = owner
-        k = owner.k
-        dim = k - 1
-        cache = {0: (0,) * dim}
-        for i in range(1, k):
-            cache[-i] = tuple(1 if j == i - 1 else 0 for j in range(dim))
-        self._cache = cache
-        self._hi = 0
-        self._lo = -(k - 1)
+        self._alpha = column_weights(owner.coefficients)
+        self._down = backward_column(owner.coefficients, 0)
+        self._up = self._down[::-1]
 
     def term(self, n: int) -> tuple:
-        cache = self._cache
-        got = cache.get(n)
-        if got is not None:
-            return got
-        c = self.owner.coefficients
         k = self.owner.k
-        dim = k - 1
-        if n > self._hi:
-            for m in range(self._hi + 1, n + 1):
-                acc = [0] * dim
-                for i in range(k):
-                    ci = c[i]
-                    if ci:
-                        prev = cache[m - 1 - i]
-                        for j in range(dim):
-                            acc[j] += ci * prev[j]
-                cache[m] = tuple(acc)
-            self._hi = n
+        if n >= 0:
+            seq, m, down = self._up, n + k - 1, False
         else:
-            # descend via X_m = X_{m+k} - sum_{i<k} c_i X_{m+k-i}
-            for m in range(self._lo - 1, n - 1, -1):
-                acc = list(cache[m + k])
-                for i in range(k - 1):
-                    ci = c[i]
-                    if ci:
-                        prev = cache[m + k - 1 - i]
-                        for j in range(dim):
-                            acc[j] -= ci * prev[j]
-                cache[m] = tuple(acc)
-            self._lo = n
-        return cache[n]
+            seq, m, down = self._down, k - 2 - n, True
+        if m >= len(seq):
+            extend(seq, self.owner.coefficients, m + 1, down)
+        # t_n, t_{n-1}, ..., t_{n-k+2}
+        window = seq[m:m - k + 1:-1] if n >= 0 else seq[m - k + 2:m + 1]
+        return tuple([sum(map(mul, row, window)) for row in self._alpha])
 
     def basis(self, depth: int) -> list:
         """[X_{-1}, ..., X_{-depth}] as a list indexed by i-1."""
@@ -194,5 +237,5 @@ def scalar_term(c: RecurrenceVector, n: int) -> int:
 
 
 def vector_term(c: RecurrenceVector, n: int) -> tuple:
-    """n-th lattice vector term (n may be any integer; memoized)."""
+    """n-th lattice vector term (n may be any integer; built from the memoized column)."""
     return c.vector().term(n)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotSatisfyingError
-from .recurrence import RecurrenceVector
+from .recurrence import (RecurrenceVector, backward_column, column_value,
+                         column_weights)
 
 KIND_SATISFYING = "satisfying"
 KIND_NEARLY_SATISFYING = "nearly_satisfying"
@@ -81,17 +82,13 @@ def is_satisfying(c: RecurrenceVector, a) -> bool:
 
 
 def evaluate(c: RecurrenceVector, a) -> tuple:
-    """Value sum_n a_n X_{-n} of a coefficient string as a lattice vector."""
+    """Value sum_n a_n X_{-n} of a coefficient string as a lattice vector.
+
+    The backward column is built for this call only, so nothing is memoized on c.
+    """
     a = canonical(a)
-    vec = c.vector()
-    dim = c.k - 1
-    acc = [0] * dim
-    for idx, coef in enumerate(a):
-        if coef:
-            basis = vec.term(-(idx + 1))
-            for d in range(dim):
-                acc[d] += coef * basis[d]
-    return tuple(acc)
+    coeffs = c.coefficients
+    return column_value(column_weights(coeffs), backward_column(coeffs, len(a) + c.k - 1), a)
 
 
 @dataclass(frozen=True)

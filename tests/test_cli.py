@@ -185,3 +185,21 @@ def test_cap_exceeded_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "regions", "--c", "2,1,1", "--n", "8", "--csv", "unused.csv")
     assert code == 2
     assert not os.path.exists("unused.csv")
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("ZeckvecError", 1), ("InvalidRecurrenceError", 1), ("NotSatisfyingError", 1),
+    ("NotNearlySatisfyingError", 1), ("NotEndCompleteError", 1),
+    ("CarryBlockedError", 1), ("BorrowBlockedError", 1), ("BridgeDomainError", 1),
+    ("CapExceededError", 2), ("OracleExhaustedError", 2), ("NonTerminationError", 2),
+])
+def test_error_class_exit_codes(capsys, monkeypatch, name, expected):
+    import zeckvec
+    from zeckvec import cli
+
+    def fail(c, n):
+        raise getattr(zeckvec, name)("raised by the test")
+
+    monkeypatch.setattr(cli, "scalar_term", fail)
+    code, out, err = run(capsys, "seq", "--c", "1,1", "--from", "1", "--to", "1")
+    assert (code, out, err) == (expected, "", "error: raised by the test\n")

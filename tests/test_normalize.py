@@ -233,6 +233,17 @@ def test_decompose_round_trips_4000_digit_vectors():
         assert evaluate(c, a) == v
 
 
+def test_evaluate_grows_no_memo():
+    c = RecurrenceVector((1, 1, 1))
+    a = decompose(c, _digits_vector(random.Random(4000), 2, 4000))
+    scalar_term(c, -5), vector_term(c, 5)
+    sequences = (c.scalar(), c.vector())
+    before = [len(seq._up) + len(seq._down) for seq in sequences], c._bridge
+    evaluate(c, a)
+    assert ([len(seq._up) + len(seq._down) for seq in sequences], c._bridge) == before
+    assert (c.scalar(), c.vector()) == sequences
+
+
 def test_decompose_does_not_depend_on_call_order():
     rng = random.Random(23)
     for coeffs in [(1, 1, 1), (2, 1, 1)]:

@@ -1,8 +1,11 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zeckvec import (InvalidRecurrenceError, RecurrenceVector, scalar_term,
-                     vector_term)
+from zeckvec import (InvalidRecurrenceError, RecurrenceVector, legal_decompose,
+                     scalar_term, vector_term)
 
 TRIBONACCI = RecurrenceVector((1, 1, 1))
 CUSTOM = RecurrenceVector((2, 1, 1))
@@ -132,3 +135,103 @@ def test_identity_random_strict(coeffs, n):
         for d in range(k - 1):
             rhs[d] += coeffs[i] * term[d]
     assert vector_term(c, n) == tuple(rhs)
+
+
+# -- independent oracles for the list-backed term code -------------------------
+
+# every strict recurrence with k <= 5 and c1 <= 4 (69 of them), plus two relaxed
+STRICT_ALL = [head + (1,) for k in range(2, 6)
+              for head in itertools.combinations_with_replacement(range(4, 0, -1), k - 1)]
+RELAXED = [(1, 3, 1), (1, 2, 1)]
+
+
+def tuple_terms(coeffs, seeds, lo, hi):
+    """Terms lo..hi of the two-sided tuple recurrence from k consecutive seeds.
+
+    seeds maps k consecutive indices to tuples; the loop steps one index at a
+    time in each direction with per-coordinate sums, as a dict of tuples.
+    """
+    k = len(coeffs)
+    cache = dict(seeds)
+    top = max(cache)
+    bottom = min(cache)
+    dim = len(cache[top])
+    for m in range(top + 1, hi + 1):
+        acc = [0] * dim
+        for i in range(k):
+            prev = cache[m - 1 - i]
+            for j in range(dim):
+                acc[j] += coeffs[i] * prev[j]
+        cache[m] = tuple(acc)
+    for m in range(bottom - 1, lo - 1, -1):
+        acc = list(cache[m + k])
+        for i in range(k - 1):
+            prev = cache[m + k - 1 - i]
+            for j in range(dim):
+                acc[j] -= coeffs[i] * prev[j]
+        cache[m] = tuple(acc)
+    return cache
+
+
+def oracle_vectors(coeffs, lo, hi):
+    k = len(coeffs)
+    seeds = {-i: tuple(int(d == i - 1) for d in range(k - 1)) for i in range(k)}
+    return tuple_terms(coeffs, seeds, lo, hi)
+
+
+def oracle_scalars(coeffs, lo, hi):
+    xs = {1: 1}
+    for n in range(2, len(coeffs) + 1):
+        xs[n] = sum(coeffs[i] * xs[n - 1 - i] for i in range(n - 1)) + 1
+    cache = tuple_terms(coeffs, {n: (x,) for n, x in xs.items()}, lo, hi)
+    return {n: x for (n, (x,)) in cache.items()}
+
+
+@pytest.mark.parametrize("coeffs,relaxed", [(c, False) for c in STRICT_ALL]
+                         + [(c, True) for c in RELAXED])
+def test_terms_match_tuple_oracle(coeffs, relaxed):
+    c = RecurrenceVector(coeffs, relaxed=relaxed)
+    vectors = oracle_vectors(coeffs, -40, 40)
+    scalars = oracle_scalars(coeffs, -40, 40)
+    # alternate directions so both lists grow in several steps
+    for n in sorted(range(-40, 41), key=lambda n: (abs(n), n)):
+        assert vector_term(c, n) == vectors[n], (coeffs, n)
+        assert scalar_term(c, n) == scalars[n], (coeffs, n)
+
+
+def greedy_oracle(xs, value):
+    """(max index, digits) by a linear scan over the term list xs (xs[n] = X_n)."""
+    top = 1
+    while xs[top + 1] <= value:
+        top += 1
+    if not value:
+        return top, ()
+    digits = []
+    for idx in range(top, 0, -1):
+        q, value = divmod(value, xs[idx])
+        digits.append(q)
+    return top, tuple(digits)
+
+
+def test_legal_decompose_matches_linear_scan():
+    rng = random.Random(2000)
+    cases = [(coeffs, False) for coeffs in STRICT_ALL] + [(coeffs, True) for coeffs in RELAXED]
+    tables = {}
+    for coeffs, relaxed in cases:
+        c = RecurrenceVector(coeffs, relaxed=relaxed)
+        scalars = oracle_scalars(coeffs, 0, 62)
+        xs = [scalars[n] for n in range(63)]
+        tables[coeffs] = c, xs
+        values = {0, 1}
+        for n in range(1, 61):
+            values.update((xs[n], xs[n] - 1, xs[n + 1] - 1))
+        for value in sorted(values):
+            top, digits = greedy_oracle(xs, value)
+            assert legal_decompose(c, value) == digits, (coeffs, value)
+            assert c.scalar().max_index_at_most(value) == top, (coeffs, value)
+    for _ in range(2000):
+        c, xs = tables[rng.choice(cases)[0]]
+        value = rng.randrange(xs[rng.randint(1, 60)])
+        top, digits = greedy_oracle(xs, value)
+        assert legal_decompose(c, value) == digits, (c, value)
+        assert c.scalar().max_index_at_most(value) == top, (c, value)
