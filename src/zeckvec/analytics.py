@@ -178,6 +178,8 @@ def check_minimality(c: RecurrenceVector, v, support_bound: Optional[int] = None
     bound), one summand per level, deduplicating visited vectors, and finds
     the true minimum summand count within the bounded support space.
     """
+    if support_bound is not None and support_bound < 1:
+        raise ValueError("support bound must be >= 1")
     v = tuple(int(x) for x in v)
     sr = decompose(c, v)
     sr_count = coefficient_sum(sr)

@@ -27,6 +27,8 @@ def scalar_bridge(c: RecurrenceVector, n: int, v) -> int:
     """Dot v with (X_{n-1}, ..., X_{n-k+1}) and reduce mod X_n (in [0, X_n))."""
     if n < c.k - 2:
         raise BridgeDomainError("bridge index must be >= k-2 = %d" % (c.k - 2))
+    if len(v) != c.k - 1:
+        raise ValueError("vector dimension must be k-1 = %d" % (c.k - 1))
     seq = c.scalar()
     dot = 0
     for i in range(1, c.k):
@@ -66,88 +68,44 @@ def summand_count(digits) -> int:
 def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False):
     """Yield every satisfying string with support in [1, n], lexicographically.
 
-    The generator mirrors the scanner: a chunk is an exact prefix copy of the
-    coefficients followed by a strictly smaller element, then a zero run.
-    With values enabled, each yield is (string, vector) with the vector
-    maintained incrementally along the search path.
+    The generator walks the scanner automaton, whose state is the length of
+    the prefix of the coefficients matched so far: a digit below the next
+    coefficient returns to state 0, a digit equal to it advances, and a full
+    copy of the coefficients is rejected.  With values enabled, each yield is
+    (string, vector) with the vector maintained incrementally along the
+    search path.
     """
     coeffs = c.coefficients
     k = c.k
-    c1 = coeffs[0]
-    dim = k - 1
+    dim = range(k - 1)
     basis = c.vector().basis(n) if n >= 1 else []
-    buf = []
-    val = [0] * dim
+    # zero_run[j]: how many zeros from state j keep matching the coefficients
+    zero_run = [0] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        zero_run[j] = zero_run[j + 1] + 1 if coeffs[j] == 0 else 0
+    buf = [0] * n
+    val = [0] * (k - 1)
 
-    def add(pos, e):
-        b = basis[pos - 1]
-        for d in range(dim):
-            val[d] += e * b[d]
-
-    def sub(pos, e):
-        b = basis[pos - 1]
-        for d in range(dim):
-            val[d] -= e * b[d]
-
-    if with_values:
-        def emit(last_nz):
-            return tuple(buf[:last_nz]), tuple(val)
-    else:
-        def emit(last_nz):
-            return tuple(buf[:last_nz])
-
-    def tail(p, last_nz):
-        # all strings whose remaining support lies in [p, n]; the all-zero
-        # tail comes first, then chunks placed late to early (lex order)
-        yield emit(last_nz)
-        if p > n:
-            return
-        base = len(buf)
+    def walk(p, j, last):
+        # positions p..n are free and the scanner is in state j at p; the
+        # all-zero tail comes first, then a nonzero digit placed late to
+        # early, which is lexicographic order
+        yield (tuple(buf[:last]), tuple(val)) if with_values else tuple(buf[:last])
         for q in range(n, p - 1, -1):
-            del buf[base:]
-            buf.extend([0] * (q - p))
-            yield from chunk_at(q, last_nz)
-        del buf[base:]
+            s = j + q - p if q - p <= zero_run[j] else 0
+            top = coeffs[s]
+            b = basis[q - 1]
+            # a digit equal to c_{s+1} advances the match; a full copy is rejected
+            for d in range(1, top + 1 if s + 1 < k else top):
+                buf[q - 1] = d
+                for i in dim:
+                    val[i] += d * b[i]
+                yield from walk(q + 1, s + 1 if d == top else 0, q)
+                for i in dim:
+                    val[i] -= d * b[i]
+            buf[q - 1] = 0
 
-    def chunk_at(q, last_nz):
-        for e in range(1, c1):
-            buf.append(e)
-            add(q, e)
-            yield from tail(q + 1, q)
-            sub(q, e)
-            buf.pop()
-        buf.append(c1)
-        add(q, c1)
-        yield from match_state(q, 1, q)
-        sub(q, c1)
-        buf.pop()
-
-    def match_state(q, d, last_nz):
-        # positions q..q+d-1 hold c1..cd; next position either closes the
-        # chunk with a small element or continues the copy
-        t = q + d
-        if t > n:
-            yield emit(last_nz)
-            return
-        nxt = coeffs[d]
-        for e in range(nxt):
-            buf.append(e)
-            if e:
-                add(t, e)
-            yield from tail(t + 1, t if e else last_nz)
-            if e:
-                sub(t, e)
-            buf.pop()
-        if d + 1 <= k - 1:
-            buf.append(nxt)
-            if nxt:
-                add(t, nxt)
-            yield from match_state(q, d + 1, t if nxt else last_nz)
-            if nxt:
-                sub(t, nxt)
-            buf.pop()
-
-    yield from tail(1, 0)
+    yield from walk(1, 0, 0)
 
 
 def enumerate_representations(c: RecurrenceVector, n: int,
@@ -183,12 +141,7 @@ def support_region(c: RecurrenceVector, n: int,
     """D_n: every vector with a satisfying string supported in [1, n]."""
     if n < 0:
         raise ValueError("support bound must be >= 0")
-    if scalar_term(c, n + 1) > cap:
-        raise CapExceededError("region of %d points exceeds cap" % scalar_term(c, n + 1))
-    members = {}
-    for a, v in iter_representations(c, n, with_values=True):
-        members[v] = (len(a), a)
-    return RegionSet(n, members)
+    return _region(c, n, cap, 0)
 
 
 def support_shell(c: RecurrenceVector, n: int,
@@ -196,12 +149,17 @@ def support_shell(c: RecurrenceVector, n: int,
     """R_n = D_n minus D_{n-1}: vectors whose string has support exactly n."""
     if n < 1:
         raise ValueError("shell index must be >= 1")
+    return _region(c, n, cap, n)
+
+
+def _region(c: RecurrenceVector, n: int, cap: int, least: int) -> RegionSet:
+    """Vectors of the strings with support in [least, n], keyed in lex order."""
     if scalar_term(c, n + 1) > cap:
         raise CapExceededError("region of %d points exceeds cap" % scalar_term(c, n + 1))
     members = {}
     for a, v in iter_representations(c, n, with_values=True):
-        if len(a) == n:
-            members[v] = (n, a)
+        if len(a) >= least:
+            members[v] = (len(a), a)
     return RegionSet(n, members)
 
 

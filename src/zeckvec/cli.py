@@ -191,7 +191,7 @@ def _cmd_minimality(args) -> int:
     c = _recurrence(args.c, relaxed=False)
     cap = _enumeration_cap()
     region = bridge.support_region(c, args.n, cap=cap)
-    bound = args.bound if args.bound else args.n + c.k
+    bound = args.n + c.k if args.bound is None else args.bound
     failures = 0
     for v in region.vectors():
         res = analytics.check_minimality(c, v, support_bound=bound)

@@ -101,6 +101,12 @@ def test_minimality_node_cap():
         check_minimality(C211, (-40, 25), node_cap=10)
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_minimality_rejects_support_bound_below_one(bound):
+    with pytest.raises(ValueError, match="support bound must be >= 1"):
+        check_minimality(C211, (0, 1), support_bound=bound)
+
+
 def test_stats_json_is_stable():
     stats = [summand_distribution(C211, n, mode="exact") for n in range(3, 6)]
     assert stats_json_text(C211, stats) == stats_json_text(C211, stats)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,39 @@ from zeckvec.bridge import regions_csv_text, regions_svg_text
 
 C211 = RecurrenceVector((2, 1, 1))
 FIB = RecurrenceVector((1, 1))
+STRICT_VECTORS = [(1, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 2, 1)]
+RELAXED_VECTORS = [(1, 3, 1), (1, 0, 1), (2, 0, 0, 1)]
+
+
+def grammar_accepts(coeffs, a):
+    """The chunk grammar as a k-state automaton, written without package code.
+
+    The state is the length of the prefix of the coefficients matched so far:
+    a digit above the next coefficient is rejected, a digit equal to it
+    advances, a smaller one returns to state 0, and state k is rejected.
+    """
+    j = 0
+    for x in a:
+        if x > coeffs[j]:
+            return False
+        j = j + 1 if x == coeffs[j] else 0
+        if j == len(coeffs):
+            return False
+    return True
+
+
+def brute_force_strings(coeffs, n):
+    """Every accepted digit string of length n, trimmed, in lexicographic order."""
+    padded = [a for a in product(range(max(coeffs) + 1), repeat=n)
+              if grammar_accepts(coeffs, a)]
+    padded.sort()
+    out = []
+    for a in padded:
+        m = len(a)
+        while m and a[m - 1] == 0:
+            m -= 1
+        out.append(a[:m])
+    return out
 
 
 def test_bridge_examples():
@@ -21,6 +56,12 @@ def test_bridge_domain():
     with pytest.raises(BridgeDomainError):
         scalar_bridge(C211, 0, (0, 0))
     assert scalar_bridge(C211, 1, (1, 0)) == 0  # k-2 boundary, reduced mod X_1 = 1
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 2, 3)])
+def test_bridge_rejects_wrong_dimension(v):
+    with pytest.raises(ValueError, match="vector dimension must be k-1 = 2"):
+        scalar_bridge(C211, 5, v)
 
 
 def test_bridge_maps_basis_to_shifted_terms():
@@ -62,6 +103,19 @@ def test_enumeration_counts_and_order():
         assert is_satisfying(C211, a)
 
 
+@pytest.mark.parametrize("coeffs", STRICT_VECTORS + RELAXED_VECTORS,
+                         ids=lambda coeffs: ",".join(map(str, coeffs)))
+def test_enumeration_matches_brute_force(coeffs):
+    c = RecurrenceVector(coeffs, relaxed=coeffs in RELAXED_VECTORS)
+    for n in range(0, 8):
+        expected = brute_force_strings(coeffs, n)
+        assert list(iter_representations(c, n)) == expected
+        pairs = list(iter_representations(c, n, with_values=True))
+        assert [a for a, _ in pairs] == expected
+        for a, v in pairs:
+            assert evaluate(c, a) == v
+
+
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         enumerate_representations(C211, 10, cap=100)
@@ -84,14 +138,16 @@ def test_region_examples():
 
 
 def test_region_counts_and_shells():
-    prev = set()
-    for n in range(0, 8):
-        dn = support_region(C211, n)
-        assert len(dn) == scalar_term(C211, n + 1)
-        if n >= 1:
-            shell = support_shell(C211, n)
-            assert set(shell.vectors()) == set(dn.vectors()) - prev
-        prev = set(dn.vectors())
+    for coeffs in STRICT_VECTORS:
+        c = RecurrenceVector(coeffs)
+        prev = set()
+        for n in range(0, 8):
+            dn = support_region(c, n)
+            assert len(dn) == scalar_term(c, n + 1)
+            if n >= 1:
+                shell = support_shell(c, n)
+                assert set(shell.vectors()) == set(dn.vectors()) - prev
+            prev = set(dn.vectors())
 
 
 def test_shells_partition_region():

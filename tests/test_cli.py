@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -109,6 +110,49 @@ def test_regions_outputs_are_deterministic(tmp_path, capsys):
     assert svg1.read_bytes() == svg2.read_bytes()
 
 
+# sha256 of the files `regions --csv --svg` writes; svg is None where k != 3
+REGION_FILE_HASHES = {
+    ("2,1,1", 8): ("de0fb373f263c8096bb8fbb096db8638e3226c476743dd040553254a5733f330",
+                   "899d81e9d13a4f4e68214e2fcf13fd481f85b34f0845e7c6f052954d57c34ce0"),
+    ("1,1,1", 9): ("ee1179d57a69c7403010e3ef5d1a5365028ddc1c3165bfe1259ec3d848bd0641",
+                   "3eeaf67889fc58260fad3b0db1392f0123c2f182e664cabe5bb27993d434dd4e"),
+    ("4,2,1", 5): ("1d9a01ee22c5442045348635c70e116af106a1b48cfd6dfd3fd60d1fd4c8bdc6",
+                   "a4dd7bf22298f9548c72aa56cc30502901962505e28db636b3eee2820e136bee"),
+    ("1,1,1,1", 8): ("7a178cc7c213fde1afc183f5193c8f2171a701ad29007c6244dcbed9440e57f4",
+                     None),
+}
+
+
+@pytest.mark.parametrize("c,n", sorted(REGION_FILE_HASHES))
+def test_regions_files_are_pinned(tmp_path, capsys, c, n):
+    csv = tmp_path / "r.csv"
+    svg = tmp_path / "r.svg"
+    assert run(capsys, "regions", "--c", c, "--n", str(n),
+               "--csv", str(csv), "--svg", str(svg))[0] == 0
+    digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+    svg_digest = hashlib.sha256(svg.read_bytes()).hexdigest() if svg.exists() else None
+    assert (digest, svg_digest) == REGION_FILE_HASHES[c, n]
+
+
+# sha256 of the stdout of `cover --r 0`, ..., `cover --r 4`, one run after another
+COVER_STDOUT_HASHES = {
+    "2,1,1": "00484a688c08cc54d56ad766fcfa3e1cbfb809ad1819da10cc57bbf17ffabc66",
+    "1,1,1": "82f250707f25c5b5d04ca123a28db4fef8a63c951ca2a9602b4b29a75fef0b4d",
+    "4,2,1": "96eef36a900dbb6947b6bc12c896cc98b67c5e72c95e9c4f7ed5f59bdefdfe8e",
+    "1,1,1,1": "a8613d46e75b93706bada72a91dfe5f86b7182725eacea745adf4d28d7d1910c",
+}
+
+
+@pytest.mark.parametrize("c", sorted(COVER_STDOUT_HASHES))
+def test_cover_stdout_is_pinned(capsys, c):
+    out = ""
+    for r in range(5):
+        code, text, _ = run(capsys, "cover", "--c", c, "--r", str(r))
+        assert code == 0
+        out += text
+    assert hashlib.sha256(out.encode()).hexdigest() == COVER_STDOUT_HASHES[c]
+
+
 def test_regions_svg_notice_for_higher_dimension(tmp_path, capsys):
     csv = tmp_path / "c.csv"
     svg = tmp_path / "c.svg"
@@ -146,6 +190,20 @@ def test_minimality_report(capsys):
     code, out, _ = run(capsys, "minimality", "--c", "2,1,1", "--n", "2", "--bound", "5")
     assert code == 0
     assert out.strip().splitlines()[-1] == "summary: 8/8 minimal"
+
+
+def test_minimality_bound_zero_is_invalid(capsys):
+    code, out, err = run(capsys, "minimality", "--c", "2,1,1", "--n", "2", "--bound", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: support bound must be >= 1\n"
+
+
+def test_minimality_negative_bound_is_invalid(capsys):
+    code, out, err = run(capsys, "minimality", "--c", "2,1,1", "--n", "2", "--bound", "-3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: support bound must be >= 1\n"
 
 
 def test_probe_budget_exceeded_is_success(capsys):

@@ -3,7 +3,7 @@
 import os
 
 import zeckvec
-from zeckvec import RecurrenceVector, recurrence
+from zeckvec import RecurrenceVector, recurrence, scalar_term
 
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "benchmarks")
@@ -32,3 +32,20 @@ def test_tracer_wraps_sequence_methods_and_uninstalls(monkeypatch):
     for (cls, meth), original in originals.items():
         assert cls.__dict__[meth] is original
     assert (zeckvec.scalar_term, zeckvec.vector_term) == functions
+
+
+def test_tracer_counts_enumerator_yields(monkeypatch):
+    # the enumerator must stay a generator function: the tracer gives it one
+    # span per yield, which the benchmark's bridge.enum_useful_ratio reads
+    monkeypatch.syspath_prepend(BENCHMARKS)
+    from tracer import Tracer
+
+    tracer = Tracer(zeckvec)
+    tracer.install()
+    try:
+        c = RecurrenceVector((2, 1, 1))
+        region = zeckvec.support_region(c, 4)
+        assert tracer.yields("bridge.iter_representations") == scalar_term(c, 5)
+        assert len(region) == scalar_term(c, 5)
+    finally:
+        tracer.uninstall()
