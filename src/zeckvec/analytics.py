@@ -16,8 +16,10 @@ skewness is still about -0.22 at n = 24 and shrinks like n^(-1/2).
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .bridge import DEFAULT_ENUMERATION_CAP, legal_decompose
@@ -50,11 +52,27 @@ class SummandStats:
 
 
 def _moments(histogram: dict):
+    """(size, mean, variance, skewness, excess kurtosis) of a histogram.
+
+    Float central moments, as always, unless they would overflow (counts
+    beyond the float range): then exact integer power sums give the moments
+    as Fractions, rounded to floats at the end.
+    """
     size = sum(histogram.values())
-    mean = sum(k * f for k, f in histogram.items()) / size
-    m2 = sum(f * (k - mean) ** 2 for k, f in histogram.items()) / size
-    m3 = sum(f * (k - mean) ** 3 for k, f in histogram.items()) / size
-    m4 = sum(f * (k - mean) ** 4 for k, f in histogram.items()) / size
+    try:
+        mean = sum(k * f for k, f in histogram.items()) / size
+        m2 = sum(f * (k - mean) ** 2 for k, f in histogram.items()) / size
+        m3 = sum(f * (k - mean) ** 3 for k, f in histogram.items()) / size
+        m4 = sum(f * (k - mean) ** 4 for k, f in histogram.items()) / size
+        if not math.isfinite(m2 + abs(m3) + m4):
+            raise OverflowError
+    except OverflowError:
+        s1, s2, s3, s4 = (Fraction(sum(f * k ** r for k, f in histogram.items()), size)
+                          for r in range(1, 5))
+        mean = float(s1)
+        m2 = float(s2 - s1 ** 2)
+        m3 = float(s3 - 3 * s1 * s2 + 2 * s1 ** 3)
+        m4 = float(s4 - 4 * s1 * s3 + 6 * s1 ** 2 * s2 - 3 * s1 ** 4)
     if m2 > 0:
         skew = m3 / m2 ** 1.5
         kurt = m4 / (m2 * m2) - 3.0

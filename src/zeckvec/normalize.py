@@ -8,8 +8,9 @@ multiplies the zero vector and is discarded); a borrow is the inverse.  Mass
 bookkeeping: a carry at i >= 1 shifts the coefficient sum by 1 - sum(c), a
 borrow by sum(c) - 1, and a carry into the virtual position 0 by -sum(c).
 
-The reduction loop is scanner-driven.  Each round locates the first overfilled
-element I with its chunk start n_p and matched length j, then applies:
+The reduction loop rewrites one list in place.  Each round locates the first
+overfilled element I with its chunk start n_p and matched length j, then
+applies:
 
   * j == k-1 (the string prefix ends in an overfull copy of c): one carry into
     n_p - 1, which is always legal;
@@ -17,6 +18,9 @@ element I with its chunk start n_p and matched length j, then applies:
     weakly decreasing coefficients the carry is provably legal and the loop
     terminates; otherwise the carry may be blocked and the step budget guards
     against divergence.
+
+A round touches only positions >= n_p - 1, so the next round's scan resumes at
+the chunk start before n_p and keeps the chunk starts found before that.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
-from operator import mul
+from operator import ge, mul
 from typing import NamedTuple, Optional
 
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
@@ -33,7 +37,8 @@ from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceErr
                      NotNearlySatisfyingError, NotSatisfyingError)
 from .recurrence import (RecurrenceVector, backward_column, column_value,
                          column_weights, scalar_terms)
-from .representation import KIND_NEARLY_SATISFYING, canonical, classify, scan
+from .representation import (KIND_NEARLY_SATISFYING, _scan_from, canonical,
+                             classify, scan)
 
 DEFAULT_BUDGET = 10_000
 TRACE_FULL_STEPS = 1_000
@@ -154,77 +159,85 @@ def borrow(c: RecurrenceVector, a, i: int) -> tuple:
     return canonical(out)
 
 
-def _carry_legal(c, a, i) -> bool:
-    coeffs = c.coefficients
-    m = len(a)
-    for l in range(1, c.k + 1):
-        have = a[i + l - 1] if i + l <= m else 0
-        if have < coeffs[l - 1]:
-            return False
-    return True
+def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
+             iterations=None, support_cap=None, carry_only=False):
+    """The reduction loop on the trimmed list a, in place (module docstring).
 
-
-def _reduce(c: RecurrenceVector, a: tuple, budget=None, trace=None, support_cap=None) -> ProbeReport:
-    coeffs = c.coefficients
-    k = c.k
-    total = c.coefficient_total
-    limit = _HARD_STEP_CAP if budget is None else budget
-    if trace is None:
-        trace = NormalizationTrace()
-    cur = canonical(a)
-    g = sum(cur)
-    g_history = [g]
-    max_support = len(cur)
+    history and iterations, when given, get the mass after each step and one
+    IterationRecord per round; carry_only raises NotEndCompleteError on a
+    round that is not end-complete.  Returns (steps, max_support, reason):
+    reason is None once a satisfies, else "support_growth" or "step_budget".
+    """
+    if limit < 0:
+        raise ValueError("budget must be >= 0")
+    coeffs, k, total = c.coefficients, c.k, c.coefficient_total
+    g = sum(a)
     steps = 0
-    iterations = []
-
-    def stopped(reason):
-        return ProbeReport("budget_exceeded", None, cur, steps, budget, reason,
-                           max_support, g_history, trace, iterations)
-
+    max_support = len(a)
+    starts, p = [], 1
     while True:
-        result = scan(c, cur)
-        if result.ok:
-            trace.terminated = True
-            return ProbeReport("terminated", cur, cur, steps, budget, None,
-                               max_support, g_history, trace, iterations)
-        if support_cap is not None and len(cur) > support_cap:
-            return stopped("support_growth")
+        fail = _scan_from(coeffs, k, a, starts, p)
+        if fail is None:
+            if trace is not None:
+                trace.terminated = True
+            return steps, max_support, None
+        if support_cap is not None and len(a) > support_cap:
+            return steps, max_support, "support_growth"
         if steps >= limit:
-            return stopped("step_budget")
-        fail_pos = result.fail_pos
-        np_ = result.chunk_start
-        matched = result.matched
-        prefix_mass = sum(cur[:np_ - 1])
-        g_before = g
-        if matched == k - 1:
-            # prefix ends in an overfull copy of c: a single carry resolves it
-            cur = carry(c, cur, np_ - 1)
-            steps += 1
-            g += (1 - total) if np_ - 1 >= 1 else -total
-            trace.record("carry", np_ - 1, cur, g)
-            g_history.append(g)
-            case = "carry_only"
-        else:
-            cur = borrow(c, cur, fail_pos)
+            return steps, max_support, "step_budget"
+        fail_pos, matched = fail
+        i = starts[-1] - 1
+        if carry_only and (fail_pos != len(a) or matched != k - 1):
+            raise NotEndCompleteError("carry cascade produced a non-end-complete state")
+        if iterations is not None:
+            g_before, prefix_mass = g, sum(a[:i])
+        case = "carry_only"
+        if matched != k - 1:
+            # borrow from I = fail_pos; a_I > c_j >= 0, so it is legal
+            a.extend([0] * (fail_pos + k - len(a)))
+            a[fail_pos - 1] -= 1
+            for l in range(k):
+                a[fail_pos + l] += coeffs[l]
             steps += 1
             g += total - 1
-            trace.record("borrow", fail_pos, cur, g)
-            g_history.append(g)
-            if len(cur) > max_support:
-                max_support = len(cur)
-            case = "borrow_only"
-            if steps < limit and _carry_legal(c, cur, np_ - 1):
-                cur = carry(c, cur, np_ - 1)
-                steps += 1
-                g += (1 - total) if np_ - 1 >= 1 else -total
-                trace.record("carry", np_ - 1, cur, g)
-                g_history.append(g)
-                case = "borrow_carry"
-        if len(cur) > max_support:
-            max_support = len(cur)
-        iterations.append(IterationRecord(fail_pos, np_, matched, case,
-                                          g_before, prefix_mass))
+            if trace is not None:
+                trace.record("borrow", fail_pos, tuple(a), g)
+            if history is not None:
+                history.append(g)
+            max_support = max(max_support, len(a))
+            legal = steps < limit and len(a) >= i + k and all(map(ge, a[i:i + k], coeffs))
+            case = "borrow_carry" if legal else "borrow_only"
+        if case != "borrow_only":
+            # carry into n_p - 1 (0 is the virtual position)
+            for l in range(k):
+                a[i + l] -= coeffs[l]
+            if i:
+                a[i - 1] += 1
+            while a and a[-1] == 0:
+                a.pop()
+            steps += 1
+            g += (1 - total) if i else -total
+            if trace is not None:
+                trace.record("carry", i, tuple(a), g)
+            if history is not None:
+                history.append(g)
+        if iterations is not None:
+            iterations.append(IterationRecord(fail_pos, i + 1, matched, case,
+                                              g_before, prefix_mass))
+        p = starts[-2] if len(starts) > 1 else 1
+        del starts[-2:]
+
+
+def _reduce(c: RecurrenceVector, a: tuple, budget=None, support_cap=None) -> ProbeReport:
+    cur = list(a)
+    trace, history, iterations = NormalizationTrace(), [sum(a)], []
+    limit = _HARD_STEP_CAP if budget is None else budget
+    steps, max_support, reason = _rewrite(c, cur, limit, trace, history, iterations,
+                                          support_cap)
+    cur = tuple(cur)
+    return ProbeReport("budget_exceeded" if reason else "terminated",
+                       None if reason else cur, cur, steps, budget, reason,
+                       max_support, history, trace, iterations)
 
 
 def resolve_end_complete(c: RecurrenceVector, a):
@@ -240,16 +253,9 @@ def resolve_end_complete(c: RecurrenceVector, a):
     if not cls.end_complete:
         raise NotEndCompleteError("not an end-complete nearly satisfying string: %r" % (a,))
     trace = NormalizationTrace()
-    cur = a
-    while True:
-        result = scan(c, cur)
-        if result.ok:
-            trace.terminated = True
-            return cur, trace
-        if result.fail_pos != len(cur) or result.matched != c.k - 1:
-            raise NotEndCompleteError("carry cascade produced a non-end-complete state")
-        cur = carry(c, cur, result.chunk_start - 1)
-        trace.record("carry", result.chunk_start - 1, cur, sum(cur))
+    cur = list(a)
+    _rewrite(c, cur, math.inf, trace, carry_only=True)
+    return tuple(cur), trace
 
 
 def normalize_nsr(c: RecurrenceVector, a, budget: int = DEFAULT_BUDGET) -> ProbeReport:
@@ -261,10 +267,13 @@ def normalize_nsr(c: RecurrenceVector, a, budget: int = DEFAULT_BUDGET) -> Probe
     return _reduce(c, a, budget=budget)
 
 
-def _bumped(a: tuple, i: int) -> tuple:
-    out = list(a) + [0] * max(0, i - len(a))
-    out[i - 1] += 1
-    return tuple(out)
+def _bump_and_rewrite(c: RecurrenceVector, a: list, i: int, budget, trace) -> None:
+    """Add 1 at position i of the satisfying list a and rewrite it in place."""
+    a.extend([0] * (i - len(a)))
+    a[i - 1] += 1
+    limit = _HARD_STEP_CAP if budget is None else budget
+    if _rewrite(c, a, limit, trace)[2] is not None:
+        raise NonTerminationError("normalization did not terminate within %r steps" % budget)
 
 
 def increment(c: RecurrenceVector, a, i: int, budget=None, trace=None) -> tuple:
@@ -280,31 +289,21 @@ def increment(c: RecurrenceVector, a, i: int, budget=None, trace=None) -> tuple:
         raise NotSatisfyingError("increment requires a satisfying representation: %r" % (a,))
     if i < 1:
         raise ValueError("index must be >= 1")
-    bumped = _bumped(a, i)
     if budget is None and not c.weakly_decreasing:
         budget = DEFAULT_BUDGET
-    report = _reduce(c, bumped, budget=budget, trace=trace)
-    if not report.terminated:
-        raise NonTerminationError("normalization did not terminate within %r steps" % report.budget)
-    return report.result
+    out = list(a)
+    _bump_and_rewrite(c, out, i, budget, trace)
+    return tuple(out)
 
 
 def _decompose_chain(c: RecurrenceVector, v: tuple, trace=None) -> tuple:
-    coeffs = c.coefficients
-    k = c.k
-    shift = 0
-    for j in range(k - 1):
-        if v[j] < 0:
-            need = (-v[j] + coeffs[j] - 1) // coeffs[j]
-            if need > shift:
-                shift = need
-    a = ()
-    for _ in range(shift):
-        a = increment(c, a, k, trace=trace)
-    for j in range(1, k):
-        for _ in range(v[j - 1] + shift * coeffs[j - 1]):
-            a = increment(c, a, j, trace=trace)
-    return a
+    coeffs, k = c.coefficients, c.k
+    shift = max(0, *(-(x // cj) for x, cj in zip(v, coeffs)))
+    a = []
+    for i, count in [(k, shift)] + [(j, v[j - 1] + shift * coeffs[j - 1]) for j in range(1, k)]:
+        for _ in range(count):
+            _bump_and_rewrite(c, a, i, None, trace)
+    return tuple(a)
 
 
 def _backward_log_growth(coeffs) -> float:

@@ -45,13 +45,13 @@ class ScanResult:
     matched: Optional[int]        # j: positions n_p..n_p+j-1 equal c1..cj exactly
 
 
-def scan(c: RecurrenceVector, a: tuple) -> ScanResult:
-    """One pass of the chunk grammar over a trimmed string."""
-    coeffs = c.coefficients
-    k = c.k
+def _scan_from(coeffs: tuple, k: int, a, starts: list, p: int):
+    """Run the chunk grammar over a from chunk start p, appending each chunk
+    start to starts.  Returns None when the rest of a satisfies, otherwise
+    (fail_pos, matched) for the chunk at starts[-1].  Resuming at a chunk
+    start of an earlier scan is exact while no position before it changed.
+    """
     m = len(a)
-    starts = []
-    p = 1
     while p <= m:
         starts.append(p)
         j = 0
@@ -63,17 +63,26 @@ def scan(c: RecurrenceVector, a: tuple) -> ScanResult:
                 j += 1
                 continue
             if v > cj:
-                return ScanResult(False, tuple(starts), t, p, j)
+                return t, j
             break
         else:
             # all k positions match: the string contains a full copy of c
-            return ScanResult(False, tuple(starts), p + k - 1, p, k - 1)
+            return p + k - 1, k - 1
         # chunk closed by a small element at p+j; skip the zero run
         q = p + j + 1
         while q <= m and a[q - 1] == 0:
             q += 1
         p = q
-    return ScanResult(True, tuple(starts), None, None, None)
+    return None
+
+
+def scan(c: RecurrenceVector, a: tuple) -> ScanResult:
+    """One pass of the chunk grammar over a trimmed string."""
+    starts = []
+    fail = _scan_from(c.coefficients, c.k, a, starts, 1)
+    if fail is None:
+        return ScanResult(True, tuple(starts), None, None, None)
+    return ScanResult(False, tuple(starts), fail[0], starts[-1], fail[1])
 
 
 def is_satisfying(c: RecurrenceVector, a) -> bool:

@@ -1,10 +1,12 @@
+import math
+
 import pytest
 
 from zeckvec import (CapExceededError, OracleExhaustedError, RecurrenceVector,
                      check_minimality, coefficient_sum, decompose,
                      gaussian_diagnostics, legal_decompose, scalar_bridge,
                      scalar_term, summand_distribution, support_region)
-from zeckvec.analytics import FIBONACCI_MEAN_SLOPE, stats_json_text
+from zeckvec.analytics import FIBONACCI_MEAN_SLOPE, _moments, stats_json_text
 
 FIB = RecurrenceVector((1, 1))
 C211 = RecurrenceVector((2, 1, 1))
@@ -111,3 +113,11 @@ def test_stats_json_is_stable():
     stats = [summand_distribution(C211, n, mode="exact") for n in range(3, 6)]
     assert stats_json_text(C211, stats) == stats_json_text(C211, stats)
     assert '"mode": "exact"' in stats_json_text(C211, stats)
+
+
+def test_moments_of_big_int_counts_do_not_overflow():
+    big = _moments({1: 10 ** 400, 2: 3 * 10 ** 400})
+    small = _moments({1: 1, 2: 3})
+    assert big[0] == 4 * 10 ** 400
+    assert big[1:] == small[1:]
+    assert small[1:] == pytest.approx((1.75, 0.1875, -2 / math.sqrt(3), -2 / 3))

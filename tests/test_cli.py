@@ -60,6 +60,33 @@ def test_decompose_trace(tmp_path, capsys):
     assert records[-1]["string"] == "1,0,0,1,1,1"
 
 
+# sha256 of stdout and of the --trace file; the second run has 3867 unit
+# steps in 1028 entries, so it covers thinning and collapsed borrow runs
+TRACE_RUN_HASHES = {
+    ("decompose", "--c", "2,1,1", "--v", "-4,0"):
+        ("bb303f086777c751d485ac520b4b5509638881b866a1e94cddf1dcd8ed8c0901",
+         "2a83e77ec977f910ee46a2b9ab431defd96d25215967cba9e18bbe4417a199fe"),
+    ("decompose", "--c", "1,1,1", "--v", "700,-650"):
+        ("fc4dfd49e8d4543068f3ea59bd09801e9bf5349153af2f94870f9859da70504d",
+         "070a26ce98e77f824cbcbbe23040cecfb805336f1c1fa14f5d6b8eb5c4eeff5a"),
+    ("probe", "--c", "1,3,1", "--a", "2", "--budget", "10000"):
+        ("3a83b75b9c1160046f40110e810d1a7d3844729a977e1cc0bfd8613ab817b0e5",
+         "a16b24c242ce9159259bda853e657aa146f1a7c98467eb7df1471ec56efa17d8"),
+    ("probe", "--c", "1,4,2,1", "--a", "2", "--budget", "1000"):
+        ("029f722e15afd6258cc1c63e562d2b4b38295c00e053e1616f1e2a05b18ecc88",
+         "2bccd7a0059b8109ee9dd15092a58d2b654e6761d0906ce0e5a4bc17ab457244"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TRACE_RUN_HASHES))
+def test_trace_outputs_are_pinned(tmp_path, capsys, argv):
+    path = tmp_path / "trace.jsonl"
+    code, out, _ = run(capsys, *argv, "--trace", str(path))
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(path.read_bytes()).hexdigest()) == TRACE_RUN_HASHES[argv]
+
+
 def test_verify_satisfying(capsys):
     code, out, _ = run(capsys, "verify", "--c", "4,2,1", "--a", "2,4,2,0,1")
     assert code == 0
@@ -213,6 +240,13 @@ def test_probe_budget_exceeded_is_success(capsys):
     assert "intermediate_1: 1,1,3,1" in out
     assert "intermediate_2: 1,1,1,3,6,2" in out
     assert "intermediate_3: 1,2,0,0,5,2" in out
+
+
+def test_probe_negative_budget_is_invalid(capsys):
+    code, out, err = run(capsys, "probe", "--c", "1,3,1", "--a", "2", "--budget", "-5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: budget must be >= 0\n"
 
 
 def test_probe_terminating(capsys):

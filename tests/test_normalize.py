@@ -2,16 +2,17 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from zeckvec import (BorrowBlockedError, CarryBlockedError, NotEndCompleteError,
-                     NotNearlySatisfyingError, RecurrenceVector, borrow, carry,
+from zeckvec import (BorrowBlockedError, CarryBlockedError, NonTerminationError,
+                     NotEndCompleteError, NotNearlySatisfyingError, RecurrenceVector, borrow, carry,
                      classify, coefficient_sum, decompose, evaluate, increment,
                      is_satisfying, normalize_nsr, prefix_sum,
-                     probe_termination, resolve_end_complete, scalar_term,
+                     probe_termination, resolve_end_complete, scalar_term, scan,
                      spanning_probe, vector_term)
-from zeckvec.normalize import (NormalizationTrace, _bridge_level, _build_level,
-                               _decompose_chain)
+from zeckvec.normalize import (IterationRecord, NormalizationTrace, ProbeReport,
+                               _bridge_level, _build_level, _decompose_chain,
+                               _reduce)
 
 STRICT = [(1, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 2, 1)]
 C211 = RecurrenceVector((2, 1, 1))
@@ -306,3 +307,180 @@ def test_increment_preserves_value_algebra(coeffs, i, seed):
     expected = tuple(x + y for x, y in zip(v, vector_term(c, -i)))
     assert evaluate(c, out) == expected
     assert is_satisfying(c, out)
+
+
+def test_negative_budget_is_invalid():
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        probe_termination(BAD131, (2,), budget=-5)
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        normalize_nsr(C211, (0, 2, 2), budget=-1)
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        increment(FIB, (1,), 1, budget=-1)
+    # budget 0 stays a real budget: no step is taken
+    report = probe_termination(BAD131, (2,), budget=0)
+    assert (report.outcome, report.reason, report.steps) == ("budget_exceeded", "step_budget", 0)
+    assert normalize_nsr(C211, (0, 2, 2), budget=0).steps == 0
+    assert increment(FIB, (), 1, budget=0) == (1,)
+
+
+# -- differential oracles for the in-place rewriting loop ----------------------
+
+RELAXED = [(1, 3, 1), (1, 4, 2, 1), (1, 2, 1), (2, 3, 1), (1, 2, 2, 1), (2, 2, 3, 1)]
+
+
+def _oracle_carry_legal(c, a, i):
+    coeffs = c.coefficients
+    m = len(a)
+    for l in range(1, c.k + 1):
+        have = a[i + l - 1] if i + l <= m else 0
+        if have < coeffs[l - 1]:
+            return False
+    return True
+
+
+def full_rescan_reduce(c, a, budget=None, support_cap=None, trace=None):
+    """The reduction loop as a full rescan: every round scans from position 1,
+    and every step goes through the public carry/borrow, which validate and
+    copy the whole string."""
+    k = c.k
+    total = c.coefficient_total
+    limit = 10_000_000 if budget is None else budget
+    if trace is None:
+        trace = NormalizationTrace()
+    cur = tuple(a)
+    g = sum(cur)
+    g_history = [g]
+    max_support = len(cur)
+    steps = 0
+    iterations = []
+    while True:
+        result = scan(c, cur)
+        if result.ok:
+            trace.terminated = True
+            return ProbeReport("terminated", cur, cur, steps, budget, None,
+                               max_support, g_history, trace, iterations)
+        if support_cap is not None and len(cur) > support_cap:
+            return ProbeReport("budget_exceeded", None, cur, steps, budget, "support_growth",
+                               max_support, g_history, trace, iterations)
+        if steps >= limit:
+            return ProbeReport("budget_exceeded", None, cur, steps, budget, "step_budget",
+                               max_support, g_history, trace, iterations)
+        fail_pos, np_, matched = result.fail_pos, result.chunk_start, result.matched
+        prefix_mass = sum(cur[:np_ - 1])
+        g_before = g
+        if matched == k - 1:
+            cur = carry(c, cur, np_ - 1)
+            steps += 1
+            g += (1 - total) if np_ - 1 >= 1 else -total
+            trace.record("carry", np_ - 1, cur, g)
+            g_history.append(g)
+            case = "carry_only"
+        else:
+            cur = borrow(c, cur, fail_pos)
+            steps += 1
+            g += total - 1
+            trace.record("borrow", fail_pos, cur, g)
+            g_history.append(g)
+            max_support = max(max_support, len(cur))
+            case = "borrow_only"
+            if steps < limit and _oracle_carry_legal(c, cur, np_ - 1):
+                cur = carry(c, cur, np_ - 1)
+                steps += 1
+                g += (1 - total) if np_ - 1 >= 1 else -total
+                trace.record("carry", np_ - 1, cur, g)
+                g_history.append(g)
+                case = "borrow_carry"
+        iterations.append(IterationRecord(fail_pos, np_, matched, case, g_before, prefix_mass))
+
+
+def _report_fields(report):
+    fields = dict(vars(report))
+    fields["trace"] = vars(fields["trace"])
+    return fields
+
+
+def oracle_increment(c, a, i, trace=None, budget=None):
+    """Add X_{-i} to the satisfying tuple a by the full-rescan loop."""
+    bumped = list(a) + [0] * (i - len(a))
+    bumped[i - 1] += 1
+    report = full_rescan_reduce(c, tuple(bumped), budget=budget, trace=trace)
+    return report.result if report.terminated else None
+
+
+@st.composite
+def bumped_satisfying(draw):
+    """A recurrence, a satisfying string of its chunk grammar and a position
+    1..len+k to raise by 1."""
+    coeffs, relaxed = draw(st.sampled_from([(c, False) for c in STRICT]
+                                           + [(c, True) for c in RELAXED]))
+    c = RecurrenceVector(coeffs, relaxed=relaxed)
+    a = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        j = draw(st.sampled_from([j for j in range(c.k) if coeffs[j] > 0]))
+        a += list(coeffs[:j]) + [draw(st.integers(min_value=0, max_value=coeffs[j] - 1))]
+        a += [0] * draw(st.integers(min_value=0, max_value=3))
+    while a and a[-1] == 0:
+        a.pop()
+    return c, tuple(a), draw(st.integers(min_value=1, max_value=len(a) + c.k))
+
+
+@st.composite
+def nearly_satisfying_inputs(draw):
+    """A bumped satisfying string that is nearly satisfying, at most 30 long."""
+    c, a, i = draw(bumped_satisfying())
+    a = list(a) + [0] * (i - len(a))
+    a[i - 1] += 1
+    assume(len(a) <= 30 and classify(c, a).kind == "nearly_satisfying")
+    return c, tuple(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nearly_satisfying_inputs(), st.data())
+def test_rewriting_loop_matches_full_rescan(case, data):
+    c, a = case
+    budget = data.draw(st.sampled_from(([None] if not c.relaxed else []) + [0, 1, 300]))
+    support_cap = data.draw(st.sampled_from([None, len(a) + 50 * c.k]))
+    got = _reduce(c, a, budget=budget, support_cap=support_cap)
+    want = full_rescan_reduce(c, a, budget=budget, support_cap=support_cap)
+    assert _report_fields(got) == _report_fields(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bumped_satisfying())
+def test_increment_matches_full_rescan(case):
+    c, a, i = case
+    budget = None if c.weakly_decreasing else 300
+    got, want = NormalizationTrace(), NormalizationTrace()
+    expected = oracle_increment(c, a, i, want, budget)
+    if expected is None:
+        with pytest.raises(NonTerminationError):
+            increment(c, a, i, budget=budget, trace=got)
+    else:
+        assert increment(c, a, i, budget=budget, trace=got) == expected
+    assert vars(got) == vars(want)
+
+
+def increment_chain(c, v, trace):
+    """decompose as a chain of oracle increments, each on a fresh tuple."""
+    coeffs, k = c.coefficients, c.k
+    shift = 0
+    for j in range(k - 1):
+        if v[j] < 0:
+            shift = max(shift, (-v[j] + coeffs[j] - 1) // coeffs[j])
+    a = ()
+    for _ in range(shift):
+        a = oracle_increment(c, a, k, trace)
+    for j in range(1, k):
+        for _ in range(v[j - 1] + shift * coeffs[j - 1]):
+            a = oracle_increment(c, a, j, trace)
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(STRICT), st.data())
+def test_traced_decompose_matches_increment_chain(coeffs, data):
+    c = RecurrenceVector(coeffs)
+    v = data.draw(st.tuples(*[st.integers(min_value=-300, max_value=300)] * (c.k - 1)))
+    got, want = NormalizationTrace(), NormalizationTrace()
+    assert decompose(c, v, trace=got) == increment_chain(c, v, want)
+    assert vars(got) == vars(want)
