@@ -2,9 +2,9 @@
 
 The number of summands of a vector in shell n equals the number of summands
 of its scalar image, so distributions are computed on the integer interval
-[X_n, X_{n+1}) directly: exhaustively when the window is small enough,
-otherwise by seeded uniform sampling.  Moments use population (biased)
-estimators.
+[X_n, X_{n+1}) directly: exactly by a digit DP over the greedy expansions
+(within the enumeration cap), or by seeded uniform sampling.  Moments use
+population (biased) estimators.
 
 The summand count of an integer is the digit sum of its legal decomposition,
 with multiplicity, as in `bridge.summand_count`: 5 = X_2 + X_1 + X_1 counts
@@ -20,6 +20,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from operator import add
 from typing import Optional
 
 from .bridge import DEFAULT_ENUMERATION_CAP, legal_decompose
@@ -82,14 +84,51 @@ def _moments(histogram: dict):
     return size, mean, m2, skew, kurt
 
 
+def _window_histogram(c: RecurrenceVector, n: int) -> dict:
+    """Summand-count histogram over [X_n, X_{n+1}), keys ascending.
+
+    hists[m][s] counts the integers in [0, X_{m+1}) with digit sum s.  A
+    digit string is a greedy expansion exactly when every tail is worth less
+    than the next term up, so the greedy digits g of X_{m+1} - 1 (m of them,
+    leading first) bound every smaller value: it agrees with g above some
+    position i, has a digit d < g_i at i, and below i any greedy string of
+    i - 1 digits.  Each such choice adds hists[i - 1] shifted by the digit
+    sum above i plus d; X_{m+1} - 1 itself adds one at sum(g).
+    """
+    seq = c.scalar()
+    hists = [[1]]
+    for m in range(1, n + 1):
+        g = legal_decompose(c, seq.term(m + 1) - 1)
+        out = [0] * (sum(g) + 1)
+        out[-1] = 1
+        above = 0
+        for i, digit in zip(range(m, 0, -1), g):
+            lower = hists[i - 1]
+            for base in range(above, above + digit):
+                end = base + len(lower)
+                if end > len(out):
+                    out.extend([0] * (end - len(out)))
+                out[base:end] = map(add, out[base:end], lower)
+            above += digit
+        hists.append(out)
+    window = zip_longest(hists[n], hists[n - 1], fillvalue=0)
+    # Keys ascend.  That is also the order in which a walk up the window
+    # first meets them (the smallest value with digit sum s + 1, its last
+    # nonzero digit lowered, is a smaller value with sum s).  _moments adds
+    # floats in key order, so this order fixes the last bits of the moments.
+    return {s: f - b for s, (f, b) in enumerate(window) if f != b}
+
+
 def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
                          size: Optional[int] = None, seed: Optional[int] = None,
                          cap: int = DEFAULT_ENUMERATION_CAP) -> SummandStats:
     """Distribution of the summand count over the window [X_n, X_{n+1}).
 
     The summand count of a value is the digit sum of `legal_decompose`, with
-    multiplicity, as in `bridge.summand_count`.  Exact mode walks every
-    integer in the window (requires X_{n+1} within the cap).  Sampled mode
+    multiplicity, as in `bridge.summand_count`.  Exact mode counts every
+    integer in the window without visiting them, by a digit DP over the
+    greedy expansions of X_{m+1} - 1 for m <= n (requires X_{n+1} within the
+    cap; the cost is polynomial in n, not in the width).  Sampled mode
     draws uniformly with an explicit seed; draws come from the bit length of
     the window width with rejection, so runs are exactly reproducible.  The
     distribution is Gaussian only as a limit in n: skewness and excess
@@ -102,13 +141,10 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
     lo = seq.term(n)
     hi = seq.term(n + 1)
     width = hi - lo
-    histogram = {}
     if mode == "exact":
         if hi > cap:
             raise CapExceededError("exact sweep of %d outcomes exceeds cap" % width)
-        for value in range(lo, hi):
-            key = sum(legal_decompose(c, value))
-            histogram[key] = histogram.get(key, 0) + 1
+        histogram = _window_histogram(c, n)
         used_seed = None
     elif mode == "sampled":
         if size is None or size <= 0:
@@ -117,6 +153,7 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
             raise ValueError("sampled mode needs an explicit seed")
         rng = random.Random(seed)
         bits = width.bit_length()
+        histogram = {}
         drawn = 0
         while drawn < size:
             r = rng.getrandbits(bits)

@@ -158,7 +158,7 @@ def _cmd_stats(args) -> int:
         raise _CliError("--n-max must be >= --n-min")
     stats = []
     for n in range(args.n_min, args.n_max + 1):
-        if args.sample:
+        if args.sample is not None:
             stats.append(analytics.summand_distribution(
                 c, n, mode="sampled", size=args.sample, seed=args.seed, cap=cap))
         else:
@@ -277,7 +277,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--n-min", dest="n_min", type=int, required=True)
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p.add_argument("--sample", type=int, help="sample size (exact sweep if omitted)")
+    p.add_argument("--sample", type=int, help="sample size (exact distribution if omitted)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="write per-window records")
     p.add_argument("--csv", help="write the (n, mean, variance) series")

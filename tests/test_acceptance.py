@@ -5,7 +5,9 @@ lines and timings.  The heavyweight uniqueness sweep (criterion 4) spreads
 its five recurrences over two worker processes.
 """
 
+import ast
 import math
+import pathlib
 import random
 import time
 from collections import Counter
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import zeckvec
 from zeckvec import (RecurrenceVector, ball_coverage, borrow, carry,
                      check_minimality, classify, coefficient_sum, decompose,
                      enumerate_representations, evaluate, gaussian_diagnostics,
@@ -201,7 +204,7 @@ def test_criterion_07_minimality():
 
 
 def test_grammar_dp_matches_exact_sweep():
-    # the oracle criterion 8 relies on, checked against the package's sweep
+    # the oracle criterion 8 relies on, checked against the package's exact mode
     for coeffs in STRICT_VECTORS:
         c = RecurrenceVector(coeffs)
         for n in range(1, 9):
@@ -209,6 +212,28 @@ def test_grammar_dp_matches_exact_sweep():
             assert sum(hist.values()) == scalar_term(c, n + 1) - scalar_term(c, n)
             assert hist == summand_distribution(c, n, mode="exact").histogram, \
                 (coeffs, n)
+
+
+def test_grammar_dp_matches_exact_mode_on_large_windows():
+    # windows far past any sweep, of 82 and 63 digits: exact mode must
+    # count them without the oracle, which stays in this module
+    for coeffs, n in (((2, 1, 1), 200), ((1, 1), 300)):
+        c = RecurrenceVector(coeffs)
+        stats = summand_distribution(c, n, mode="exact", cap=10 ** 200)
+        assert stats.histogram == grammar_histogram(coeffs, n), (coeffs, n)
+        assert stats.size == scalar_term(c, n + 1) - scalar_term(c, n)
+    for path in pathlib.Path(zeckvec.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("tests", "test_acceptance",
+                                                  "benchmarks", "oracles"), \
+                    (path.name, name)
 
 
 def test_criterion_08_gaussian_moments():

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 
@@ -6,7 +7,9 @@ from zeckvec import (CapExceededError, OracleExhaustedError, RecurrenceVector,
                      check_minimality, coefficient_sum, decompose,
                      gaussian_diagnostics, legal_decompose, scalar_bridge,
                      scalar_term, summand_distribution, support_region)
-from zeckvec.analytics import FIBONACCI_MEAN_SLOPE, _moments, stats_json_text
+from zeckvec import analytics
+from zeckvec.analytics import (FIBONACCI_MEAN_SLOPE, SummandStats, _moments,
+                               stats_json_text)
 
 FIB = RecurrenceVector((1, 1))
 C211 = RecurrenceVector((2, 1, 1))
@@ -121,3 +124,54 @@ def test_moments_of_big_int_counts_do_not_overflow():
     assert big[0] == 4 * 10 ** 400
     assert big[1:] == small[1:]
     assert small[1:] == pytest.approx((1.75, 0.1875, -2 / math.sqrt(3), -2 / 3))
+
+
+def sweep_stats(c, n):
+    """The exact mode of old, as the oracle: one greedy call per integer.
+
+    Returns the SummandStats it built and the histogram's keys in the order
+    it handed them to _moments (first occurrence over the window).
+    """
+    histogram = {}
+    for value in range(scalar_term(c, n), scalar_term(c, n + 1)):
+        key = sum(legal_decompose(c, value))
+        histogram[key] = histogram.get(key, 0) + 1
+    total, mean, var, skew, kurt = _moments(histogram)
+    stats = SummandStats(n, "exact", total, None, mean, var, skew, kurt,
+                         dict(sorted(histogram.items())))
+    return stats, list(histogram)
+
+
+# every weakly decreasing c with k <= 5, c1 <= 4 and ck = 1: 69 vectors
+STRICT_SMALL = [cs for k in range(2, 6)
+                for cs in product(range(1, 5), *[range(1, 5)] * (k - 2), [1])
+                if all(a >= b for a, b in zip(cs, cs[1:]))]
+RELAXED_SMALL = [(1, 3, 1), (1, 2, 1), (2, 3, 1), (1, 0, 1), (2, 0, 0, 1),
+                 (1, 4, 2, 1), (1, 1, 2, 1)]
+
+
+def test_strict_small_count():
+    assert len(STRICT_SMALL) == 69
+
+
+@pytest.mark.parametrize("coeffs", STRICT_SMALL + RELAXED_SMALL,
+                         ids=lambda cs: ",".join(map(str, cs)))
+def test_exact_mode_matches_sweep(monkeypatch, coeffs):
+    # relaxed c whose greedy digits break the chunk grammar are included:
+    # exact mode counts greedy digit sums, as the sweep did, for every c
+    c = RecurrenceVector(coeffs, relaxed=coeffs in RELAXED_SMALL)
+    fed = []
+
+    def spy(histogram):
+        fed.append(list(histogram))
+        return _moments(histogram)
+    monkeypatch.setattr(analytics, "_moments", spy)
+    n = 1
+    while scalar_term(c, n + 1) <= 5000:
+        want, want_keys = sweep_stats(c, n)
+        fed.clear()
+        got = summand_distribution(c, n, mode="exact")
+        # whole objects, so the floats agree bit for bit
+        assert got == want and repr(got) == repr(want), (coeffs, n)
+        assert fed == [want_keys], (coeffs, n)
+        n += 1

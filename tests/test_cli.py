@@ -213,6 +213,44 @@ def test_stats_exact_with_series(tmp_path, capsys):
     assert series.read_text().splitlines()[0] == "n,mean,variance"
 
 
+# sha256 of stdout, the --json file and the --csv file of exact `stats` runs
+EXACT_STATS_HASHES = {
+    ("stats", "--c", "2,1,1", "--n-min", "3", "--n-max", "12"):
+        ("cea6fe7cd4393f3c3043f1a8d0007c2cb8afd3cb64c453ab78f10b5883838e23",
+         "a8f55bc240b802e731ce79a7acdf548d2841207836e27c945aca65fa4a8f9444",
+         "975e2db393b78050da1e856a1dfee83965083c38d6ce37e9c72394315c946362"),
+    ("stats", "--c", "1,1", "--n-min", "5", "--n-max", "24"):
+        ("2807b26836467e030937b70bcbf70a42e5e5414ada1b1278406ef69b70dba5cf",
+         "4ef3f0927e13de400b7d2647f5c737bb812fb6980ce21dfcaa918b0613b1e778",
+         "49bfb4e88afb1b2f9bc14bcd39c56ad747b447272c3c80a9ac89ecaf0341dcaa"),
+    ("stats", "--c", "3,3,2,1", "--n-min", "2", "--n-max", "9"):
+        ("6ff736f510c6424665260af5fcd43a0c9f73b7845cbc10e2c1813ec3b95fc323",
+         "ec1240d46b54f715d142a70e5d330b5d57212989547dcbe66318b0803dcba6cc",
+         "7166ea40733d4410d336560af33786863d6738bcbe3ab58a12312b478d16ac87"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXACT_STATS_HASHES))
+def test_exact_stats_outputs_are_pinned(tmp_path, monkeypatch, capsys, argv):
+    # stdout names the files, so they are written under the same names
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv, "--json", "s.json", "--csv", "s.csv")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256((tmp_path / "s.json").read_bytes()).hexdigest(),
+            hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest()) \
+        == EXACT_STATS_HASHES[argv]
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_stats_sample_size_below_one_is_invalid(capsys, size):
+    code, out, err = run(capsys, "stats", "--c", "2,1,1", "--n-min", "3", "--n-max", "4",
+                         "--sample", size, "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: sampled mode needs a positive size\n"
+
+
 def test_minimality_report(capsys):
     code, out, _ = run(capsys, "minimality", "--c", "2,1,1", "--n", "2", "--bound", "5")
     assert code == 0
