@@ -90,7 +90,7 @@ def _window_histogram(c: RecurrenceVector, n: int) -> dict:
     hists[m][s] counts the integers in [0, X_{m+1}) with digit sum s.  A
     digit string is a greedy expansion exactly when every tail is worth less
     than the next term up, so the greedy digits g of X_{m+1} - 1 (m of them,
-    leading first) bound every smaller value: it agrees with g above some
+    leading first) bound every smaller value: each agrees with g above some
     position i, has a digit d < g_i at i, and below i any greedy string of
     i - 1 digits.  Each such choice adds hists[i - 1] shifted by the digit
     sum above i plus d; X_{m+1} - 1 itself adds one at sum(g).

@@ -127,7 +127,7 @@ def test_moments_of_big_int_counts_do_not_overflow():
 
 
 def sweep_stats(c, n):
-    """The exact mode of old, as the oracle: one greedy call per integer.
+    """Oracle: sweep the window with one greedy call per integer.
 
     Returns the SummandStats it built and the histogram's keys in the order
     it handed them to _moments (first occurrence over the window).
@@ -148,10 +148,6 @@ STRICT_SMALL = [cs for k in range(2, 6)
                 if all(a >= b for a, b in zip(cs, cs[1:]))]
 RELAXED_SMALL = [(1, 3, 1), (1, 2, 1), (2, 3, 1), (1, 0, 1), (2, 0, 0, 1),
                  (1, 4, 2, 1), (1, 1, 2, 1)]
-
-
-def test_strict_small_count():
-    assert len(STRICT_SMALL) == 69
 
 
 @pytest.mark.parametrize("coeffs", STRICT_SMALL + RELAXED_SMALL,
