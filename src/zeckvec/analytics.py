@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import count, zip_longest
 from operator import add
 from typing import Optional
 
@@ -84,20 +84,22 @@ def _moments(histogram: dict):
     return size, mean, m2, skew, kurt
 
 
-def _window_histogram(c: RecurrenceVector, n: int) -> dict:
-    """Summand-count histogram over [X_n, X_{n+1}), keys ascending.
+def _prefix_histograms(c: RecurrenceVector):
+    """Yield hists[0], hists[1], ...: hists[m][s] counts the integers in
+    [0, X_{m+1}) with digit sum s.
 
-    hists[m][s] counts the integers in [0, X_{m+1}) with digit sum s.  A
-    digit string is a greedy expansion exactly when every tail is worth less
-    than the next term up, so the greedy digits g of X_{m+1} - 1 (m of them,
-    leading first) bound every smaller value: each agrees with g above some
-    position i, has a digit d < g_i at i, and below i any greedy string of
-    i - 1 digits.  Each such choice adds hists[i - 1] shifted by the digit
-    sum above i plus d; X_{m+1} - 1 itself adds one at sum(g).
+    A digit string is a greedy expansion exactly when every tail is worth
+    less than the next term up, so the greedy digits g of X_{m+1} - 1 (m of
+    them, leading first) bound every smaller value: each agrees with g above
+    some position i, has a digit d < g_i at i, and below i any greedy string
+    of i - 1 digits.  Each such choice adds hists[i - 1] shifted by the
+    digit sum above i plus d; X_{m+1} - 1 itself adds one at sum(g).  The
+    list lives in the generator alone, so nothing is held on c.
     """
     seq = c.scalar()
     hists = [[1]]
-    for m in range(1, n + 1):
+    yield hists[0]
+    for m in count(1):
         g = legal_decompose(c, seq.term(m + 1) - 1)
         out = [0] * (sum(g) + 1)
         out[-1] = 1
@@ -111,12 +113,44 @@ def _window_histogram(c: RecurrenceVector, n: int) -> dict:
                 out[base:end] = map(add, out[base:end], lower)
             above += digit
         hists.append(out)
-    window = zip_longest(hists[n], hists[n - 1], fillvalue=0)
+        yield out
+
+
+def _window_stats(n: int, below: list, upto: list) -> SummandStats:
+    """Exact SummandStats of [X_n, X_{n+1}) from hists[n - 1] and hists[n]."""
+    window = zip_longest(upto, below, fillvalue=0)
     # Keys ascend.  That is also the order in which a walk up the window
     # first meets them (the smallest value with digit sum s + 1, its last
     # nonzero digit lowered, is a smaller value with sum s).  _moments adds
     # floats in key order, so this order fixes the last bits of the moments.
-    return {s: f - b for s, (f, b) in enumerate(window) if f != b}
+    histogram = {s: f - b for s, (f, b) in enumerate(window) if f != b}
+    total, mean, var, skew, kurt = _moments(histogram)
+    return SummandStats(n, "exact", total, None, mean, var, skew, kurt, histogram)
+
+
+def exact_series(c: RecurrenceVector, n_min: int, n_max: int,
+                 cap: int = DEFAULT_ENUMERATION_CAP):
+    """Yield `summand_distribution(c, n, "exact", cap=cap)` for n = n_min ..
+    n_max in turn, building the prefix histograms once for the whole series.
+
+    Each window's cap is checked when the window is reached, so the windows
+    before the first one beyond the cap are yielded first.
+    """
+    if n_min < 1:
+        raise ValueError("window index must be >= 1")
+    seq = c.scalar()
+    hists = _prefix_histograms(c)
+    below = upto = next(hists)
+    built = 0
+    for n in range(n_min, n_max + 1):
+        hi = seq.term(n + 1)
+        if hi > cap:
+            raise CapExceededError("exact window %d needs X_%d = %d, which exceeds cap %d"
+                                   % (n, n + 1, hi, cap))
+        while built < n:
+            below, upto = upto, next(hists)
+            built += 1
+        yield _window_stats(n, below, upto)
 
 
 def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
@@ -137,36 +171,30 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
     """
     if n < 1:
         raise ValueError("window index must be >= 1")
+    if mode == "exact":
+        return next(exact_series(c, n, n, cap))
+    if mode != "sampled":
+        raise ValueError("mode must be 'exact' or 'sampled'")
+    if size is None or size <= 0:
+        raise ValueError("sampled mode needs a positive size")
+    if seed is None:
+        raise ValueError("sampled mode needs an explicit seed")
     seq = c.scalar()
     lo = seq.term(n)
-    hi = seq.term(n + 1)
-    width = hi - lo
-    if mode == "exact":
-        if hi > cap:
-            raise CapExceededError("exact sweep of %d outcomes exceeds cap" % width)
-        histogram = _window_histogram(c, n)
-        used_seed = None
-    elif mode == "sampled":
-        if size is None or size <= 0:
-            raise ValueError("sampled mode needs a positive size")
-        if seed is None:
-            raise ValueError("sampled mode needs an explicit seed")
-        rng = random.Random(seed)
-        bits = width.bit_length()
-        histogram = {}
-        drawn = 0
-        while drawn < size:
-            r = rng.getrandbits(bits)
-            if r >= width:
-                continue
-            key = sum(legal_decompose(c, lo + r))
-            histogram[key] = histogram.get(key, 0) + 1
-            drawn += 1
-        used_seed = seed
-    else:
-        raise ValueError("mode must be 'exact' or 'sampled'")
+    width = seq.term(n + 1) - lo
+    rng = random.Random(seed)
+    bits = width.bit_length()
+    histogram = {}
+    drawn = 0
+    while drawn < size:
+        r = rng.getrandbits(bits)
+        if r >= width:
+            continue
+        key = sum(legal_decompose(c, lo + r))
+        histogram[key] = histogram.get(key, 0) + 1
+        drawn += 1
     total, mean, var, skew, kurt = _moments(histogram)
-    return SummandStats(n, mode, total, used_seed, mean, var, skew, kurt,
+    return SummandStats(n, mode, total, seed, mean, var, skew, kurt,
                         dict(sorted(histogram.items())))
 
 

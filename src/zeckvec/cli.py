@@ -156,14 +156,15 @@ def _cmd_stats(args) -> int:
     cap = _enumeration_cap()
     if args.n_max < args.n_min:
         raise _CliError("--n-max must be >= --n-min")
+    if args.sample is not None:
+        windows = (analytics.summand_distribution(c, n, mode="sampled", size=args.sample,
+                                                  seed=args.seed, cap=cap)
+                   for n in range(args.n_min, args.n_max + 1))
+    else:
+        windows = analytics.exact_series(c, args.n_min, args.n_max, cap)
     stats = []
-    for n in range(args.n_min, args.n_max + 1):
-        if args.sample is not None:
-            stats.append(analytics.summand_distribution(
-                c, n, mode="sampled", size=args.sample, seed=args.seed, cap=cap))
-        else:
-            stats.append(analytics.summand_distribution(c, n, mode="exact", cap=cap))
-        s = stats[-1]
+    for s in windows:
+        stats.append(s)
         print("n=%d mean=%.6g variance=%.6g skewness=%.6g excess_kurtosis=%.6g"
               % (s.n, s.mean, s.variance, s.skewness, s.excess_kurtosis))
     if len(stats) >= 3:

@@ -26,7 +26,6 @@ the chunk start before n_p and keeps the chunk starts found before that.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
 from operator import ge, mul
@@ -36,7 +35,8 @@ from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceErr
                      NonTerminationError, NotEndCompleteError,
                      NotNearlySatisfyingError, NotSatisfyingError)
 from .recurrence import (RecurrenceVector, backward_column, column_value,
-                         column_weights, scalar_terms)
+                         column_weights, extend, scalar_terms, scalar_window,
+                         string_value)
 from .representation import (KIND_NEARLY_SATISFYING, _scan_from, canonical,
                              classify, scan)
 
@@ -334,21 +334,37 @@ def _backward_log_growth(coeffs) -> float:
     return -math.log(max(abs(r) for r in roots if abs(r) < 1))
 
 
+# The tables held on a recurrence serve every bridge level up to this one,
+# and a higher level streams.  Table memory grows with the square of the
+# level, the time it saves only linearly.  Measured on the five strict c of
+# the benchmark (2 cores, Python 3.11): at level 2048 the tables take 0.5 to
+# 1.0 MB per recurrence and a held call is 2 to 4 times as fast as a
+# streamed one (0.5-1.5 ms against 2-5 ms); at 4096 they take 1.7-3.8 MB,
+# at 8192 6-15 MB, for a ratio near 2.
+HELD_LEVEL_CAP = 2048
+
+# Terms the streamed descent computes per `extend` call, which spreads the
+# call's cost: on 4000-digit vectors (terms of up to 26000 bits) 64 to 1024
+# took within 5% of each other, and 4 up to 1.8 times as long.
+_DESCENT_BLOCK = 64
+
+
 class _BridgeTables(NamedTuple):
-    """What a recurrence vector holds for the bridge: constants and one level."""
+    """What a recurrence vector holds for the bridge: constants and tables
+    that grow in place, never past HELD_LEVEL_CAP."""
     log_growth: float   # log rho, see _backward_log_growth
     alpha: tuple        # X_{-p}[d] = sum_j alpha[d][j] * t[p + j] for every p
-    level: int          # 0 until a level is built
-    xs: list            # X_0 .. X_level
-    t: list             # t[p] = last coordinate of X_{-p}, p = 0 .. level + k - 3
+    level: int          # highest level served, 0 at first
+    xs: list            # X_0 .. X_level, and X_0 .. X_k at least
+    t: list             # t[p] = last coordinate of X_{-p}, p = 0 .. level + k - 3 at least
 
 
 def _held(c: RecurrenceVector) -> _BridgeTables:
     held = c._bridge
     if held is None:
         coeffs = c.coefficients
-        held = c._bridge = _BridgeTables(_backward_log_growth(coeffs),
-                                         column_weights(coeffs), 0, [], [])
+        held = c._bridge = _BridgeTables(_backward_log_growth(coeffs), column_weights(coeffs),
+                                         0, scalar_terms(coeffs, 0), backward_column(coeffs, 0))
     return held
 
 
@@ -363,12 +379,78 @@ def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
 
 
 def _build_level(c: RecurrenceVector, n: int) -> _BridgeTables:
-    """Build the level-n tables straight from the recurrence and hold them on
-    c in place of any other level."""
+    """Grow the tables held on c to level n, above the held level, in place.
+
+    Level n reads only xs[0..n] and t[0..n+k-3], so the tables of one level
+    serve every level below it, and the lists are never replaced.
+    """
     coeffs = c.coefficients
-    held = c._bridge = _held(c)._replace(level=n, xs=scalar_terms(coeffs, n + 1),
-                                         t=backward_column(coeffs, n + c.k - 2))
+    held = _held(c)
+    extend(held.xs, coeffs, n + 1)
+    extend(held.t, coeffs, n + c.k - 2, down=True)
+    held = c._bridge = held._replace(level=n)
     return held
+
+
+def _descent(coeffs: tuple, seq: list, count: int):
+    """Yield count >= k terms X_m, X_{m-1}, ... from seq = [X_m, ..., X_{m-k+1}].
+
+    Each lower term is X_{j-k} = X_j - c1 X_{j-1} - ... - c_{k-1} X_{j-k+1},
+    which `extend` applies to a list that runs downward; seq keeps at most
+    k + _DESCENT_BLOCK terms.
+    """
+    k = len(coeffs)
+    yield from seq
+    count -= k
+    while count > 0:
+        del seq[:-k]
+        extend(seq, coeffs, k + min(count, _DESCENT_BLOCK), down=True)
+        yield from seq[k:]
+        count -= _DESCENT_BLOCK
+
+
+def _greedy(z: int, terms) -> list:
+    """Greedy digits of z against the descending terms X_{n-1}, ..., X_1,
+    at string positions 1, 2, ..., trailing zeros trimmed."""
+    arr = []
+    append = arr.append
+    for x in terms:
+        if z >= x:
+            # greedy digits are at most c1, so subtracting beats divmod
+            z -= x
+            d = 1
+            while z >= x:
+                z -= x
+                d += 1
+            append(d)
+        else:
+            append(0)
+    while arr and not arr[-1]:
+        arr.pop()
+    return arr
+
+
+def _held_digits(c: RecurrenceVector, v: tuple, n: int):
+    """Level-n greedy digits of v and their value, from the tables held on c."""
+    held = _held(c)
+    if n > held.level:
+        held = _build_level(c, n)
+    xs = held.xs
+    z = sum(map(mul, v, xs[n - 1:n - c.k:-1])) % xs[n]
+    arr = _greedy(z, xs[n - 1:0:-1])
+    return arr, column_value(held.alpha, held.t, arr)
+
+
+def _streamed_digits(c: RecurrenceVector, v: tuple, n: int):
+    """Level-n greedy digits of v and their value, for n > k, with a few
+    live terms: the top window from `scalar_window`, the lower terms from
+    the recurrence run backward, and the value from `string_value`."""
+    coeffs, k = c.coefficients, c.k
+    window = scalar_window(coeffs, n - k, k + 1)   # X_{n-k} .. X_n
+    top = window[-2::-1]                            # X_{n-1} .. X_{n-k}
+    z = sum(map(mul, v, top)) % window[-1]
+    arr = _greedy(z, _descent(coeffs, top, n - 1))
+    return arr, string_value(coeffs, arr)
 
 
 def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
@@ -379,25 +461,14 @@ def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
     evaluate back to v.  The first level comes from |v|; a rejected level
     doubles.  That terminates: both window maps satisfy the recurrence and
     agree at i = 0..k-1, so z = S(a) mod X_n for the satisfying string a,
-    and S(a) < X_n once n > len(a).  The level held on c serves any need
-    up to twice below it; otherwise the needed level replaces it.
+    and S(a) < X_n once n > len(a).  Levels up to HELD_LEVEL_CAP read the
+    tables held on c; higher ones stream, in memory linear in n.
     """
-    k = c.k
     n = _bridge_level(c, v)
-    held = c._bridge
     while True:
-        if not n <= held.level <= 2 * n:
-            held = _build_level(c, n)
-        _, alpha, n, xs, t = held
-        z = sum(map(mul, v, xs[n - 1:n - k:-1])) % xs[n]
-        # greedy digits against X_{n-1}..X_1, written at string position n - index
-        arr = [0] * (n - 1)
-        top = n
-        while z:
-            top = bisect_right(xs, z, 1, top) - 1
-            arr[n - top - 1], z = divmod(z, xs[top])
-        del arr[n - top:]
-        if column_value(alpha, t, arr) == v:
+        digits = _held_digits if n <= HELD_LEVEL_CAP else _streamed_digits
+        arr, value = digits(c, v, n)
+        if value == v:
             return tuple(arr)
         n *= 2
 

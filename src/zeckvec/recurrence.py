@@ -7,11 +7,15 @@ lengthens a plain list upward or downward.  A sequence keeps its terms in
 two such lists, one per direction, which only ever grow.  The vector
 sequence stores one integer column, the last coordinate of each term, and
 builds each vector term from k-1 consecutive entries of it on request.
+`scalar_window` and `string_value` reach far terms and long strings with a
+few live integers instead: by powers of x, and by Horner's rule, modulo the
+characteristic polynomial.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 from operator import mul
 
 from .errors import InvalidRecurrenceError
@@ -53,7 +57,7 @@ class RecurrenceVector:
         self.weakly_decreasing = weakly
         self._scalar = None
         self._vector = None
-        self._bridge = None   # growth rate and one held level, kept by normalize
+        self._bridge = None   # growth rate and the held bridge tables, kept by normalize
 
     @property
     def dimension(self) -> int:
@@ -126,6 +130,62 @@ def scalar_terms(coefficients, stop: int) -> list:
     for n in range(2, len(coefficients) + 1):
         xs.append(sum(map(mul, coefficients, reversed(xs[1:]))) + 1)
     return extend(xs, coefficients, stop)
+
+
+def scalar_window(coefficients, m: int, count: int) -> list:
+    """A new list [X_m, ..., X_{m+count-1}] for m >= 0, without the terms below m.
+
+    The shift by m acts on solutions of the recurrence as x^m acts modulo
+    P(x) = x^k - c1 x^(k-1) - ... - ck.  So with x^m mod P = r_0 + r_1 x +
+    ... + r_{k-1} x^(k-1), X_{m+j} = sum_i r_i X_{i+j}.  The remainder takes
+    O(log m) squarings modulo P (Fiduccia's method).
+    """
+    k = len(coefficients)
+    r = [1] + [0] * (k - 1)
+    for bit in bin(m)[2:]:
+        sq = [0] * (2 * k)
+        for i, a in enumerate(r):
+            if a:
+                for j, b in enumerate(r, i):
+                    sq[j] += a * b
+        if bit == "1":
+            sq.insert(0, sq.pop())       # times x: the top slot is still 0
+        for d in range(2 * k - 1, k - 1, -1):
+            h = sq[d]
+            if h:
+                # x^d = x^(d-k) * (c1 x^(k-1) + ... + ck)
+                for i, w in enumerate(coefficients, 1):
+                    if w:
+                        sq[d - i] += w * h
+        r = sq[:k]
+    base = scalar_terms(coefficients, k + count - 1)
+    return [sum(map(mul, r, base[j:j + k])) for j in range(count)]
+
+
+def string_value(coefficients, a) -> tuple:
+    """sum_p a[p-1] * X_{-p} with k live integers, for any digit sequence a.
+
+    X_{-p} solves the recurrence in p with characteristic polynomial
+    Q(y) = y^k + c_{k-1} y^(k-1) + ... + c1 y - 1.  So the sum equals
+    sum_i r_i X_{-i} for r = (sum_p a[p-1] y^p) mod Q, which is
+    (r_1, ..., r_{k-1}) because X_0 = 0 and X_{-i} = e_i.  Horner's rule
+    takes r from the last digit down.
+    """
+    k = len(coefficients)
+    # y^k = 1 - c1 y - ... - c_{k-1} y^(k-1)
+    ones = [i for i, w in enumerate(coefficients[:-1], 1) if w == 1]
+    scaled = [(i, w) for i, w in enumerate(coefficients[:-1], 1) if w > 1]
+    r = [0] * k
+    pop, insert = r.pop, r.insert
+    for d in chain(reversed(a), (0,)):
+        h = pop()
+        insert(0, h + d if d else h)
+        if h:
+            for i in ones:
+                r[i] -= h
+            for i, w in scaled:
+                r[i] -= w * h
+    return tuple(r[1:])
 
 
 def backward_column(coefficients, stop: int) -> list:

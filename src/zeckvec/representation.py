@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotSatisfyingError
-from .recurrence import (RecurrenceVector, backward_column, column_value,
-                         column_weights)
+from .recurrence import RecurrenceVector, string_value
 
 KIND_SATISFYING = "satisfying"
 KIND_NEARLY_SATISFYING = "nearly_satisfying"
@@ -93,11 +92,10 @@ def is_satisfying(c: RecurrenceVector, a) -> bool:
 def evaluate(c: RecurrenceVector, a) -> tuple:
     """Value sum_n a_n X_{-n} of a coefficient string as a lattice vector.
 
-    The backward column is built for this call only, so nothing is memoized on c.
+    Horner's rule keeps k integers live (`string_value`), so memory stays
+    linear in the string's length and nothing is memoized on c.
     """
-    a = canonical(a)
-    coeffs = c.coefficients
-    return column_value(column_weights(coeffs), backward_column(coeffs, len(a) + c.k - 1), a)
+    return string_value(c.coefficients, canonical(a))
 
 
 @dataclass(frozen=True)

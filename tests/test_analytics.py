@@ -1,3 +1,4 @@
+import itertools
 import math
 from itertools import product
 
@@ -9,7 +10,7 @@ from zeckvec import (CapExceededError, OracleExhaustedError, RecurrenceVector,
                      scalar_term, summand_distribution, support_region)
 from zeckvec import analytics
 from zeckvec.analytics import (FIBONACCI_MEAN_SLOPE, SummandStats, _moments,
-                               stats_json_text)
+                               exact_series, stats_json_text)
 
 FIB = RecurrenceVector((1, 1))
 C211 = RecurrenceVector((2, 1, 1))
@@ -39,6 +40,39 @@ def test_exact_totals_match_window_width():
 def test_exact_cap():
     with pytest.raises(CapExceededError):
         summand_distribution(C211, 20, mode="exact", cap=1000)
+
+
+def test_exact_cap_message_names_the_term_and_the_cap():
+    # the window [X_34, X_35) is 5702887 wide, but X_35 is what the cap bounds
+    with pytest.raises(CapExceededError) as info:
+        summand_distribution(FIB, 34)
+    assert str(info.value) == "exact window 34 needs X_35 = 14930352, which exceeds cap 10000000"
+    assert info.value.exit_code == 2
+
+
+@pytest.mark.parametrize("coeffs,n_min,n_max", [((1, 1), 1, 30), ((2, 1, 1), 4, 18),
+                                                ((3, 3, 2, 1), 2, 9)])
+def test_exact_series_builds_each_prefix_histogram_once(monkeypatch, coeffs, n_min, n_max):
+    c = RecurrenceVector(coeffs)
+    want = [summand_distribution(c, n, cap=10 ** 30) for n in range(n_min, n_max + 1)]
+    calls = []
+
+    def counted(c, value):
+        calls.append(value)
+        return legal_decompose(c, value)
+    monkeypatch.setattr(analytics, "legal_decompose", counted)
+    got = list(exact_series(c, n_min, n_max, cap=10 ** 30))
+    assert got == want and repr(got) == repr(want)
+    # one greedy expansion of X_{m+1} - 1 per prefix histogram G_1 .. G_{n_max}
+    assert calls == [scalar_term(c, m + 1) - 1 for m in range(1, n_max + 1)]
+    assert c._bridge is None and c._vector is None
+
+
+def test_exact_series_stops_at_the_first_window_beyond_the_cap():
+    series = exact_series(FIB, 30, 40)
+    assert [s.n for s in itertools.islice(series, 4)] == [30, 31, 32, 33]
+    with pytest.raises(CapExceededError, match="exact window 34 needs X_35"):
+        next(series)
 
 
 def test_sampled_mode_is_reproducible():

@@ -242,6 +242,13 @@ def test_exact_stats_outputs_are_pinned(tmp_path, monkeypatch, capsys, argv):
         == EXACT_STATS_HASHES[argv]
 
 
+def test_stats_beyond_the_cap_exits_2_after_the_windows_within_it(capsys):
+    code, out, err = run(capsys, "stats", "--c", "1,1", "--n-min", "32", "--n-max", "36")
+    assert code == 2
+    assert [line.split()[0] for line in out.splitlines()] == ["n=32", "n=33"]
+    assert err == "error: exact window 34 needs X_35 = 14930352, which exceeds cap 10000000\n"
+
+
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_stats_sample_size_below_one_is_invalid(capsys, size):
     code, out, err = run(capsys, "stats", "--c", "2,1,1", "--n-min", "3", "--n-max", "4",

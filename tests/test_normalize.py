@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,9 +11,12 @@ from zeckvec import (BorrowBlockedError, CarryBlockedError, NonTerminationError,
                      is_satisfying, normalize_nsr, prefix_sum,
                      probe_termination, resolve_end_complete, scalar_term, scan,
                      spanning_probe, vector_term)
-from zeckvec.normalize import (IterationRecord, NormalizationTrace, ProbeReport,
-                               _bridge_level, _build_level, _decompose_chain,
-                               _reduce)
+from zeckvec.normalize import (HELD_LEVEL_CAP, IterationRecord, NormalizationTrace,
+                               ProbeReport, _bridge_level, _build_level,
+                               _decompose_chain, _held_digits, _reduce,
+                               _streamed_digits)
+from zeckvec.recurrence import (backward_column, column_value, column_weights,
+                                scalar_terms, scalar_window, string_value)
 
 STRICT = [(1, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 2, 1)]
 C211 = RecurrenceVector((2, 1, 1))
@@ -484,3 +488,111 @@ def test_traced_decompose_matches_increment_chain(coeffs, data):
     got, want = NormalizationTrace(), NormalizationTrace()
     assert decompose(c, v, trace=got) == increment_chain(c, v, want)
     assert vars(got) == vars(want)
+
+
+# -- the held and the streamed bridge ------------------------------------------
+
+# every weakly decreasing c with k <= 5, c1 <= 4 and ck = 1: 69 vectors
+STRICT_SMALL = [head + (1,) for k in range(2, 6)
+                for head in itertools.combinations_with_replacement(range(4, 0, -1), k - 1)]
+
+
+@pytest.mark.parametrize("coeffs", STRICT_SMALL, ids=lambda cs: ",".join(map(str, cs)))
+def test_scalar_window_matches_the_terms(coeffs):
+    k = len(coeffs)
+    xs = scalar_terms(coeffs, 300 + 2 * k)
+    for n in range(301):
+        assert scalar_window(coeffs, n, k + 1) == xs[n:n + k + 1], (coeffs, n)
+
+
+@pytest.mark.parametrize("coeffs", STRICT_SMALL, ids=lambda cs: ",".join(map(str, cs)))
+def test_string_value_matches_the_backward_column(coeffs):
+    rng = random.Random(len(coeffs))
+    alpha = column_weights(coeffs)
+    for _ in range(40):
+        a = [rng.randint(0, 5) for _ in range(rng.randint(0, 60))]
+        t = backward_column(coeffs, len(a) + len(coeffs) - 1)
+        assert string_value(coeffs, a) == column_value(alpha, t, a)
+
+
+def bridge_levels(c, v, length):
+    """Levels the bridge tries for v, whose satisfying string has this length:
+    a level is accepted exactly when it exceeds the length."""
+    levels = [_bridge_level(c, v)]
+    while levels[-1] <= length:
+        levels.append(2 * levels[-1])
+    return levels
+
+
+@pytest.mark.parametrize("coeffs", STRICT_SMALL, ids=lambda cs: ",".join(map(str, cs)))
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_streamed_bridge_matches_tables_and_chain(coeffs, data):
+    c = RecurrenceVector(coeffs)
+    v = data.draw(st.tuples(*[st.integers(min_value=-60, max_value=60)] * (c.k - 1)))
+    assume(any(v))
+    want = _decompose_chain(c, v)
+    assert decompose(c, v) == want
+    # every level tried, rejected ones included, far below the cap
+    for n in bridge_levels(c, v, len(want)):
+        assert _streamed_digits(c, v, n) == _held_digits(c, v, n)
+    arr, value = _streamed_digits(c, v, n)
+    assert (tuple(arr), value) == (want, v)
+
+
+@pytest.mark.parametrize("coeffs", STRICT_SMALL, ids=lambda cs: ",".join(map(str, cs)))
+def test_streamed_digits_match_held_digits_at_any_level(coeffs):
+    # both paths take the greedy digits of the same z at the given level,
+    # accepted or not; the levels cross the descent's blocks and reach the cap
+    c = RecurrenceVector(coeffs)
+    rng = random.Random(len(coeffs))
+    k = c.k
+    for n in (k + 1, 63 + k, 64 + k, 65 + k, 129 + k, 700, HELD_LEVEL_CAP):
+        v = _digits_vector(rng, k - 1, rng.randint(1, max(1, 3 * n // 10)))
+        assert _streamed_digits(c, v, n) == _held_digits(c, v, n), n
+
+
+def test_mixed_replay_grows_the_held_lists_in_place():
+    rng = random.Random(8)
+    for coeffs in STRICT:
+        c = RecurrenceVector(coeffs)
+        sizes = [rng.randint(1, 3) for _ in range(40)] + [rng.randint(4, 700) for _ in range(40)]
+        sizes += [1200]
+        rng.shuffle(sizes)
+        decompose(c, _digits_vector(rng, c.k - 1, 1))
+        held = c._bridge
+        xs, t = held.xs, held.t
+        level = held.level
+        for digits in sizes:
+            v = _digits_vector(rng, c.k - 1, digits)
+            before = len(xs), len(t)
+            a = decompose(c, v)
+            assert evaluate(c, a) == v
+            held = c._bridge
+            # the same lists, longer only when a call needed a new highest level
+            assert held.xs is xs and held.t is t
+            need = max([n for n in bridge_levels(c, v, len(a)) if n <= HELD_LEVEL_CAP],
+                       default=0)
+            if need > level:
+                level = need
+                assert (len(xs), len(t)) == (level + 1, level + c.k - 2)
+            else:
+                assert (len(xs), len(t)) == before
+            assert held.level == level <= HELD_LEVEL_CAP
+        assert level > 0 and len(xs) <= HELD_LEVEL_CAP + 1
+
+
+def test_4000_digit_round_trip_memory_is_linear():
+    c = RecurrenceVector((1, 1, 1))
+    v = _digits_vector(random.Random(4000), 2, 4000)
+    tracemalloc.start()
+    try:
+        a = decompose(c, v)
+        assert evaluate(c, a) == v
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(a) > 30000
+    # level-30234 tables would take 73 MB; the stream keeps a few terms of
+    # at most 26000 bits and the string itself
+    assert peak < 8 * 10 ** 6, peak
