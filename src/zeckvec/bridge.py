@@ -3,21 +3,22 @@
 The bridge maps a lattice vector to a scalar by dotting with a window of
 scalar terms (reduced mod X_n); on a string with support below the window it
 reproduces the digit-for-digit scalar value, which transports uniqueness and
-summand statistics to the scalar side.  The greedy decomposition here is the
-independent oracle: it never touches the vector rewriting machinery.
+summand statistics to the scalar side.  The greedy decomposition here never
+touches the vector rewriting machinery, but its loop, `greedy_digits` in
+`recurrence`, is the one the untraced `decompose` runs too; the independent
+checks are the tests' linear-scan oracle and the increment chain.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 
 from .errors import BridgeDomainError, CapExceededError
 from .fileio import atomic_write_text
-from .recurrence import RecurrenceVector, scalar_term
+from .recurrence import RecurrenceVector, greedy_digits, scalar_term
 from .representation import format_coefficients
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -49,15 +50,7 @@ def legal_decompose(c: RecurrenceVector, n: int) -> tuple:
         return ()
     seq = c.scalar()
     top = seq.max_index_at_most(n)
-    xs = seq._up   # X_0 .. X_{top+1} at least, after the call above
-    digits = [0] * top
-    rem = n
-    idx = top + 1
-    while rem:
-        # next nonzero digit: the largest X_idx <= rem, searched from X_1
-        idx = bisect_right(xs, rem, 1, idx) - 1
-        digits[top - idx], rem = divmod(rem, xs[idx])
-    return tuple(digits)
+    return tuple(greedy_digits(n, seq._up[top:0:-1]))
 
 
 def summand_count(digits) -> int:

@@ -35,8 +35,8 @@ from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceErr
                      NonTerminationError, NotEndCompleteError,
                      NotNearlySatisfyingError, NotSatisfyingError)
 from .recurrence import (RecurrenceVector, backward_column, column_value,
-                         column_weights, extend, scalar_terms, scalar_window,
-                         string_value)
+                         column_weights, extend, greedy_digits, scalar_terms,
+                         scalar_window, string_value)
 from .representation import (KIND_NEARLY_SATISFYING, _scan_from, canonical,
                              classify, scan)
 
@@ -409,27 +409,6 @@ def _descent(coeffs: tuple, seq: list, count: int):
         count -= _DESCENT_BLOCK
 
 
-def _greedy(z: int, terms) -> list:
-    """Greedy digits of z against the descending terms X_{n-1}, ..., X_1,
-    at string positions 1, 2, ..., trailing zeros trimmed."""
-    arr = []
-    append = arr.append
-    for x in terms:
-        if z >= x:
-            # greedy digits are at most c1, so subtracting beats divmod
-            z -= x
-            d = 1
-            while z >= x:
-                z -= x
-                d += 1
-            append(d)
-        else:
-            append(0)
-    while arr and not arr[-1]:
-        arr.pop()
-    return arr
-
-
 def _held_digits(c: RecurrenceVector, v: tuple, n: int):
     """Level-n greedy digits of v and their value, from the tables held on c."""
     held = _held(c)
@@ -437,7 +416,9 @@ def _held_digits(c: RecurrenceVector, v: tuple, n: int):
         held = _build_level(c, n)
     xs = held.xs
     z = sum(map(mul, v, xs[n - 1:n - c.k:-1])) % xs[n]
-    arr = _greedy(z, xs[n - 1:0:-1])
+    arr = greedy_digits(z, xs[n - 1:0:-1])
+    while arr and not arr[-1]:
+        arr.pop()
     return arr, column_value(held.alpha, held.t, arr)
 
 
@@ -449,7 +430,9 @@ def _streamed_digits(c: RecurrenceVector, v: tuple, n: int):
     window = scalar_window(coeffs, n - k, k + 1)   # X_{n-k} .. X_n
     top = window[-2::-1]                            # X_{n-1} .. X_{n-k}
     z = sum(map(mul, v, top)) % window[-1]
-    arr = _greedy(z, _descent(coeffs, top, n - 1))
+    arr = greedy_digits(z, _descent(coeffs, top, n - 1))
+    while arr and not arr[-1]:
+        arr.pop()
     return arr, string_value(coeffs, arr)
 
 

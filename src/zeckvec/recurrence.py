@@ -162,6 +162,29 @@ def scalar_window(coefficients, m: int, count: int) -> list:
     return [sum(map(mul, r, base[j:j + k])) for j in range(count)]
 
 
+def greedy_digits(z: int, terms) -> list:
+    """Greedy digits of z >= 0 against an iterable of descending terms, one
+    digit per term, zeros included; z is left below the last term.
+
+    `legal_decompose` and both bridge paths expand through this loop.
+    Greedy digits are mostly nonzero and, for weakly decreasing
+    coefficients, at most c1, so subtracting beats bisect and divmod.
+    """
+    arr = []
+    append = arr.append
+    for x in terms:
+        if z >= x:
+            z -= x
+            d = 1
+            while z >= x:
+                z -= x
+                d += 1
+            append(d)
+        else:
+            append(0)
+    return arr
+
+
 def string_value(coefficients, a) -> tuple:
     """sum_p a[p-1] * X_{-p} with k live integers, for any digit sequence a.
 

@@ -151,13 +151,16 @@ def classify(c: RecurrenceVector, a) -> SrClassification:
     decremented; the smallest such index is reported.  End-completeness means
     the scanner's failure is terminal with a full k-1 prefix match, i.e. the
     string ends in a (possibly overfull) copy of c that carries alone resolve.
+    The witness lies at or before the failure position: the scanner reads
+    positions in increasing order and stops there, and that position holds
+    a nonzero digit, so a decrement past it leaves the same failure.
     """
     a = canonical(a)
     result = scan(c, a)
     if result.ok:
         return SrClassification(KIND_SATISFYING, None, None, False)
     witness = None
-    for i in range(1, len(a) + 1):
+    for i in range(1, result.fail_pos + 1):
         if a[i - 1] >= 1 and scan(c, _decremented(a, i)).ok:
             witness = i
             break

@@ -242,6 +242,36 @@ def test_exact_stats_outputs_are_pinned(tmp_path, monkeypatch, capsys, argv):
         == EXACT_STATS_HASHES[argv]
 
 
+# sha256 of stdout, the --json file and the --csv file of sampled `stats` runs
+SAMPLED_STATS_HASHES = {
+    ("stats", "--c", "1,1", "--n-min", "20", "--n-max", "30", "--sample", "300", "--seed", "5"):
+        ("3aceb42494c9d8c8fa9881409cb86e75ab5325ce9588eccfd9b881e55695038a",
+         "29997098577004a2a48dd43e89a0dc4378d8737035636647eebdce38347ce08d",
+         "2a842c42ae96f422073c928914fa5180895ac9d484b4910569d75aea3d269906"),
+    ("stats", "--c", "2,1,1", "--n-min", "300", "--n-max", "304", "--sample", "200",
+     "--seed", "11"):
+        ("72b532408decbd13c7c7832298b52469b7bc1d6e18e4eca0301e061aea408ebd",
+         "8ffc7abd011fa9f8a725b156d75122d869071909f53d472c65eda03ff45caaa3",
+         "e426cb4bd203298ccea697e7a16d9d9a7c4d764359c3ed49449831ee1dfca659"),
+    ("stats", "--c", "4,2,1", "--n-min", "900", "--n-max", "902", "--sample", "100",
+     "--seed", "20261017"):
+        ("fb302ccda4cb5125453546e728d23854efdf001162c7d1e3848c6594678416c6",
+         "437aefaab2a778ba25b483d22dfc5385660ff3783de43302a9e72e31efd4ae8e",
+         "6cc36e868969f49a7eb87446305eea30658829544bd2e6c12195de3403d6f432"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SAMPLED_STATS_HASHES))
+def test_sampled_stats_outputs_are_pinned(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv, "--json", "s.json", "--csv", "s.csv")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256((tmp_path / "s.json").read_bytes()).hexdigest(),
+            hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest()) \
+        == SAMPLED_STATS_HASHES[argv]
+
+
 def test_stats_beyond_the_cap_exits_2_after_the_windows_within_it(capsys):
     code, out, err = run(capsys, "stats", "--c", "1,1", "--n-min", "32", "--n-max", "36")
     assert code == 2

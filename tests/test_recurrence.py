@@ -235,3 +235,24 @@ def test_legal_decompose_matches_linear_scan():
         top, digits = greedy_oracle(xs, value)
         assert legal_decompose(c, value) == digits, (c, value)
         assert c.scalar().max_index_at_most(value) == top, (c, value)
+
+
+# the benchmark's five strict c, and relaxed c whose greedy digits can exceed c1
+GREEDY_WIDE = [((1, 1), False), ((1, 1, 1), False), ((2, 1, 1), False), ((3, 2, 1), False),
+               ((4, 2, 1), False), ((1, 3, 1), True), ((1, 2, 1), True), ((2, 3, 1), True),
+               ((1, 4, 2, 1), True)]
+
+
+@pytest.mark.parametrize("coeffs,relaxed", GREEDY_WIDE)
+def test_legal_decompose_matches_linear_scan_on_wide_windows(coeffs, relaxed):
+    # windows n in [200, 1000], the sizes sampled summand statistics draw from
+    rng = random.Random(1000 + len(coeffs) + 10 * sum(coeffs))
+    c = RecurrenceVector(coeffs, relaxed=relaxed)
+    scalars = oracle_scalars(coeffs, 0, 1002)
+    xs = [scalars[n] for n in range(1003)]
+    for n in [200, 1000] + [rng.randint(200, 1000) for _ in range(10)]:
+        for value in (xs[n], xs[n + 1] - 1, rng.randrange(xs[n], xs[n + 1]),
+                      rng.randrange(xs[n], xs[n + 1])):
+            top, digits = greedy_oracle(xs, value)
+            assert legal_decompose(c, value) == digits, (coeffs, n, value)
+            assert len(digits) == top

@@ -6,7 +6,7 @@ from zeckvec import (NotSatisfyingError, RecurrenceVector, canonical,
                      enumerate_representations, format_coefficients,
                      is_satisfying, parse_coefficients, prefix_sum)
 from zeckvec.representation import (KIND_NEARLY_SATISFYING, KIND_OTHER,
-                                    KIND_SATISFYING)
+                                    KIND_SATISFYING, SrClassification, scan)
 
 G421 = RecurrenceVector((4, 2, 1))
 C211 = RecurrenceVector((2, 1, 1))
@@ -103,6 +103,44 @@ def test_classify_witness_decrement_restores():
         lowered = list(a)
         lowered[cls.witness - 1] -= 1
         assert is_satisfying(C211, lowered)
+
+
+def classify_unbounded(c, a):
+    """classify with the witness searched over every position of the string."""
+    a = canonical(a)
+    result = scan(c, a)
+    if result.ok:
+        return SrClassification(KIND_SATISFYING, None, None, False)
+    for i in range(1, len(a) + 1):
+        lowered = list(a)
+        lowered[i - 1] -= 1
+        if a[i - 1] >= 1 and is_satisfying(c, lowered):
+            end_complete = result.fail_pos == len(a) and result.matched == c.k - 1
+            return SrClassification(KIND_NEARLY_SATISFYING, i, result.fail_pos, end_complete)
+    return SrClassification(KIND_OTHER, None, None, False)
+
+
+@pytest.mark.parametrize("coeffs,relaxed", [
+    ((1, 1), False), ((2, 1, 1), False), ((4, 2, 1), False), ((3, 3, 2, 1), False),
+    ((1, 3, 1), True), ((1, 0, 1), True), ((2, 0, 0, 1), True)])
+def test_classify_matches_unbounded_witness_search(coeffs, relaxed):
+    # a satisfying string with support <= 7 plus one at a position <= 7: this
+    # reaches every nearly satisfying string of length <= 7, whose digits are
+    # at most max(c) + 1, and some satisfying ones; a narrower witness search
+    # can only turn a nearly satisfying string into other, never the reverse
+    c = RecurrenceVector(coeffs, relaxed=relaxed)
+    bumped = set()
+    for s in enumerate_representations(c, 7):
+        for i in range(1, 8):
+            a = list(s) + [0] * (i - len(s))
+            a[i - 1] += 1
+            bumped.add(tuple(a))
+    nearly = 0
+    for a in sorted(bumped):
+        expected = classify_unbounded(c, a)
+        assert classify(c, a) == expected, (coeffs, a)
+        nearly += expected.kind == KIND_NEARLY_SATISFYING
+    assert nearly > 0
 
 
 def test_non_end_complete_overfull_tail():
