@@ -9,7 +9,8 @@ sequence stores one integer column, the last coordinate of each term, and
 builds each vector term from k-1 consecutive entries of it on request.
 `scalar_window` and `string_value` reach far terms and long strings with a
 few live integers instead: by powers of x, and by Horner's rule, modulo the
-characteristic polynomial.
+characteristic polynomial.  `greedy_digits` is the one greedy expansion
+against descending terms.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ def greedy_digits(z: int, terms) -> list:
     digit per term, zeros included; z is left below the last term.
 
     `legal_decompose` and both bridge paths expand through this loop.
-    Greedy digits are mostly nonzero and, for weakly decreasing
-    coefficients, at most c1, so subtracting beats bisect and divmod.
+    Greedy digits are small (at most c1 for weakly decreasing
+    coefficients), so subtracting beats bisect and divmod.
     """
     arr = []
     append = arr.append
