@@ -24,8 +24,8 @@ from itertools import count, zip_longest
 from operator import add
 from typing import Optional
 
-from .bridge import DEFAULT_ENUMERATION_CAP, legal_decompose
-from .errors import CapExceededError, OracleExhaustedError
+from .bridge import DEFAULT_ENUMERATION_CAP, _check_cap, legal_decompose
+from .errors import OracleExhaustedError
 from .fileio import atomic_write_text
 from .normalize import decompose
 from .recurrence import RecurrenceVector
@@ -138,15 +138,12 @@ def exact_series(c: RecurrenceVector, n_min: int, n_max: int,
     """
     if n_min < 1:
         raise ValueError("window index must be >= 1")
-    seq = c.scalar()
     hists = _prefix_histograms(c)
     below = upto = next(hists)
     built = 0
     for n in range(n_min, n_max + 1):
-        hi = seq.term(n + 1)
-        if hi > cap:
-            raise CapExceededError("exact window %d needs X_%d = %d, which exceeds cap %d"
-                                   % (n, n + 1, hi, cap))
+        _check_cap(c, n, cap, "exact window %d needs X_%d = {x}, which exceeds cap {cap}"
+                   % (n, n + 1))
         while built < n:
             below, upto = upto, next(hists)
             built += 1

@@ -18,7 +18,7 @@ from itertools import product
 
 from .errors import BridgeDomainError, CapExceededError
 from .fileio import atomic_write_text
-from .recurrence import RecurrenceVector, greedy_digits, scalar_term
+from .recurrence import RecurrenceVector, extend, greedy_digits, scalar_window
 from .representation import format_coefficients
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -101,14 +101,38 @@ def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False)
     yield from walk(1, 0, 0)
 
 
+def _check_cap(c: RecurrenceVector, n: int, cap: int, message: str) -> None:
+    """Raise CapExceededError(message) when X_{n+1} > cap.
+
+    X is strictly increasing from X_1, so the held terms grow only until
+    they reach index n + 1 or pass the cap, whichever comes first: a far
+    window beyond a small cap builds no term above the cap.  Only a refusal
+    computes X_{n+1}, by `scalar_window`, with no memo.  The message's {x}
+    and {cap} fields name it and the cap in decimal or, past the
+    interpreter's limit on int-to-str conversion, by bit length.
+    """
+    up = c.scalar()._up
+    while len(up) <= n + 1 and up[-1] <= cap:
+        extend(up, c.coefficients, len(up) + 1)
+    if up[min(n + 1, len(up) - 1)] <= cap:
+        return
+    raise CapExceededError(message.format(
+        x=_int_text(scalar_window(c.coefficients, n + 1, 1)[0]), cap=_int_text(cap)))
+
+
+def _int_text(x: int) -> str:
+    try:
+        return str(x)
+    except ValueError:
+        return "at least 2^%d" % (x.bit_length() - 1)
+
+
 def enumerate_representations(c: RecurrenceVector, n: int,
                               cap: int = DEFAULT_ENUMERATION_CAP) -> list:
     """All satisfying strings with support in [1, n]; count equals X_{n+1}."""
     if n < 0:
         raise ValueError("support bound must be >= 0")
-    expected = scalar_term(c, n + 1)
-    if expected > cap:
-        raise CapExceededError("enumeration of %d strings exceeds cap %d" % (expected, cap))
+    _check_cap(c, n, cap, "enumeration of {x} strings exceeds cap {cap}")
     return list(iter_representations(c, n))
 
 
@@ -147,8 +171,7 @@ def support_shell(c: RecurrenceVector, n: int,
 
 def _region(c: RecurrenceVector, n: int, cap: int, least: int) -> RegionSet:
     """Vectors of the strings with support in [least, n], keyed in lex order."""
-    if scalar_term(c, n + 1) > cap:
-        raise CapExceededError("region of %d points exceeds cap" % scalar_term(c, n + 1))
+    _check_cap(c, n, cap, "region of {x} points exceeds cap")
     members = {}
     for a, v in iter_representations(c, n, with_values=True):
         if len(a) >= least:
@@ -168,8 +191,7 @@ def ball_coverage(c: RecurrenceVector, radius: int,
     remaining = set(product(range(-radius, radius + 1), repeat=c.k - 1))
     n = 0
     while True:
-        if scalar_term(c, n + 1) > cap:
-            raise CapExceededError("ball not covered below the enumeration cap")
+        _check_cap(c, n, cap, "ball not covered below the enumeration cap")
         for _, v in iter_representations(c, n, with_values=True):
             remaining.discard(v)
         if not remaining:

@@ -307,6 +307,12 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # The integers are the run's own input and output: lift the interpreter's
+    # limit on int <-> str conversion (Python 3.10.7 and later) for the run.
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit:
+        saved = limit()
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -316,6 +322,9 @@ def main(argv=None) -> int:
     except ZeckvecError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

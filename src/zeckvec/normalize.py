@@ -29,13 +29,12 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 from operator import ge, mul
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
                      NonTerminationError, NotEndCompleteError,
                      NotNearlySatisfyingError, NotSatisfyingError)
-from .recurrence import (RecurrenceVector, backward_column, column_value,
-                         column_weights, extend, greedy_digits, scalar_terms,
+from .recurrence import (RecurrenceVector, column_value, extend, greedy_digits,
                          scalar_window, string_value)
 from .representation import (KIND_NEARLY_SATISFYING, _scan_from, canonical,
                              classify, scan)
@@ -334,13 +333,14 @@ def _backward_log_growth(coeffs) -> float:
     return -math.log(max(abs(r) for r in roots if abs(r) < 1))
 
 
-# The tables held on a recurrence serve every bridge level up to this one,
-# and a higher level streams.  Table memory grows with the square of the
-# level, the time it saves only linearly.  Measured on the five strict c of
-# the benchmark (2 cores, Python 3.11): at level 2048 the tables take 0.5 to
-# 1.0 MB per recurrence and a held call is 2 to 4 times as fast as a
-# streamed one (0.5-1.5 ms against 2-5 ms); at 4096 they take 1.7-3.8 MB,
-# at 8192 6-15 MB, for a ratio near 2.
+# The terms a recurrence holds serve every bridge level up to this one, and
+# a higher level streams: the bridge never grows a held list past it.  Their
+# memory grows with the square of the level, the time they save only
+# linearly.  Measured on the five strict c of the benchmark (2 cores,
+# Python 3.11): at level 2048 the terms take 0.5 to 1.0 MB per recurrence
+# and a held call is 2 to 4 times as fast as a streamed one (0.5-1.5 ms
+# against 2-5 ms); at 4096 they take 1.7-3.8 MB, at 8192 6-15 MB, for a
+# ratio near 2.
 HELD_LEVEL_CAP = 2048
 
 # Terms the streamed descent computes per `extend` call, which spreads the
@@ -349,47 +349,17 @@ HELD_LEVEL_CAP = 2048
 _DESCENT_BLOCK = 64
 
 
-class _BridgeTables(NamedTuple):
-    """What a recurrence vector holds for the bridge: constants and tables
-    that grow in place, never past HELD_LEVEL_CAP."""
-    log_growth: float   # log rho, see _backward_log_growth
-    alpha: tuple        # X_{-p}[d] = sum_j alpha[d][j] * t[p + j] for every p
-    level: int          # highest level served, 0 at first
-    xs: list            # X_0 .. X_level, and X_0 .. X_k at least
-    t: list             # t[p] = last coordinate of X_{-p}, p = 0 .. level + k - 3 at least
-
-
-def _held(c: RecurrenceVector) -> _BridgeTables:
-    held = c._bridge
-    if held is None:
-        coeffs = c.coefficients
-        held = c._bridge = _BridgeTables(_backward_log_growth(coeffs), column_weights(coeffs),
-                                         0, scalar_terms(coeffs, 0), backward_column(coeffs, 0))
-    return held
-
-
 def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
     """First bridge level tried for a nonzero v: floor(log|v| / log rho) + 2k.
 
     |v| is the l1 norm: with the sup norm, vectors whose coordinates nearly
     cancel along the slow mode (tribonacci's (5, -8) has length 12) would
-    need a retry.
+    need a retry.  log rho is computed once and kept on c.
     """
-    return int(math.log(sum(map(abs, v))) / _held(c).log_growth) + 2 * c.k
-
-
-def _build_level(c: RecurrenceVector, n: int) -> _BridgeTables:
-    """Grow the tables held on c to level n, above the held level, in place.
-
-    Level n reads only xs[0..n] and t[0..n+k-3], so the tables of one level
-    serve every level below it, and the lists are never replaced.
-    """
-    coeffs = c.coefficients
-    held = _held(c)
-    extend(held.xs, coeffs, n + 1)
-    extend(held.t, coeffs, n + c.k - 2, down=True)
-    held = c._bridge = held._replace(level=n)
-    return held
+    log_growth = c._bridge
+    if log_growth is None:
+        log_growth = c._bridge = _backward_log_growth(c.coefficients)
+    return int(math.log(sum(map(abs, v))) / log_growth) + 2 * c.k
 
 
 def _descent(coeffs: tuple, seq: list, count: int):
@@ -410,16 +380,21 @@ def _descent(coeffs: tuple, seq: list, count: int):
 
 
 def _held_digits(c: RecurrenceVector, v: tuple, n: int):
-    """Level-n greedy digits of v and their value, from the tables held on c."""
-    held = _held(c)
-    if n > held.level:
-        held = _build_level(c, n)
-    xs = held.xs
-    z = sum(map(mul, v, xs[n - 1:n - c.k:-1])) % xs[n]
+    """Level-n greedy digits of v and their value, from the lists of c's own
+    sequences: X_0..X_n and the backward column t[0..n+k-3], grown in place
+    when too short, so the terms of one level serve every level below it."""
+    coeffs, k = c.coefficients, c.k
+    vec = c.vector()
+    xs, t = c.scalar()._up, vec._down
+    if len(xs) <= n:
+        extend(xs, coeffs, n + 1)
+    if len(t) < n + k - 2:
+        extend(t, coeffs, n + k - 2, down=True)
+    z = sum(map(mul, v, xs[n - 1:n - k:-1])) % xs[n]
     arr = greedy_digits(z, xs[n - 1:0:-1])
     while arr and not arr[-1]:
         arr.pop()
-    return arr, column_value(held.alpha, held.t, arr)
+    return arr, column_value(vec._alpha, t, arr)
 
 
 def _streamed_digits(c: RecurrenceVector, v: tuple, n: int):
@@ -445,7 +420,8 @@ def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
     doubles.  That terminates: both window maps satisfy the recurrence and
     agree at i = 0..k-1, so z = S(a) mod X_n for the satisfying string a,
     and S(a) < X_n once n > len(a).  Levels up to HELD_LEVEL_CAP read the
-    tables held on c; higher ones stream, in memory linear in n.
+    terms of c's own scalar and vector sequences; higher ones stream, in
+    memory linear in n.
     """
     n = _bridge_level(c, v)
     while True:

@@ -58,7 +58,7 @@ class RecurrenceVector:
         self.weakly_decreasing = weakly
         self._scalar = None
         self._vector = None
-        self._bridge = None   # growth rate and the held bridge tables, kept by normalize
+        self._bridge = None   # the bridge's log growth rate, kept by normalize
 
     @property
     def dimension(self) -> int:

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -7,7 +8,9 @@ from zeckvec import (BridgeDomainError, CapExceededError, RecurrenceVector,
                      ball_coverage, enumerate_representations, evaluate,
                      is_satisfying, iter_representations, legal_decompose,
                      scalar_bridge, scalar_term, support_region, support_shell)
+from zeckvec.analytics import exact_series
 from zeckvec.bridge import regions_csv_text, regions_svg_text
+from zeckvec.recurrence import scalar_window
 
 C211 = RecurrenceVector((2, 1, 1))
 FIB = RecurrenceVector((1, 1))
@@ -119,6 +122,48 @@ def test_enumeration_matches_brute_force(coeffs):
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         enumerate_representations(C211, 10, cap=100)
+
+
+@pytest.mark.parametrize("refuse", [
+    enumerate_representations, support_region, support_shell,
+    lambda c, n: next(exact_series(c, n, n)),
+], ids=["enumerate", "region", "shell", "exact_series"])
+def test_far_window_beyond_the_cap_builds_no_far_terms(refuse):
+    # X_40001 of (1,1,1) has 35167 bits; the refusal builds no term above the
+    # cap, and names X_40001 even past the interpreter's int-to-str limit
+    c = RecurrenceVector((1, 1, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError) as err:
+            refuse(c, 40000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6, peak
+    assert len(c.scalar()._up) < 100
+    x = scalar_window(c.coefficients, 40001, 1)[0]
+    try:
+        text = str(x)
+    except ValueError:
+        text = "at least 2^%d" % (x.bit_length() - 1)
+    assert text in str(err.value)
+
+
+def test_cap_admits_x_n_plus_1_equal_to_it():
+    for coeffs in STRICT_VECTORS:
+        c = RecurrenceVector(coeffs)
+        for n in range(6):
+            size = scalar_term(c, n + 1)
+            assert len(enumerate_representations(c, n, cap=size)) == size
+            assert len(support_region(c, n, cap=size)) == size
+            with pytest.raises(CapExceededError):
+                support_region(c, n, cap=size - 1)
+    with pytest.raises(CapExceededError):
+        support_region(RecurrenceVector((1, 1)), 0, cap=0)
+    # a cap far above the window builds the terms up to X_{n+1} only
+    c = RecurrenceVector((1, 1))
+    assert len(support_region(c, 3, cap=2 ** 100000)) == 5
+    assert len(c.scalar()._up) == 5
 
 
 def test_bridge_identity_on_low_support_strings():

@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -40,6 +42,58 @@ def test_decompose_large_vector(capsys):
     assert code == 0
     a = tuple(int(x) for x in out.strip().split(","))
     assert evaluate(RecurrenceVector((1, 1, 1)), a) == v
+
+
+def digit_limit():
+    """The interpreter's int <-> str digit limit, None where there is none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else None
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    saved = digit_limit()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def test_seq_prints_terms_past_the_digit_limit(capsys):
+    # X_21000 of (1,1) has 4389 digits, past CPython's default limit of 4300
+    from zeckvec.recurrence import scalar_window
+    code, out, _ = run(capsys, "seq", "--c", "1,1", "--from", "21000", "--to", "21000")
+    assert code == 0
+    with no_digit_limit():
+        assert out == "%d\n" % scalar_window((1, 1), 21000, 1)[0]
+
+
+def test_decompose_reads_coordinates_past_the_digit_limit(capsys):
+    from zeckvec import RecurrenceVector, evaluate
+    rng = random.Random(4400)
+    text = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(4399))
+    code, out, _ = run(capsys, "decompose", "--c", "1,1,1", "--v", text + ",-1")
+    assert code == 0
+    a = tuple(int(x) for x in out.strip().split(","))
+    with no_digit_limit():
+        v = (int(text), -1)
+    assert evaluate(RecurrenceVector((1, 1, 1)), a) == v
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("seq", "--c", "1,1", "--from", "1", "--to", "2"), 0),
+    (("seq", "--c", "2,1,1", "--from", "5", "--to", "1"), 1),
+    # a far window beyond the cap: CapExceededError, not a failed conversion
+    (("regions", "--c", "1,1,1", "--n", "80000"), 2),
+])
+def test_main_leaves_the_digit_limit_as_it_was(capsys, argv, expected):
+    before = digit_limit()
+    code, _, err = run(capsys, *argv)
+    assert code == expected, err
+    assert digit_limit() == before
 
 
 def test_decompose_zero_prints_empty(capsys):

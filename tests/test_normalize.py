@@ -12,9 +12,8 @@ from zeckvec import (BorrowBlockedError, CarryBlockedError, NonTerminationError,
                      probe_termination, resolve_end_complete, scalar_term, scan,
                      spanning_probe, vector_term)
 from zeckvec.normalize import (HELD_LEVEL_CAP, IterationRecord, NormalizationTrace,
-                               ProbeReport, _bridge_level, _build_level,
-                               _decompose_chain, _held_digits, _reduce,
-                               _streamed_digits)
+                               ProbeReport, _bridge_level, _decompose_chain,
+                               _held_digits, _reduce, _streamed_digits)
 from zeckvec.recurrence import (backward_column, column_value, column_weights,
                                 scalar_terms, scalar_window, string_value)
 
@@ -197,16 +196,20 @@ def test_bridge_matches_chain_and_enumeration(coeffs, data):
 
 
 def test_bridge_tables_match_the_sequences():
-    # the level tables are built from the recurrence, not the memoised
-    # sequences; every coordinate of X_{-p} comes from the one backward column
+    # the held bridge grows the sequences' own lists; they match fresh lists
+    # built from the recurrence, and every coordinate of X_{-p} comes from
+    # the one backward column
     for k in range(2, 6):
         for head in itertools.combinations_with_replacement(range(4, 0, -1), k - 1):
-            c = RecurrenceVector(head + (1,))
-            tables = _build_level(c, 4 * k)
-            assert tables.xs == [scalar_term(c, m) for m in range(4 * k + 1)]
+            coeffs = head + (1,)
+            c = RecurrenceVector(coeffs)
+            _held_digits(c, (1,) * (k - 1), 4 * k)
+            xs, t, alpha = c.scalar()._up, c.vector()._down, c.vector()._alpha
+            assert xs == scalar_terms(coeffs, 4 * k + 1)
+            assert t == backward_column(coeffs, 5 * k - 2)
             for p in range(4 * k):
-                coords = tuple(sum(w * tables.t[p + j] for j, w in enumerate(row))
-                               for row in tables.alpha)
+                coords = tuple(sum(w * t[p + j] for j, w in enumerate(row))
+                               for row in alpha)
                 assert coords == vector_term(c, -p)
 
 
@@ -258,7 +261,7 @@ def test_decompose_does_not_depend_on_call_order():
         decompose(c, _digits_vector(rng, c.k - 1, 2400))
         assert [decompose(c, v) for v in batch] == before
         # the level held on c is one a small vector asked for, not the large one's
-        assert c._bridge.level in {_bridge_level(c, v) for v in batch}
+        assert len(c.scalar()._up) - 1 in {_bridge_level(c, v) for v in batch}
 
 
 def test_decompose_inverts_evaluate_on_enumerated_strings():
@@ -560,17 +563,15 @@ def test_mixed_replay_grows_the_held_lists_in_place():
         sizes += [1200]
         rng.shuffle(sizes)
         decompose(c, _digits_vector(rng, c.k - 1, 1))
-        held = c._bridge
-        xs, t = held.xs, held.t
-        level = held.level
+        xs, t = c.scalar()._up, c.vector()._down
+        level = len(xs) - 1
         for digits in sizes:
             v = _digits_vector(rng, c.k - 1, digits)
             before = len(xs), len(t)
             a = decompose(c, v)
             assert evaluate(c, a) == v
-            held = c._bridge
             # the same lists, longer only when a call needed a new highest level
-            assert held.xs is xs and held.t is t
+            assert c.scalar()._up is xs and c.vector()._down is t
             need = max([n for n in bridge_levels(c, v, len(a)) if n <= HELD_LEVEL_CAP],
                        default=0)
             if need > level:
@@ -578,7 +579,7 @@ def test_mixed_replay_grows_the_held_lists_in_place():
                 assert (len(xs), len(t)) == (level + 1, level + c.k - 2)
             else:
                 assert (len(xs), len(t)) == before
-            assert held.level == level <= HELD_LEVEL_CAP
+            assert len(xs) - 1 == level <= HELD_LEVEL_CAP
         assert level > 0 and len(xs) <= HELD_LEVEL_CAP + 1
 
 
