@@ -309,9 +309,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     # The integers are the run's own input and output: lift the interpreter's
     # limit on int <-> str conversion (Python 3.10.7 and later) for the run.
-    limit = getattr(sys, "get_int_max_str_digits", None)
-    if limit:
-        saved = limit()
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit:
+        saved = get_limit()
         sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
@@ -323,7 +323,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code
     finally:
-        if limit:
+        if get_limit:
             sys.set_int_max_str_digits(saved)
 
 
