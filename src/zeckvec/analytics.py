@@ -269,8 +269,7 @@ def check_minimality(c: RecurrenceVector, v, support_bound: Optional[int] = None
         return MinimalityResult(0, 0, True, 1)
     vec = c.vector()
     gens = [vec.term(-i) for i in range(1, support_bound + 1)]
-    dim = c.k - 1
-    zero = (0,) * dim
+    zero = (0,) * (c.k - 1)
     frontier = {zero}
     seen = {zero}
     explored = 1
@@ -278,7 +277,7 @@ def check_minimality(c: RecurrenceVector, v, support_bound: Optional[int] = None
         nxt = set()
         for w in frontier:
             for g in gens:
-                u = tuple(w[d] + g[d] for d in range(dim))
+                u = tuple(map(add, w, g))
                 if u == v:
                     return MinimalityResult(sr_count, depth, depth == sr_count,
                                             explored + len(nxt))

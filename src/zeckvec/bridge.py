@@ -7,6 +7,11 @@ summand statistics to the scalar side.  The greedy decomposition here never
 touches the vector rewriting machinery, but its loop, `greedy_digits` in
 `recurrence`, is the one the untraced `decompose` runs too; the independent
 checks are the tests' linear-scan oracle and the increment chain.
+
+The enumerator behind the regions splits the positions at their midpoint:
+suffix lists over the upper half, built once per call, are appended to each
+prefix of a recursive walk over the lower half.  The tests check it against
+the single recursive walk over all positions, string by string and in order.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
+from operator import add
 
 from .errors import BridgeDomainError, CapExceededError
 from .fileio import atomic_write_text
@@ -61,12 +67,17 @@ def summand_count(digits) -> int:
 def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False):
     """Yield every satisfying string with support in [1, n], lexicographically.
 
-    The generator walks the scanner automaton, whose state is the length of
-    the prefix of the coefficients matched so far: a digit below the next
+    The walk follows the scanner automaton, whose state is the length of the
+    prefix of the coefficients matched so far: a digit below the next
     coefficient returns to state 0, a digit equal to it advances, and a full
-    copy of the coefficients is rejected.  With values enabled, each yield is
-    (string, vector) with the vector maintained incrementally along the
-    search path.
+    copy of the coefficients is rejected.  It splits the positions at
+    m = n // 2.  The suffixes over positions m+1..n are built once per call,
+    one list per scanner state at m+1.  A recursive walk over positions 1..m
+    visits each prefix once and yields the prefix followed by each of the
+    suffixes its state admits, so only the prefixes, about X_{m+1} of them,
+    pass through nested generators.  With values enabled, each yield is
+    (string, vector), the prefix's vector maintained along the walk plus the
+    suffix's.
     """
     coeffs = c.coefficients
     k = c.k
@@ -76,29 +87,62 @@ def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False)
     zero_run = [0] * (k + 1)
     for j in range(k - 1, -1, -1):
         zero_run[j] = zero_run[j + 1] + 1 if coeffs[j] == 0 else 0
+    m = n // 2
+    # tails[s]: the strings over positions p..n accepted from state s at p, as
+    # (digits up to the last nonzero, vector), lexicographic with () first.
+    # Built from p = n down to m + 1, each from the lists at p + 1: a zero at
+    # p comes first, then the nonzero digits at p in increasing order.
+    empty = ((), (0,) * (k - 1))
+    tails = [[empty]] * k
+    for p in range(n, m, -1):
+        b = basis[p - 1]
+        later = tails
+        tails = []
+        for s, top in enumerate(coeffs):
+            tail = [empty]
+            tail += [((0,) + t, w) for t, w in islice(later[s + 1 if top == 0 else 0], 1, None)]
+            # a digit equal to c_{s+1} advances the match; a full copy is rejected
+            for d in range(1, top + 1 if s + 1 < k else top):
+                db = [d * x for x in b]
+                tail += [((d,) + t, tuple(map(add, w, db)))
+                         for t, w in later[s + 1 if d == top else 0]]
+            tails.append(tail)
     buf = [0] * n
     val = [0] * (k - 1)
 
-    def walk(p, j, last):
-        # positions p..n are free and the scanner is in state j at p; the
-        # all-zero tail comes first, then a nonzero digit placed late to
-        # early, which is lexicographic order
-        yield (tuple(buf[:last]), tuple(val)) if with_values else tuple(buf[:last])
-        for q in range(n, p - 1, -1):
+    def prefixes(p, j, last):
+        # positions p..m are free and the scanner is in state j at p; yields
+        # (last nonzero position, suffixes admitted at m + 1) with buf and val
+        # holding the prefix, then the children, a nonzero digit placed late
+        # to early, which is lexicographic order
+        gap = m + 1 - p
+        yield last, tails[j + gap if gap <= zero_run[j] else 0]
+        for q in range(m, p - 1, -1):
             s = j + q - p if q - p <= zero_run[j] else 0
             top = coeffs[s]
             b = basis[q - 1]
-            # a digit equal to c_{s+1} advances the match; a full copy is rejected
             for d in range(1, top + 1 if s + 1 < k else top):
                 buf[q - 1] = d
                 for i in dim:
                     val[i] += d * b[i]
-                yield from walk(q + 1, s + 1 if d == top else 0, q)
+                yield from prefixes(q + 1, s + 1 if d == top else 0, q)
                 for i in dim:
                     val[i] -= d * b[i]
             buf[q - 1] = 0
 
-    yield from walk(1, 0, 0)
+    # a nonzero digit after m is placed later than any in the prefix's
+    # children, so the prefix's suffixes come before its children
+    for last, tail in prefixes(1, 0, 0):
+        pad = tuple(buf[:m])
+        if with_values:
+            v = tuple(val)
+            yield pad[:last], v
+            for t, w in islice(tail, 1, None):
+                yield pad + t, tuple(map(add, v, w))
+        else:
+            yield pad[:last]
+            for t, _ in islice(tail, 1, None):
+                yield pad + t
 
 
 def _check_cap(c: RecurrenceVector, n: int, cap: int, message: str) -> None:
@@ -172,10 +216,8 @@ def support_shell(c: RecurrenceVector, n: int,
 def _region(c: RecurrenceVector, n: int, cap: int, least: int) -> RegionSet:
     """Vectors of the strings with support in [least, n], keyed in lex order."""
     _check_cap(c, n, cap, "region of {x} points exceeds cap")
-    members = {}
-    for a, v in iter_representations(c, n, with_values=True):
-        if len(a) >= least:
-            members[v] = (len(a), a)
+    members = {v: (len(a), a) for a, v in iter_representations(c, n, with_values=True)
+               if len(a) >= least}
     return RegionSet(n, members)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from operator import ge, mul
+from operator import add, ge, mul
 from typing import Optional
 
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
@@ -537,7 +537,7 @@ def spanning_probe(c: RecurrenceVector, radius: int, support_bound: int,
         nxt = set()
         for v in frontier:
             for g in gens:
-                w = tuple(v[d] + g[d] for d in range(dim))
+                w = tuple(map(add, v, g))
                 if w not in seen:
                     seen.add(w)
                     nxt.add(w)

@@ -7,7 +7,8 @@ import pytest
 from zeckvec import (CapExceededError, OracleExhaustedError, RecurrenceVector,
                      check_minimality, coefficient_sum, decompose,
                      gaussian_diagnostics, legal_decompose, scalar_bridge,
-                     scalar_term, summand_distribution, support_region)
+                     scalar_term, spanning_probe, summand_distribution, support_region,
+                     vector_term)
 from zeckvec import analytics
 from zeckvec.analytics import (FIBONACCI_MEAN_SLOPE, SummandStats, _moments,
                                exact_series, stats_json_text)
@@ -133,6 +134,59 @@ def test_minimality_exhaustive_small_region():
     for v in support_region(c, 4).vectors():
         res = check_minimality(c, v, support_bound=7)
         assert res.minimal, v
+
+
+def bfs_explored(c, v, support_bound, depth_cap=None, radius=None, node_cap=1_000_000):
+    """Nodes the breadth-first oracles count, with vectors added index by index.
+
+    With a target v it stops in the middle of the level that reaches v, as
+    check_minimality does; with a radius it runs until the ball is covered,
+    the frontier empties or the node cap is passed, as spanning_probe does.
+    """
+    dim = c.k - 1
+    gens = [vector_term(c, -i) for i in range(1, support_bound + 1)]
+    remaining = set()
+    if radius is not None:
+        remaining = set(product(range(-radius, radius + 1), repeat=dim))
+    zero = (0,) * dim
+    remaining.discard(zero)
+    frontier = {zero}
+    seen = {zero}
+    explored = 1
+    depth = 0
+    while frontier and explored <= node_cap and (radius is None or remaining):
+        depth += 1
+        if depth_cap is not None and depth > depth_cap:
+            break
+        nxt = set()
+        for w in frontier:
+            for g in gens:
+                u = tuple(w[d] + g[d] for d in range(dim))
+                if u == v:
+                    return explored + len(nxt)
+                if u not in seen:
+                    seen.add(u)
+                    nxt.add(u)
+                    remaining.discard(u)
+        explored += len(nxt)
+        frontier = nxt
+    return explored
+
+
+@pytest.mark.parametrize("coeffs", [(2, 1, 1), (1, 1, 1), (4, 2, 1), (3, 2, 1), (1, 1, 1, 1)],
+                         ids=lambda coeffs: ",".join(map(str, coeffs)))
+def test_bfs_explored_counts_match_the_indexed_loop(coeffs):
+    c = RecurrenceVector(coeffs)
+    bound = 3 + c.k
+    for v in support_region(c, 3).vectors():
+        res = check_minimality(c, v, support_bound=bound)
+        if res.sr_count:
+            assert res.explored == bfs_explored(c, v, bound, depth_cap=res.sr_count), v
+    for radius in range(3):
+        assert (spanning_probe(c, radius, bound).explored
+                == bfs_explored(c, None, bound, radius=radius))
+    assert spanning_probe(c, 5, bound, node_cap=40).explored == bfs_explored(
+        c, None, bound, radius=5, node_cap=40)
 
 
 def test_minimality_node_cap():

@@ -16,6 +16,10 @@ C211 = RecurrenceVector((2, 1, 1))
 FIB = RecurrenceVector((1, 1))
 STRICT_VECTORS = [(1, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 2, 1)]
 RELAXED_VECTORS = [(1, 3, 1), (1, 0, 1), (2, 0, 0, 1)]
+# every weakly decreasing c with k <= 5 and c1 <= 4 (69 of them), then relaxed c
+WALK_VECTORS = [c for k in range(2, 6) for c in product(range(4, 0, -1), repeat=k)
+                if c[-1] == 1 and all(x >= y for x, y in zip(c, c[1:]))]
+WALK_RELAXED = [(1, 3, 1), (1, 2, 1), (1, 4, 2, 1), (1, 0, 1), (2, 0, 0, 1), (3, 0, 2, 0, 1)]
 
 
 def grammar_accepts(coeffs, a):
@@ -47,6 +51,40 @@ def brute_force_strings(coeffs, n):
             m -= 1
         out.append(a[:m])
     return out
+
+
+def nested_walk(c, n, with_values=False):
+    """The enumerator as one recursive walk over all n positions.
+
+    Each string is built from a shared buffer and yielded through one
+    generator frame per nonzero digit of its prefix; the split walk in the
+    package must yield the same strings, and vectors, in the same order.
+    """
+    coeffs = c.coefficients
+    k = c.k
+    basis = c.vector().basis(n) if n >= 1 else []
+    zero_run = [0] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        zero_run[j] = zero_run[j + 1] + 1 if coeffs[j] == 0 else 0
+    buf = [0] * n
+    val = [0] * (k - 1)
+
+    def walk(p, j, last):
+        yield (tuple(buf[:last]), tuple(val)) if with_values else tuple(buf[:last])
+        for q in range(n, p - 1, -1):
+            s = j + q - p if q - p <= zero_run[j] else 0
+            top = coeffs[s]
+            b = basis[q - 1]
+            for d in range(1, top + 1 if s + 1 < k else top):
+                buf[q - 1] = d
+                for i in range(k - 1):
+                    val[i] += d * b[i]
+                yield from walk(q + 1, s + 1 if d == top else 0, q)
+                for i in range(k - 1):
+                    val[i] -= d * b[i]
+            buf[q - 1] = 0
+
+    yield from walk(1, 0, 0)
 
 
 def test_bridge_examples():
@@ -117,6 +155,72 @@ def test_enumeration_matches_brute_force(coeffs):
         assert [a for a, _ in pairs] == expected
         for a, v in pairs:
             assert evaluate(c, a) == v
+
+
+@pytest.mark.parametrize("coeffs", WALK_VECTORS + WALK_RELAXED,
+                         ids=lambda coeffs: ",".join(map(str, coeffs)))
+def test_split_walk_matches_the_nested_walk(coeffs):
+    # every n while X_{n+1} <= 2*10^4: both parities, and the split at n = 0, 1, 2
+    c = RecurrenceVector(coeffs, relaxed=coeffs in WALK_RELAXED)
+    n = 0
+    while scalar_term(c, n + 1) <= 2 * 10 ** 4:
+        assert list(iter_representations(c, n)) == list(nested_walk(c, n))
+        pairs = list(nested_walk(c, n, with_values=True))
+        assert list(iter_representations(c, n, with_values=True)) == pairs
+        if n >= 1:
+            shell = {v: (len(a), a) for a, v in pairs if len(a) >= n}
+            assert list(support_shell(c, n).members.items()) == list(shell.items())
+        n += 1
+    assert n >= 3
+
+
+def _with_brute_force_size(coeffs):
+    # lengths whose (c1 + 1)^n padded strings stay few enough to filter
+    top = 0
+    while (max(coeffs) + 1) ** (top + 1) <= 20_000:
+        top += 1
+    return st.tuples(st.just(coeffs), st.integers(min_value=0, max_value=top))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WALK_VECTORS + WALK_RELAXED).flatmap(_with_brute_force_size))
+def test_split_walk_matches_brute_force(case):
+    coeffs, n = case
+    c = RecurrenceVector(coeffs, relaxed=coeffs in WALK_RELAXED)
+    expected = brute_force_strings(coeffs, n)
+    assert list(iter_representations(c, n)) == expected
+    pairs = list(iter_representations(c, n, with_values=True))
+    assert [a for a, _ in pairs] == expected
+    assert all(evaluate(c, a) == v for a, v in pairs)
+
+
+def _held_state(c):
+    seq, vec = c._scalar, c._vector
+    return (c._bridge, len(seq._up), len(seq._down), len(vec._up), len(vec._down))
+
+
+@pytest.mark.parametrize("coeffs, n, parent_peak, parent_held", [
+    ((1, 1), 20, 6_313_096, (None, 22, 2, 2, 21)),
+    ((2, 1, 1), 11, 10_217_872, (None, 13, 3, 3, 13)),
+], ids=["1,1", "2,1,1"])
+def test_region_memory_stays_at_the_nested_walks(coeffs, n, parent_peak, parent_held):
+    # parent_peak and parent_held: the tracemalloc peak of the same call on a
+    # fresh RecurrenceVector under the nested walk (CPython 3.11.7, 64-bit),
+    # and the lengths of the lists it left held; the suffix lists are local
+    # to the call, so the region itself sets the peak
+    c = RecurrenceVector(coeffs)
+    tracemalloc.start()
+    try:
+        region = support_region(c, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(region) == scalar_term(c, n + 1)
+    assert peak <= 1.05 * parent_peak, peak
+    # every slot is fixed by __slots__: nothing new is kept, no list grows
+    assert _held_state(c) == parent_held
+    support_region(c, n)
+    assert _held_state(c) == parent_held
 
 
 def test_enumeration_cap():

@@ -234,6 +234,25 @@ def test_cover_stdout_is_pinned(capsys, c):
     assert hashlib.sha256(out.encode()).hexdigest() == COVER_STDOUT_HASHES[c]
 
 
+# sha256 of the stdout of `minimality --n N`: the region's vectors in lex
+# order, each with its string's mass and the oracle's minimum
+MINIMALITY_STDOUT_HASHES = {
+    "2,1,1": (5, "554cb3073b324c5fca8d6dcf596c1195bcf5e37b725a2b27004beb1dc35449f5"),
+    "1,1,1": (7, "8768574e5eab2a9ccd35b186c6e8c67cb67f1096f79b5f75b3ffa600edb317fa"),
+    "4,2,1": (3, "fc30b5373b132292f150ed347a98caddcfe5c90dcbd52578606dac257fe04f41"),
+    "3,2,1": (3, "a0dcc597bb7e94cf4eb0b0bc1157e76905d4f925f9918cf7db111bab219ed2ab"),
+    "1,1,1,1": (7, "df9916df6b2e53f580dbb68e3c96e26f8809bda176c8bc3e414ef2fe93290b0a"),
+}
+
+
+@pytest.mark.parametrize("c", sorted(MINIMALITY_STDOUT_HASHES))
+def test_minimality_stdout_is_pinned(capsys, c):
+    n, digest = MINIMALITY_STDOUT_HASHES[c]
+    code, out, _ = run(capsys, "minimality", "--c", c, "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_regions_svg_notice_for_higher_dimension(tmp_path, capsys):
     csv = tmp_path / "c.csv"
     svg = tmp_path / "c.svg"
