@@ -136,7 +136,7 @@ def test_minimality_exhaustive_small_region():
         assert res.minimal, v
 
 
-def bfs_explored(c, v, support_bound, depth_cap=None, radius=None, node_cap=1_000_000):
+def bfs_explored(c, v, support_bound, radius=None, node_cap=1_000_000):
     """Nodes the breadth-first oracles count, with vectors added index by index.
 
     With a target v it stops in the middle of the level that reaches v, as
@@ -153,11 +153,7 @@ def bfs_explored(c, v, support_bound, depth_cap=None, radius=None, node_cap=1_00
     frontier = {zero}
     seen = {zero}
     explored = 1
-    depth = 0
     while frontier and explored <= node_cap and (radius is None or remaining):
-        depth += 1
-        if depth_cap is not None and depth > depth_cap:
-            break
         nxt = set()
         for w in frontier:
             for g in gens:
@@ -181,7 +177,7 @@ def test_bfs_explored_counts_match_the_indexed_loop(coeffs):
     for v in support_region(c, 3).vectors():
         res = check_minimality(c, v, support_bound=bound)
         if res.sr_count:
-            assert res.explored == bfs_explored(c, v, bound, depth_cap=res.sr_count), v
+            assert res.explored == bfs_explored(c, v, bound), v
     for radius in range(3):
         assert (spanning_probe(c, radius, bound).explored
                 == bfs_explored(c, None, bound, radius=radius))
