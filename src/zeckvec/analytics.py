@@ -293,6 +293,54 @@ def check_minimality(c: RecurrenceVector, v, support_bound: Optional[int] = None
         % (support_bound, sr_count))
 
 
+def oracle_minima(c: RecurrenceVector, vectors, support_bound: int,
+                  node_cap: int = 1_000_000):
+    """Yield (sr_count, oracle_min) for each vector, as `check_minimality`
+    finds them, from one breadth-first search shared by all of them.
+
+    Every search starts at the origin with the same generators, so one
+    search grown level by level, only as deep as the vectors so far need,
+    gives each vector its distance.  The cumulative node count after each
+    level decides the errors: a vector raises OracleExhaustedError where
+    its own search would, after the vectors before it were yielded.
+    """
+    if support_bound < 1:
+        raise ValueError("support bound must be >= 1")
+    vec = c.vector()
+    gens = [vec.term(-i) for i in range(1, support_bound + 1)]
+    zero = (0,) * (c.k - 1)
+    dist = {zero: 0}
+    frontier = [zero]
+    explored = [1]        # nodes seen after each level
+    for v in vectors:
+        v = tuple(int(x) for x in v)
+        sr_count = coefficient_sum(decompose(c, v))
+        if sr_count == 0:
+            yield 0, 0
+            continue
+        # the cap is checked after each level from the first on
+        while v not in dist and len(explored) <= sr_count and (
+                len(explored) == 1 or explored[-1] <= node_cap):
+            depth, nxt = len(explored), []
+            for w in frontier:
+                for g in gens:
+                    u = tuple(map(add, w, g))
+                    if u not in dist:
+                        dist[u] = depth
+                        nxt.append(u)
+            explored.append(explored[-1] + len(nxt))
+            frontier = nxt
+        found = dist.get(v, sr_count + 1)
+        last = min(found - 1, sr_count, len(explored) - 1)   # the last level searched
+        if last and explored[last] > node_cap:
+            raise OracleExhaustedError("minimality search exceeded %d nodes" % node_cap)
+        if found > sr_count:
+            raise OracleExhaustedError(
+                "no representation with support <= %d found within %d summands"
+                % (support_bound, sr_count))
+        yield sr_count, found
+
+
 # -- reproducible exports -----------------------------------------------------
 
 def stats_json_text(c: RecurrenceVector, stats: list) -> str:

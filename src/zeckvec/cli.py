@@ -194,13 +194,14 @@ def _cmd_minimality(args) -> int:
     region = bridge.support_region(c, args.n, cap=cap)
     bound = args.n + c.k if args.bound is None else args.bound
     failures = 0
-    for v in region.vectors():
-        res = analytics.check_minimality(c, v, support_bound=bound)
-        if not res.minimal:
+    vectors = region.vectors()
+    for v, (sr_count, oracle_min) in zip(vectors, analytics.oracle_minima(c, vectors, bound)):
+        minimal = oracle_min == sr_count
+        if not minimal:
             failures += 1
         print("v=(%s) sr_count=%d oracle_min=%d minimal=%s"
-              % (representation.format_vector(v), res.sr_count, res.oracle_min,
-                 "true" if res.minimal else "false"))
+              % (representation.format_vector(v), sr_count, oracle_min,
+                 "true" if minimal else "false"))
     print("summary: %d/%d minimal" % (len(region) - failures, len(region)))
     return 0
 

@@ -34,8 +34,8 @@ from typing import Optional
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
                      NonTerminationError, NotEndCompleteError,
                      NotNearlySatisfyingError, NotSatisfyingError)
-from .recurrence import (RecurrenceVector, column_value, extend, greedy_digits,
-                         scalar_window, string_value)
+from .recurrence import (RecurrenceVector, block_greedy_digits, column_value, extend,
+                         greedy_digits, scalar_window, string_value)
 from .representation import (KIND_NEARLY_SATISFYING, _scan_from, canonical,
                              classify, scan)
 
@@ -337,16 +337,12 @@ def _backward_log_growth(coeffs) -> float:
 # a higher level streams: the bridge never grows a held list past it.  Their
 # memory grows with the square of the level, the time they save only
 # linearly.  Measured on the five strict c of the benchmark (2 cores,
-# Python 3.11): at level 2048 the terms take 0.5 to 1.0 MB per recurrence
-# and a held call is 2 to 4 times as fast as a streamed one (0.5-1.5 ms
-# against 2-5 ms); at 4096 they take 1.7-3.8 MB, at 8192 6-15 MB, for a
-# ratio near 2.
+# Python 3.11, best of 5, streamed by blocks): a held call took 0.06-0.08 ms
+# at level 700, 0.07-0.12 ms at 1024 and 0.14-0.20 ms at 2048, a streamed
+# one 0.27-0.42, 0.32-0.50 and 0.47-0.71 ms, so the held terms still win
+# below the cap.  At 2048 they take 0.5 to 1.0 MB per recurrence, at 4096
+# 1.7-3.8 MB and at 8192 6-15 MB.
 HELD_LEVEL_CAP = 2048
-
-# Terms the streamed descent computes per `extend` call, which spreads the
-# call's cost: on 4000-digit vectors (terms of up to 26000 bits) 64 to 1024
-# took within 5% of each other, and 4 up to 1.8 times as long.
-_DESCENT_BLOCK = 64
 
 
 def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
@@ -360,23 +356,6 @@ def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
     if log_growth is None:
         log_growth = c._bridge = _backward_log_growth(c.coefficients)
     return int(math.log(sum(map(abs, v))) / log_growth) + 2 * c.k
-
-
-def _descent(coeffs: tuple, seq: list, count: int):
-    """Yield count >= k terms X_m, X_{m-1}, ... from seq = [X_m, ..., X_{m-k+1}].
-
-    Each lower term is X_{j-k} = X_j - c1 X_{j-1} - ... - c_{k-1} X_{j-k+1},
-    which `extend` applies to a list that runs downward; seq keeps at most
-    k + _DESCENT_BLOCK terms.
-    """
-    k = len(coeffs)
-    yield from seq
-    count -= k
-    while count > 0:
-        del seq[:-k]
-        extend(seq, coeffs, k + min(count, _DESCENT_BLOCK), down=True)
-        yield from seq[k:]
-        count -= _DESCENT_BLOCK
 
 
 def _held_digits(c: RecurrenceVector, v: tuple, n: int):
@@ -399,13 +378,12 @@ def _held_digits(c: RecurrenceVector, v: tuple, n: int):
 
 def _streamed_digits(c: RecurrenceVector, v: tuple, n: int):
     """Level-n greedy digits of v and their value, for n > k, with a few
-    live terms: the top window from `scalar_window`, the lower terms from
-    the recurrence run backward, and the value from `string_value`."""
+    live terms: the top window from `scalar_window`, the digits from
+    `block_greedy_digits` and the value from `string_value`."""
     coeffs, k = c.coefficients, c.k
     window = scalar_window(coeffs, n - k, k + 1)   # X_{n-k} .. X_n
-    top = window[-2::-1]                            # X_{n-1} .. X_{n-k}
-    z = sum(map(mul, v, top)) % window[-1]
-    arr = greedy_digits(z, _descent(coeffs, top, n - 1))
+    z = sum(map(mul, v, window[-2::-1])) % window[-1]
+    arr = block_greedy_digits(coeffs, z, window[:-1], n - 1)
     while arr and not arr[-1]:
         arr.pop()
     return arr, string_value(coeffs, arr)
@@ -421,7 +399,9 @@ def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
     agree at i = 0..k-1, so z = S(a) mod X_n for the satisfying string a,
     and S(a) < X_n once n > len(a).  Levels up to HELD_LEVEL_CAP read the
     terms of c's own scalar and vector sequences; higher ones stream, in
-    memory linear in n.
+    memory linear in n: the digits come a block at a time from one exact
+    window of terms (`block_greedy_digits`) and the check evaluates them by
+    a product tree (`string_value`).
     """
     n = _bridge_level(c, v)
     while True:

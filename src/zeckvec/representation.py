@@ -92,8 +92,8 @@ def is_satisfying(c: RecurrenceVector, a) -> bool:
 def evaluate(c: RecurrenceVector, a) -> tuple:
     """Value sum_n a_n X_{-n} of a coefficient string as a lattice vector.
 
-    Horner's rule keeps k integers live (`string_value`), so memory stays
-    linear in the string's length and nothing is memoized on c.
+    `string_value` evaluates it by a product tree over Horner leaves, so
+    memory stays linear in the string's length and nothing is memoized on c.
     """
     return string_value(c.coefficients, canonical(a))
 

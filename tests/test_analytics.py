@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from itertools import product
 
 import pytest
@@ -11,7 +12,7 @@ from zeckvec import (CapExceededError, OracleExhaustedError, RecurrenceVector,
                      vector_term)
 from zeckvec import analytics
 from zeckvec.analytics import (FIBONACCI_MEAN_SLOPE, SummandStats, _moments,
-                               exact_series, stats_json_text)
+                               exact_series, oracle_minima, stats_json_text)
 
 FIB = RecurrenceVector((1, 1))
 C211 = RecurrenceVector((2, 1, 1))
@@ -183,6 +184,43 @@ def test_bfs_explored_counts_match_the_indexed_loop(coeffs):
                 == bfs_explored(c, None, bound, radius=radius))
     assert spanning_probe(c, 5, bound, node_cap=40).explored == bfs_explored(
         c, None, bound, radius=5, node_cap=40)
+
+
+def _per_vector_minima(c, vectors, bound, node_cap):
+    out = []
+    for v in vectors:
+        try:
+            res = check_minimality(c, v, support_bound=bound, node_cap=node_cap)
+        except OracleExhaustedError as exc:
+            return out, str(exc)
+        out.append((res.sr_count, res.oracle_min))
+    return out, None
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1, 1), (1, 1, 1), (4, 2, 1), (3, 2, 1),
+                                    (1, 1, 1, 1)], ids=lambda cs: ",".join(map(str, cs)))
+def test_shared_search_matches_one_search_per_vector(coeffs):
+    # same minima, and the same error at the same vector, for support bounds
+    # that miss vectors and node caps that cut the search at every level
+    c = RecurrenceVector(coeffs)
+    rng = random.Random(len(coeffs))
+    n = 0
+    while scalar_term(c, n + 1) <= 150:
+        vectors = list(support_region(c, n).vectors())
+        rng.shuffle(vectors)
+        for bound in sorted({1, 2, n + 1, n + c.k}):
+            for node_cap in (0, 1, 5, 20, 60, 300, 1_000_000):
+                want, error = _per_vector_minima(c, vectors, bound, node_cap)
+                got = []
+                try:
+                    for pair in oracle_minima(c, vectors, bound, node_cap):
+                        got.append(pair)
+                except OracleExhaustedError as exc:
+                    assert str(exc) == error, (n, bound, node_cap)
+                else:
+                    assert error is None, (n, bound, node_cap)
+                assert got == want, (n, bound, node_cap)
+        n += 1
 
 
 def test_minimality_node_cap():

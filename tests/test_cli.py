@@ -253,6 +253,15 @@ def test_minimality_stdout_is_pinned(capsys, c):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_minimality_prints_the_lines_before_an_unreachable_vector(capsys):
+    # support bound 1 reaches only multiples of X_-1: the second vector of
+    # D_2 raises after the first vector's line, as its own search does
+    code, out, err = run(capsys, "minimality", "--c", "2,1,1", "--n", "2", "--bound", "1")
+    assert code == 2
+    assert out == "v=(0,0) sr_count=0 oracle_min=0 minimal=true\n"
+    assert err == "error: no representation with support <= 1 found within 1 summands\n"
+
+
 def test_regions_svg_notice_for_higher_dimension(tmp_path, capsys):
     csv = tmp_path / "c.csv"
     svg = tmp_path / "c.svg"

@@ -14,8 +14,9 @@ from zeckvec import (BorrowBlockedError, CarryBlockedError, NonTerminationError,
 from zeckvec.normalize import (HELD_LEVEL_CAP, IterationRecord, NormalizationTrace,
                                ProbeReport, _bridge_level, _decompose_chain,
                                _held_digits, _reduce, _streamed_digits)
-from zeckvec.recurrence import (backward_column, column_value, column_weights,
-                                scalar_terms, scalar_window, string_value)
+from zeckvec.recurrence import (BLOCK, backward_column, block_greedy_digits, column_value,
+                                column_weights, greedy_digits, scalar_terms, scalar_window,
+                                string_value)
 
 STRICT = [(1, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 2, 1)]
 C211 = RecurrenceVector((2, 1, 1))
@@ -553,6 +554,59 @@ def test_streamed_digits_match_held_digits_at_any_level(coeffs):
     for n in (k + 1, 63 + k, 64 + k, 65 + k, 129 + k, 700, HELD_LEVEL_CAP):
         v = _digits_vector(rng, k - 1, rng.randint(1, max(1, 3 * n // 10)))
         assert _streamed_digits(c, v, n) == _held_digits(c, v, n), n
+
+
+@pytest.mark.parametrize("coeffs", STRICT_SMALL, ids=lambda cs: ",".join(map(str, cs)))
+def test_block_greedy_matches_the_term_by_term_greedy(coeffs):
+    # positions around the block edges; z at 0, 1, both sides of X_N, the
+    # top of [0, X_{N+1}) and seeded random values
+    k = len(coeffs)
+    rng = random.Random(k * 100 + coeffs[0])
+    seq = RecurrenceVector(coeffs).scalar()
+    xs = scalar_terms(coeffs, 3 * BLOCK + k + 2)
+    for count in [*range(1, 2 * k + 2), BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + k,
+                  2 * BLOCK + 1, 3 * BLOCK + k]:
+        top = [seq.term(i) for i in range(count + 1 - k, count + 1)]
+        edges = {0, 1, xs[count] - 1, xs[count], xs[count + 1] - 2, xs[count + 1] - 1}
+        for z in sorted(edges) + [rng.randrange(xs[count + 1]) for _ in range(3)]:
+            assert (block_greedy_digits(coeffs, z, top, count)
+                    == greedy_digits(z, xs[count:0:-1])), (count, z)
+
+
+@pytest.mark.parametrize("count", [5, 3 * BLOCK + 1])
+def test_block_greedy_refuses_z_outside_the_range(count):
+    xs = scalar_terms((2, 1, 1), count + 2)
+    for z in (-1, xs[count + 1], 10 * xs[count + 1]):
+        with pytest.raises(ValueError):
+            block_greedy_digits((2, 1, 1), z, xs[count - 2:count + 1], count)
+
+
+@pytest.mark.parametrize("coeffs", STRICT_SMALL, ids=lambda cs: ",".join(map(str, cs)))
+def test_streamed_digits_match_held_digits_across_blocks(coeffs):
+    # the block of the streamed greedy starts at positions 1, BLOCK + 1, ...
+    # (level n = position + 1); these levels put the top block at each size
+    c = RecurrenceVector(coeffs)
+    rng = random.Random(len(coeffs) + 10)
+    k = c.k
+    for n in (k + 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 3 * BLOCK + k, 1000,
+              HELD_LEVEL_CAP):
+        v = _digits_vector(rng, k - 1, rng.randint(1, max(1, 3 * n // 10)))
+        assert _streamed_digits(c, v, n) == _held_digits(c, v, n), n
+
+
+# lengths on both sides of the tree's leaf and node boundaries
+_TREE_LENGTHS = st.one_of(st.integers(0, 3 * BLOCK + 1),
+                          st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK,
+                                           2 * BLOCK + 1, 3 * BLOCK, 3 * BLOCK + 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(STRICT_SMALL), _TREE_LENGTHS, st.data())
+def test_string_value_tree_matches_the_backward_column(coeffs, length, data):
+    # digits up to c1 + 2, so strings that are not satisfying come too
+    a = data.draw(st.lists(st.integers(0, coeffs[0] + 2), min_size=length, max_size=length))
+    t = backward_column(coeffs, length + len(coeffs) - 1)
+    assert string_value(coeffs, a) == column_value(column_weights(coeffs), t, a)
 
 
 def test_mixed_replay_grows_the_held_lists_in_place():
