@@ -256,7 +256,13 @@ def check_minimality(c: RecurrenceVector, v, support_bound: Optional[int] = None
 
     The oracle searches sums of basis terms X_{-i} (i up to the support
     bound), one summand per level, deduplicating visited vectors, and finds
-    the true minimum summand count within the bounded support space.
+    the true minimum summand count within the bounded support space.  The
+    search is c's held one for this support bound (`RecurrenceVector.search`),
+    grown only as far as this call needs.  So `explored` is the count at
+    which a search from the origin reaches v (v's 0-based discovery index),
+    whichever calls built the levels.  OracleExhaustedError is raised when
+    a level from the first up to the one before v's ends past node_cap
+    nodes, or when no string of sr_count summands reaches v.
     """
     if support_bound is not None and support_bound < 1:
         raise ValueError("support bound must be >= 1")
@@ -267,78 +273,25 @@ def check_minimality(c: RecurrenceVector, v, support_bound: Optional[int] = None
         support_bound = len(sr) + c.k
     if sr_count == 0:
         return MinimalityResult(0, 0, True, 1)
-    vec = c.vector()
-    gens = [vec.term(-i) for i in range(1, support_bound + 1)]
-    zero = (0,) * (c.k - 1)
-    frontier = {zero}
-    seen = {zero}
-    explored = 1
-    for depth in range(1, sr_count + 1):
-        nxt = set()
-        for w in frontier:
-            for g in gens:
-                u = tuple(map(add, w, g))
-                if u == v:
-                    return MinimalityResult(sr_count, depth, depth == sr_count,
-                                            explored + len(nxt))
-                if u not in seen:
-                    seen.add(u)
-                    nxt.add(u)
-        explored += len(nxt)
-        if explored > node_cap:
-            raise OracleExhaustedError("minimality search exceeded %d nodes" % node_cap)
-        frontier = nxt
-    raise OracleExhaustedError(
-        "no representation with support <= %d found within %d summands"
-        % (support_bound, sr_count))
+    search = c.search(support_bound)
+    depth = search.reach(v, sr_count, node_cap)
+    if depth is None:
+        raise OracleExhaustedError("minimality search exceeded %d nodes" % node_cap)
+    if depth > sr_count:
+        raise OracleExhaustedError(
+            "no representation with support <= %d found within %d summands"
+            % (support_bound, sr_count))
+    return MinimalityResult(sr_count, depth, depth == sr_count, search.index[v])
 
 
 def oracle_minima(c: RecurrenceVector, vectors, support_bound: int,
                   node_cap: int = 1_000_000):
-    """Yield (sr_count, oracle_min) for each vector, as `check_minimality`
-    finds them, from one breadth-first search shared by all of them.
-
-    Every search starts at the origin with the same generators, so one
-    search grown level by level, only as deep as the vectors so far need,
-    gives each vector its distance.  The cumulative node count after each
-    level decides the errors: a vector raises OracleExhaustedError where
-    its own search would, after the vectors before it were yielded.
-    """
-    if support_bound < 1:
-        raise ValueError("support bound must be >= 1")
-    vec = c.vector()
-    gens = [vec.term(-i) for i in range(1, support_bound + 1)]
-    zero = (0,) * (c.k - 1)
-    dist = {zero: 0}
-    frontier = [zero]
-    explored = [1]        # nodes seen after each level
+    """Yield (sr_count, oracle_min) for each vector by `check_minimality`,
+    which shares c's held search among them; an OracleExhaustedError is
+    raised at its vector, after the vectors before it were yielded."""
     for v in vectors:
-        v = tuple(int(x) for x in v)
-        sr_count = coefficient_sum(decompose(c, v))
-        if sr_count == 0:
-            yield 0, 0
-            continue
-        # the cap is checked after each level from the first on
-        while v not in dist and len(explored) <= sr_count and (
-                len(explored) == 1 or explored[-1] <= node_cap):
-            depth, nxt = len(explored), []
-            for w in frontier:
-                for g in gens:
-                    u = tuple(map(add, w, g))
-                    if u not in dist:
-                        dist[u] = depth
-                        nxt.append(u)
-            explored.append(explored[-1] + len(nxt))
-            frontier = nxt
-        found = dist.get(v, sr_count + 1)
-        last = min(found - 1, sr_count, len(explored) - 1)   # the last level searched
-        if last and explored[last] > node_cap:
-            raise OracleExhaustedError("minimality search exceeded %d nodes" % node_cap)
-        if found > sr_count:
-            raise OracleExhaustedError(
-                "no representation with support <= %d found within %d summands"
-                % (support_bound, sr_count))
-        yield sr_count, found
+        res = check_minimality(c, v, support_bound, node_cap)
+        yield res.sr_count, res.oracle_min
 
 
 # -- reproducible exports -----------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product, repeat
 from operator import add
 
 from .errors import BridgeDomainError, CapExceededError
@@ -75,9 +75,11 @@ def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False)
     one list per scanner state at m+1.  A recursive walk over positions 1..m
     visits each prefix once and yields the prefix followed by each of the
     suffixes its state admits, so only the prefixes, about X_{m+1} of them,
-    pass through nested generators.  With values enabled, each yield is
-    (string, vector), the prefix's vector maintained along the walk plus the
-    suffix's.
+    pass through nested generators.  The suffixes are joined to the prefix
+    by `map` over the suffix list, not in bytecode.  With values enabled,
+    each yield is (string, vector), the prefix's vector maintained along the
+    walk plus the suffix's, added one coordinate column at a time and
+    zipped back into tuples.
     """
     coeffs = c.coefficients
     k = c.k
@@ -88,25 +90,29 @@ def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False)
     for j in range(k - 1, -1, -1):
         zero_run[j] = zero_run[j + 1] + 1 if coeffs[j] == 0 else 0
     m = n // 2
-    # tails[s]: the strings over positions p..n accepted from state s at p, as
-    # (digits up to the last nonzero, vector), lexicographic with () first.
-    # Built from p = n down to m + 1, each from the lists at p + 1: a zero at
-    # p comes first, then the nonzero digits at p in increasing order.
-    empty = ((), (0,) * (k - 1))
-    tails = [[empty]] * k
+    # tails[s]: the nonempty strings over positions p..n accepted from state s
+    # at p, up to their last nonzero digit and lexicographic, and one column
+    # per coordinate of their vectors.  Built from p = n down to m + 1, each
+    # from the lists at p + 1: a zero at p comes first, then the nonzero
+    # digits at p in increasing order, each first alone.
+    tails = [([], [[]] * (k - 1))] * k
     for p in range(n, m, -1):
         b = basis[p - 1]
         later = tails
         tails = []
         for s, top in enumerate(coeffs):
-            tail = [empty]
-            tail += [((0,) + t, w) for t, w in islice(later[s + 1 if top == 0 else 0], 1, None)]
+            strings, columns = later[s + 1 if top == 0 else 0]
+            strings = [(0,) + t for t in strings]
+            columns = [list(col) for col in columns]
             # a digit equal to c_{s+1} advances the match; a full copy is rejected
             for d in range(1, top + 1 if s + 1 < k else top):
-                db = [d * x for x in b]
-                tail += [((d,) + t, tuple(map(add, w, db)))
-                         for t, w in later[s + 1 if d == top else 0]]
-            tails.append(tail)
+                rest, cols = later[s + 1 if d == top else 0]
+                strings.append((d,))
+                strings += map(add, repeat((d,)), rest)
+                for column, col, x in zip(columns, cols, b):
+                    column.append(d * x)
+                    column += map(add, repeat(d * x), col)
+            tails.append((strings, columns))
     buf = [0] * n
     val = [0] * (k - 1)
 
@@ -132,17 +138,16 @@ def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False)
 
     # a nonzero digit after m is placed later than any in the prefix's
     # children, so the prefix's suffixes come before its children
-    for last, tail in prefixes(1, 0, 0):
+    for last, (strings, columns) in prefixes(1, 0, 0):
         pad = tuple(buf[:m])
+        padded = map(add, repeat(pad), strings)
         if with_values:
-            v = tuple(val)
-            yield pad[:last], v
-            for t, w in islice(tail, 1, None):
-                yield pad + t, tuple(map(add, v, w))
+            yield pad[:last], tuple(val)
+            yield from zip(padded, zip(*[map(add, repeat(x), col)
+                                         for x, col in zip(val, columns)]))
         else:
             yield pad[:last]
-            for t, _ in islice(tail, 1, None):
-                yield pad + t
+            yield from padded
 
 
 def _check_cap(c: RecurrenceVector, n: int, cap: int, message: str) -> None:

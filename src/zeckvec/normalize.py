@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from operator import add, ge, mul
+from operator import ge, mul
 from typing import Optional
 
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
@@ -490,8 +490,9 @@ def spanning_probe(c: RecurrenceVector, radius: int, support_bound: int,
     every vector in the sup-norm ball of the given radius.
 
     Breadth-first over partial sums (one X_{-i} added per step, support
-    limited to the bound); reports which ball points remain unrepresented
-    when the node cap is reached.
+    limited to the bound), a level at a time, on c's held search for this
+    bound (`RecurrenceVector.search`); reports which ball points remain
+    unrepresented when the node cap is reached.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -504,25 +505,15 @@ def spanning_probe(c: RecurrenceVector, radius: int, support_bound: int,
         z = max(z, run)
     if support_bound < k + z:
         raise ValueError("support bound must be at least k + z = %d" % (k + z))
-    vec = c.vector()
-    gens = [vec.term(-i) for i in range(1, support_bound + 1)]
-    dim = k - 1
-    remaining = set(product(range(-radius, radius + 1), repeat=dim))
-    zero = (0,) * dim
-    remaining.discard(zero)
-    frontier = {zero}
-    seen = {zero}
-    explored = 1
-    while remaining and frontier and explored <= node_cap:
-        nxt = set()
-        for v in frontier:
-            for g in gens:
-                w = tuple(map(add, v, g))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.add(w)
-                    remaining.discard(w)
-        explored += len(nxt)
-        frontier = nxt
+    remaining = set(product(range(-radius, radius + 1), repeat=k - 1))
+    remaining.discard((0,) * (k - 1))
+    depth, explored = 0, 1
+    while remaining and explored <= node_cap:
+        if not depth:   # only a probe that searches takes c's search
+            search = c.search(support_bound)
+            index = search.index
+        depth += 1
+        explored = search.count_through(depth, node_cap)
+        remaining = {w for w in remaining if index.get(w, explored) >= explored}
     return SpanningReport(not remaining, tuple(sorted(remaining)), radius,
                           support_bound, explored)

@@ -12,6 +12,8 @@ the terms between: by powers of x modulo the characteristic polynomial, and
 by a product tree of Horner leaves modulo its reciprocal.  `greedy_digits`
 is the one greedy expansion against descending terms; `block_greedy_digits`
 gives the same digits a block at a time from one window of k exact terms.
+`BasisSearch` is the breadth-first search over sums of X_{-1}, ..., X_{-b}
+that the minimality and spanning oracles share, held per recurrence.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class RecurrenceVector:
     """
 
     __slots__ = ("coefficients", "k", "relaxed", "weakly_decreasing",
-                 "_scalar", "_vector", "_bridge")
+                 "_scalar", "_vector", "_bridge", "_search")
 
     def __init__(self, coefficients, relaxed: bool = False):
         coeffs = tuple(int(x) for x in coefficients)
@@ -60,6 +62,7 @@ class RecurrenceVector:
         self._scalar = None
         self._vector = None
         self._bridge = None   # the bridge's log growth rate, kept by normalize
+        self._search = None
 
     @property
     def dimension(self) -> int:
@@ -80,6 +83,13 @@ class RecurrenceVector:
         if self._vector is None:
             self._vector = VectorSequence(self)
         return self._vector
+
+    def search(self, bound: int) -> "BasisSearch":
+        """The held breadth-first search over sums of X_{-1}, ..., X_{-bound},
+        replaced by a new one when the bound changes."""
+        if self._search is None or self._search.bound != bound:
+            self._search = BasisSearch(self, bound)
+        return self._search
 
     def __eq__(self, other):
         return (isinstance(other, RecurrenceVector)
@@ -293,6 +303,9 @@ def string_value(coefficients, a) -> tuple:
     (r_1, ..., r_{k-1}) because X_0 = 0 and X_{-i} = e_i.  Horner's rule
     takes r for each leaf of BLOCK digits; neighbours join as
     r_lo + (y^h mod Q) r_hi, h the digits below, with y^h by squaring.
+    Each leaf is folded into a stack with one node per tree level, as in a
+    binary counter, so O(log len(a)) remainders are live at once; the
+    remainder mod Q is unique, so the grouping does not change it.
     """
     k = len(coefficients)
     # y^k = 1 - c1 y - ... - c_{k-1} y^(k-1)
@@ -312,16 +325,27 @@ def string_value(coefficients, a) -> tuple:
                     r[i] -= w * h
         return r
 
-    nodes = [horner(a[i:i + BLOCK]) for i in range(0, len(a), BLOCK)] or [[0] * k]
     low = [1] + [-w for w in coefficients[:-1]]
-    power = None
-    while len(nodes) > 1:
-        power = (horner([0] * (BLOCK - 1) + [1]) if power is None
-                 else _times_mod(power, power, low))
-        odd = nodes[-1:] if len(nodes) % 2 else []
-        nodes = [list(map(add, lo, _times_mod(power, hi, low)))
-                 for lo, hi in zip(nodes[::2], nodes[1::2])] + odd
-    return tuple(nodes[0][1:])
+    powers = []     # powers[l] = y^(BLOCK 2^l) mod Q
+    stack = []      # (level, r): r for 2^level leaves, levels strictly decreasing
+
+    def join(lo, hi, level):
+        while len(powers) <= level:
+            powers.append(_times_mod(powers[-1], powers[-1], low) if powers
+                          else horner([0] * (BLOCK - 1) + [1]))
+        return list(map(add, lo, _times_mod(powers[level], hi, low)))
+
+    for i in range(0, len(a), BLOCK):
+        level, r = 0, horner(a[i:i + BLOCK])
+        while stack and stack[-1][0] == level:
+            r = join(stack.pop()[1], r, level)
+            level += 1
+        stack.append((level, r))
+    r = stack.pop()[1] if stack else [0] * k
+    while stack:
+        level, lo = stack.pop()
+        r = join(lo, r, level)
+    return tuple(r[1:])
 
 
 def backward_column(coefficients, stop: int) -> list:
@@ -425,6 +449,97 @@ class VectorSequence:
     def basis(self, depth: int) -> list:
         """[X_{-1}, ..., X_{-depth}] as a list indexed by i-1."""
         return [self.term(-i) for i in range(1, depth + 1)]
+
+
+class BasisSearch:
+    """Breadth-first search from the origin over sums of X_{-1}, ..., X_{-bound},
+    one summand per level, grown node by node on request and shared by calls.
+
+    Nodes are numbered in the order a search from the origin finds them:
+    each level is a set filled in that order, and the next level is built
+    by iterating it and adding, to each node, the generators in index
+    order.  `index` maps every node found to its number and `starts[d]` is
+    the number of the first node at level d, so starts[-1] counts the nodes
+    of the complete levels.  Only the last complete level and the one being
+    built are held as sets, by the generator `_steps`.  X_{-1} = e_1 is a
+    generator, so the nodes never run out and no level is empty.
+
+    A search that holds more nodes than the node cap of the call that grew
+    it is dropped from its owner, and so is one whose growth an exception
+    cut short, since its sets may then lag behind its numbers.
+    """
+
+    __slots__ = ("owner", "bound", "index", "starts", "_steps")
+
+    def __init__(self, owner: RecurrenceVector, bound: int):
+        if bound < 1:
+            raise ValueError("support bound must be >= 1")
+        zero = (0,) * owner.dimension
+        self.owner = owner
+        self.bound = bound
+        self.index = {zero: 0}
+        self.starts = [0, 1]
+        self._steps = _search_steps(owner.vector().basis(bound), {zero},
+                                    self.index, self.starts)
+
+    def reach(self, v: tuple, most: int, node_cap: int):
+        """v's level, as a search for v finds it that stops after level most
+        or after the first level from 1 on that ends past node_cap nodes;
+        most + 1 if that search ends without v, None if it ends at the cap.
+
+        Grows only as far as that search would: until it finds v or stops.
+        """
+        self._grow(v, most, node_cap)
+        starts = self.starts
+        number = self.index.get(v)
+        depth = most + 1 if number is None else min(bisect_right(starts, number) - 1, most + 1)
+        last = min(depth - 1, len(starts) - 2)   # the last level whose count is checked
+        if last and starts[last + 1] > node_cap:
+            return None
+        return depth
+
+    def count_through(self, depth: int, node_cap: int) -> int:
+        """The number of nodes in levels 0..depth, growing level depth to its
+        end if need be; the levels before it must end within node_cap."""
+        self._grow(None, depth, node_cap)
+        return self.starts[depth + 1]
+
+    def _grow(self, v, most: int, node_cap: int) -> None:
+        # add nodes until v is found, level most is complete, or a complete
+        # level from 1 on ends past node_cap nodes
+        index, starts, steps = self.index, self.starts, self._steps
+        try:
+            while v not in index:
+                done = len(starts) - 2
+                if done >= most or done and starts[-1] > node_cap:
+                    break
+                next(steps)
+        except BaseException:
+            self._drop()
+            raise
+        if len(index) > node_cap:
+            self._drop()
+
+    def _drop(self) -> None:
+        if self.owner._search is self:
+            self.owner._search = None
+
+
+def _search_steps(gens: list, frontier: set, index: dict, starts: list):
+    """Grow a breadth-first search level by level from frontier, yielding
+    after each node it numbers and after each level it ends."""
+    while True:
+        level = set()
+        for w in frontier:
+            for g in gens:
+                u = tuple(map(add, w, g))
+                if u not in index:
+                    index[u] = len(index)
+                    level.add(u)
+                    yield
+        starts.append(len(index))
+        frontier = level
+        yield
 
 
 def scalar_term(c: RecurrenceVector, n: int) -> int:

@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from zeckvec import (CapExceededError, OracleExhaustedError, RecurrenceVector,
-                     check_minimality, coefficient_sum, decompose,
+from zeckvec import (CapExceededError, MinimalityResult, OracleExhaustedError,
+                     RecurrenceVector, SpanningReport, check_minimality, coefficient_sum, decompose,
                      gaussian_diagnostics, legal_decompose, scalar_bridge,
                      scalar_term, spanning_probe, summand_distribution, support_region,
                      vector_term)
@@ -221,6 +221,184 @@ def test_shared_search_matches_one_search_per_vector(coeffs):
                     assert error is None, (n, bound, node_cap)
                 assert got == want, (n, bound, node_cap)
         n += 1
+
+
+def per_call_minimality(c, v, support_bound, node_cap):
+    """check_minimality as one breadth-first search per call, from the origin."""
+    v = tuple(v)
+    sr_count = coefficient_sum(decompose(c, v))
+    if sr_count == 0:
+        return MinimalityResult(0, 0, True, 1)
+    gens = [vector_term(c, -i) for i in range(1, support_bound + 1)]
+    zero = (0,) * (c.k - 1)
+    frontier = {zero}
+    seen = {zero}
+    explored = 1
+    for depth in range(1, sr_count + 1):
+        nxt = set()
+        for w in frontier:
+            for g in gens:
+                u = tuple(x + y for x, y in zip(w, g))
+                if u == v:
+                    return MinimalityResult(sr_count, depth, depth == sr_count,
+                                            explored + len(nxt))
+                if u not in seen:
+                    seen.add(u)
+                    nxt.add(u)
+        explored += len(nxt)
+        if explored > node_cap:
+            raise OracleExhaustedError("minimality search exceeded %d nodes" % node_cap)
+        frontier = nxt
+    raise OracleExhaustedError(
+        "no representation with support <= %d found within %d summands"
+        % (support_bound, sr_count))
+
+
+def per_call_spanning(c, radius, support_bound, node_cap):
+    """spanning_probe as one breadth-first search per call, from the origin."""
+    dim = c.k - 1
+    gens = [vector_term(c, -i) for i in range(1, support_bound + 1)]
+    remaining = set(product(range(-radius, radius + 1), repeat=dim))
+    zero = (0,) * dim
+    remaining.discard(zero)
+    frontier = {zero}
+    seen = {zero}
+    explored = 1
+    while remaining and frontier and explored <= node_cap:
+        nxt = set()
+        for w in frontier:
+            for g in gens:
+                u = tuple(x + y for x, y in zip(w, g))
+                if u not in seen:
+                    seen.add(u)
+                    nxt.add(u)
+                    remaining.discard(u)
+        explored += len(nxt)
+        frontier = nxt
+    return SpanningReport(not remaining, tuple(sorted(remaining)), radius, support_bound,
+                          explored)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OracleExhaustedError as exc:
+        return "error: " + str(exc)
+
+
+NODE_CAPS = (0, 1, 5, 20, 60, 300, 1_000_000)
+
+
+@pytest.mark.parametrize("coeffs, relaxed", [((1, 1), (1, 2, 1)), ((2, 1, 1), (1, 3, 1)),
+                                             ((3, 2, 1), (2, 0, 1, 1)),
+                                             ((1, 1, 1, 1), (1, 2, 2, 1))],
+                         ids=lambda cs: ",".join(map(str, cs)))
+def test_held_search_matches_the_per_call_search_when_calls_interleave(coeffs, relaxed):
+    # check_minimality, oracle_minima and spanning_probe take turns on one c
+    # (spanning also on a relaxed c), with bounds that change back and forth
+    # and every node cap, so each call finds the search some other call grew.
+    # A call that searches leaves c with no search or one for its bound
+    # within its cap.
+    c = RecurrenceVector(coeffs)
+    r = RecurrenceVector(relaxed, relaxed=True)
+    rng = random.Random(sum(coeffs) + len(relaxed))
+    n = 0
+    while scalar_term(c, n + 2) <= 150:
+        n += 1
+    vectors = [v for v in support_region(c, n).vectors() if any(v)]
+    k = c.k
+    bounds = [n + k, k, n + k, n + 1, k + 1, n + k, 2, n + k]
+    spans = [r.k + 2, r.k + 1, r.k + 2, r.k + 3]
+    for turn, bound in enumerate(bounds):
+        for _ in range(40):
+            node_cap = rng.choice(NODE_CAPS)
+            op = rng.randrange(4)
+            if op == 0:
+                v = rng.choice(vectors)
+                got = _outcome(check_minimality, c, v, bound, node_cap)
+                want = _outcome(per_call_minimality, c, v, bound, node_cap)
+            elif op == 1:
+                batch = rng.sample(vectors, 5)
+                got, want = [], []
+                try:
+                    got.extend(oracle_minima(c, batch, bound, node_cap))
+                except OracleExhaustedError as exc:
+                    got.append("error: " + str(exc))
+                for v in batch:
+                    res = _outcome(per_call_minimality, c, v, bound, node_cap)
+                    want.append(res if isinstance(res, str) else (res.sr_count, res.oracle_min))
+                    if isinstance(res, str):
+                        break
+            elif op == 2 and bound >= k:
+                radius = rng.randint(0, 3)
+                got = spanning_probe(c, radius, bound, node_cap)
+                want = per_call_spanning(c, radius, bound, node_cap)
+            else:
+                radius, span = rng.randint(0, 3), spans[turn % len(spans)]
+                got = spanning_probe(r, radius, span, node_cap)
+                want = per_call_spanning(r, radius, span, node_cap)
+                assert got == want, (relaxed, radius, span, node_cap)
+                held = r._search
+                if radius and node_cap:
+                    assert held is None or held.bound == span and len(held.index) <= node_cap
+                continue
+            assert got == want, (bound, node_cap, op)
+            held = c._search
+            if op == 2 and not (radius and node_cap):
+                continue
+            if "exceeded" in str(got):
+                assert held is None, (bound, node_cap, op)
+            elif held is not None:
+                assert held.bound == bound and len(held.index) <= node_cap
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1, 1), (3, 2, 1), (1, 1, 1, 1)],
+                         ids=lambda cs: ",".join(map(str, cs)))
+def test_a_fresh_search_holds_the_nodes_up_to_v(coeffs):
+    # one call builds the nodes its own search would, v last; a call with
+    # another bound replaces the search, which then holds only its own nodes
+    c0 = RecurrenceVector(coeffs)
+    bound = 3 + c0.k
+    for v in list(support_region(c0, 4).vectors())[1:]:
+        c = RecurrenceVector(coeffs)
+        res = check_minimality(c, v, support_bound=bound)
+        assert len(c._search.index) == res.explored + 1 == bfs_explored(c, v, bound) + 1, v
+        first = c._search
+        res = check_minimality(c, v, support_bound=bound + 1)
+        held = c._search
+        assert held is not first and held.bound == bound + 1
+        assert len(held.index) == res.explored + 1, v
+
+
+def test_a_search_past_the_node_cap_is_not_kept():
+    c = RecurrenceVector((2, 1, 1))
+    v = (7, -9)
+    search = c.search(9)
+    with pytest.raises(OracleExhaustedError, match="exceeded 10 nodes"):
+        check_minimality(c, v, support_bound=9, node_cap=10)
+    assert c._search is None
+    # the failed call built the levels its own search would, and no more
+    assert len(search.index) == bfs_explored(c, v, 9, node_cap=10)
+    res = check_minimality(c, v, support_bound=9)
+    assert res == per_call_minimality(c, v, 9, 10 ** 6)
+    assert len(c._search.index) == res.explored + 1
+    # the held search now passes a smaller cap: the answer stands, the search goes
+    assert check_minimality(c, v, support_bound=9, node_cap=res.explored) == res
+    assert c._search is None
+
+
+def test_a_search_cut_short_by_an_exception_is_not_kept(monkeypatch):
+    # an exception raised inside a growth step (here a bad generator; in the
+    # benchmark a deadline alarm) ends the step generator, so c forgets it
+    c = RecurrenceVector((2, 1, 1))
+    good = c.vector().basis(9)
+    monkeypatch.setattr(type(c.vector()), "basis", lambda self, depth: good[:2] + [(1, None)])
+    with pytest.raises(TypeError):
+        check_minimality(c, (7, -9), support_bound=9)
+    assert c._search is None
+    monkeypatch.undo()
+    assert check_minimality(c, (7, -9), support_bound=9) == per_call_minimality(
+        c, (7, -9), 9, 10 ** 6)
 
 
 def test_minimality_node_cap():

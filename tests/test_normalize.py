@@ -609,6 +609,35 @@ def test_string_value_tree_matches_the_backward_column(coeffs, length, data):
     assert string_value(coeffs, a) == column_value(column_weights(coeffs), t, a)
 
 
+@pytest.mark.parametrize("coeffs", STRICT)
+def test_string_value_stack_matches_the_backward_column_for_many_leaves(coeffs):
+    # 1..17 leaves, so every stack shape of up to five levels is folded at the end
+    rng = random.Random(len(coeffs))
+    for leaves in range(1, 18):
+        for length in (leaves * BLOCK - 1, leaves * BLOCK, leaves * BLOCK + 1):
+            a = [rng.randint(0, coeffs[0] + 2) for _ in range(length)]
+            t = backward_column(coeffs, length + len(coeffs) - 1)
+            assert string_value(coeffs, a) == column_value(column_weights(coeffs), t, a), length
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1, 1)])
+def test_string_value_holds_one_remainder_per_tree_level(coeffs):
+    # 400,000 digits make 3125 leaves.  Holding every leaf before the first
+    # join peaked at 0.88 MB (1,1) and 1.22 MB (1,1,1,1) above the input; a
+    # stack of one node per level peaks at 0.46 and 0.41 MB, most of it the
+    # top levels' big remainders and powers of y
+    rng = random.Random(400)
+    a = [rng.randrange(2) for _ in range(400_000)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        string_value(coeffs, a)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 640_000, peak
+
+
 def test_mixed_replay_grows_the_held_lists_in_place():
     rng = random.Random(8)
     for coeffs in STRICT:
