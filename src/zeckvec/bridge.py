@@ -231,10 +231,13 @@ def ball_coverage(c: RecurrenceVector, radius: int,
     """Minimum n whose region covers the sup-norm ball of the given radius.
 
     Grows the region one support level at a time, discarding covered ball
-    points; exhaustive by construction.
+    points.  A ball of more than cap points is refused before it is built:
+    it lies in D_N, of at most X_{N+1} points (one per satisfying string).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if (2 * radius + 1) ** (c.k - 1) > cap:
+        raise CapExceededError("ball not covered below the enumeration cap")
     remaining = set(product(range(-radius, radius + 1), repeat=c.k - 1))
     n = 0
     while True:

@@ -116,12 +116,11 @@ def _cmd_verify(args) -> int:
     print("kind: %s" % _KIND_LABEL[cls.kind])
     print("value: %s" % representation.format_vector(value))
     if cls.kind != representation.KIND_SATISFYING:
-        result = representation.scan(c, representation.canonical(a))
-        coeffs = c.coefficients
-        have = representation.canonical(a)[result.fail_pos - 1]
-        if have > coeffs[result.matched]:
+        result = representation.scan(c, a)
+        have, limit = a[result.fail_pos - 1], c.coefficients[result.matched]
+        if have > limit:
             print("reason: element %d at position %d is too large (limit %d)"
-                  % (have, result.fail_pos, coeffs[result.matched]))
+                  % (have, result.fail_pos, limit))
         else:
             print("reason: full copy of the coefficients ending at position %d"
                   % result.fail_pos)

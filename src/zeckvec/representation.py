@@ -135,15 +135,6 @@ class SrClassification:
     end_complete: bool
 
 
-def _decremented(a: tuple, i: int) -> tuple:
-    out = list(a)
-    out[i - 1] -= 1
-    m = len(out)
-    while m and out[m - 1] == 0:
-        m -= 1
-    return tuple(out[:m])
-
-
 def classify(c: RecurrenceVector, a) -> SrClassification:
     """Classify a string as satisfying, nearly satisfying (with witness), or other.
 
@@ -151,23 +142,29 @@ def classify(c: RecurrenceVector, a) -> SrClassification:
     decremented; the smallest such index is reported.  End-completeness means
     the scanner's failure is terminal with a full k-1 prefix match, i.e. the
     string ends in a (possibly overfull) copy of c that carries alone resolve.
-    The witness lies at or before the failure position: the scanner reads
-    positions in increasing order and stops there, and that position holds
-    a nonzero digit, so a decrement past it leaves the same failure.
+    The witness lies at or before the failure position I, a nonzero digit:
+    a decrement past I leaves the same failure.  For weakly decreasing c it
+    lies at or after the failing chunk's start s, also nonzero.  After a
+    decrement before s, a chunk starting at s fails again at I; a chunk
+    running through s at offset r >= 1 compares s + q with
+    c_{r+q+1} <= c_{q+1}, and the digits from s are c_1..c_j, then
+    a_I > c_{j+1} (or a full copy), so it fails by I too.  Relaxed c take
+    s = 1.  Each candidate's scan resumes at s, before which nothing changed.
     """
     a = canonical(a)
     result = scan(c, a)
     if result.ok:
         return SrClassification(KIND_SATISFYING, None, None, False)
-    witness = None
-    for i in range(1, result.fail_pos + 1):
-        if a[i - 1] >= 1 and scan(c, _decremented(a, i)).ok:
-            witness = i
-            break
-    if witness is None:
-        return SrClassification(KIND_OTHER, None, None, False)
-    end_complete = result.fail_pos == len(a) and result.matched == c.k - 1
-    return SrClassification(KIND_NEARLY_SATISFYING, witness, result.fail_pos, end_complete)
+    p = result.chunk_start if c.weakly_decreasing else 1
+    b = list(a)
+    for i in range(p, result.fail_pos + 1):
+        if b[i - 1]:
+            b[i - 1] -= 1
+            if _scan_from(c.coefficients, c.k, b, [], p) is None:
+                end_complete = result.fail_pos == len(a) and result.matched == c.k - 1
+                return SrClassification(KIND_NEARLY_SATISFYING, i, result.fail_pos, end_complete)
+            b[i - 1] += 1
+    return SrClassification(KIND_OTHER, None, None, False)
 
 
 def coefficient_sum(a) -> int:

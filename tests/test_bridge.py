@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from itertools import product
 
@@ -324,6 +325,38 @@ def test_ball_coverage():
     values = [ball_coverage(C211, r) for r in range(0, 4)]
     assert values == sorted(values)
     assert values[1] == 4  # regression constant for the (2,1,1) system
+
+
+def test_ball_coverage_refuses_a_ball_of_more_than_cap_points_before_building_it():
+    # the (2,1,1) ball of radius 10^6 has about 4*10^12 points
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="^ball not covered below the enumeration cap$"):
+            ball_coverage(C211, 10 ** 6)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0, elapsed
+    assert peak < 10 ** 6, peak
+
+
+@pytest.mark.parametrize("coeffs", STRICT_VECTORS + [(1, 1, 1, 1), (3, 3, 2, 1)])
+def test_ball_coverage_cap_admits_x_n_plus_1_equal_to_it(coeffs):
+    # the ball lies in D_N of X_{N+1} points; the up-front refusal of balls
+    # larger than the cap must not refuse what the walk admits
+    c = RecurrenceVector(coeffs)
+    for r in range(5):
+        n = ball_coverage(c, r)
+        size = scalar_term(c, n + 1)
+        assert ball_coverage(c, r, cap=size) == n
+        with pytest.raises(CapExceededError):
+            ball_coverage(c, r, cap=size - 1)
+
+
+def test_ball_coverage_of_relaxed_c():
+    assert ball_coverage(RecurrenceVector((1, 2, 1), relaxed=True), 3) == 8
 
 
 def test_csv_and_svg_deterministic():

@@ -178,6 +178,35 @@ def test_verify_relaxed_flag(capsys):
     assert "kind: NSR" in out
 
 
+# sha256 of the stdout of `verify`: satisfying, other, both reason lines,
+# trailing zeros in the input, and a relaxed witness before the failing chunk
+VERIFY_STDOUT_HASHES = {
+    ("verify", "--c", "4,2,1", "--a", "2,4,2,0,1"):
+        "d225e63b9f16aa3505acd0d7d3db83952c438711b0f18be0afb64c4b7ef963d7",
+    ("verify", "--c", "4,2,1", "--a", "2,4,3"):
+        "928fc8e082a3cecdcf14039aa35798002d435e0255ad456ed350d503535a4661",
+    ("verify", "--c", "2,1,1", "--a", "2,1,3"):
+        "e1d49757afd1956f9780faf08afbd62fef2e80a65f46853d78b71bdef7f4a37a",
+    ("verify", "--c", "2,1,1", "--a", "2,1,1"):
+        "5b9ec99c30d0d602804b1cf08e4ccca3d6e7c0445226fb9062ca4e37018d0421",
+    ("verify", "--c", "2,1,1", "--a", "0,2,2,0,0"):
+        "13344b3da9fde1a1fefb502aefc54d545a0fe8bd00aa05433d58a4e79a7ebe94",
+    ("verify", "--c", "3,3,2,1", "--a", "1,3,3,2,1,0,2"):
+        "7de6d7520721b1d8401b0d50720e8dc3218cf24fced2d9c0337f7f3e27a8a2f4",
+    ("verify", "--c", "1,3,1", "--relaxed", "--a", "1,1,2"):
+        "9cf3e8db532aa783631f1eddb50373f0b1bc5d67f29636980cc9e8320136d142",
+    ("verify", "--c", "1,0,1", "--relaxed", "--a", "1,0,1,1"):
+        "d78ce47eadd5b7c5a102d4fb88126e7ab24d2747d4fa4bc3a02a35fe1afd3047",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_STDOUT_HASHES))
+def test_verify_stdout_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_HASHES[argv]
+
+
 def test_regions_outputs_are_deterministic(tmp_path, capsys):
     csv1 = tmp_path / "a.csv"
     svg1 = tmp_path / "a.svg"
@@ -417,6 +446,12 @@ def test_cover(capsys):
     code, out, _ = run(capsys, "cover", "--c", "2,1,1", "--r", "1")
     assert code == 0
     assert out.strip() == "4"
+
+
+def test_cover_refuses_a_ball_of_more_than_cap_points(capsys):
+    code, out, err = run(capsys, "cover", "--c", "2,1,1", "--r", "1000000")
+    assert (code, out) == (2, "")
+    assert err == "error: ball not covered below the enumeration cap\n"
 
 
 def test_invalid_recurrence_exit_code(capsys):

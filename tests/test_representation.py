@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +8,7 @@ from zeckvec import (NotSatisfyingError, RecurrenceVector, canonical,
                      chunk_decomposition, classify, coefficient_sum, evaluate,
                      enumerate_representations, format_coefficients,
                      is_satisfying, parse_coefficients, prefix_sum)
+from zeckvec import representation
 from zeckvec.representation import (KIND_NEARLY_SATISFYING, KIND_OTHER,
                                     KIND_SATISFYING, SrClassification, scan)
 
@@ -141,6 +145,94 @@ def test_classify_matches_unbounded_witness_search(coeffs, relaxed):
         assert classify(c, a) == expected, (coeffs, a)
         nearly += expected.kind == KIND_NEARLY_SATISFYING
     assert nearly > 0
+
+
+def classify_every_candidate(c, a):
+    """Reference witness search: every position from 1 up to the failure,
+    with one decremented copy and one full scan per candidate."""
+    a = canonical(a)
+    result = scan(c, a)
+    if result.ok:
+        return SrClassification(KIND_SATISFYING, None, None, False)
+    for i in range(1, result.fail_pos + 1):
+        lowered = list(a)
+        lowered[i - 1] -= 1
+        if a[i - 1] >= 1 and scan(c, canonical(lowered)).ok:
+            end_complete = result.fail_pos == len(a) and result.matched == c.k - 1
+            return SrClassification(KIND_NEARLY_SATISFYING, i, result.fail_pos, end_complete)
+    return SrClassification(KIND_OTHER, None, None, False)
+
+
+def random_satisfying(coeffs, length, rng):
+    """A satisfying string of exactly `length` digits built chunk by chunk:
+    c_1..c_j, then a digit below c_{j+1}, then a short run of zeros."""
+    closable = [j for j in range(len(coeffs)) if coeffs[j] > 0]
+    while True:
+        out = []
+        while len(out) < length:
+            j = rng.choice(closable)
+            out.extend(coeffs[:j])
+            out.append(rng.randrange(coeffs[j]))
+            out.extend([0] * rng.randrange(3))
+        if out[length - 1]:
+            break
+    out = tuple(out[:length])
+    assert is_satisfying(RecurrenceVector(coeffs, relaxed=True), out)
+    return out
+
+
+def random_nearly_satisfying(c, length, rng):
+    """A seeded satisfying string of the given length plus one at a random
+    position in it; for weakly decreasing c this is nearly satisfying."""
+    a = list(random_satisfying(c.coefficients, length, rng))
+    a[rng.randrange(length)] += 1
+    return tuple(a)
+
+
+# every weakly decreasing c with k <= 5, c1 <= 4 and ck = 1: 69 vectors
+STRICT_C = [c for k in range(2, 6) for c in product(range(4, 0, -1), repeat=k)
+            if c[-1] == 1 and all(x >= y for x, y in zip(c, c[1:]))]
+RELAXED_C = [(1, 3, 1), (1, 2, 1), (2, 3, 1), (1, 4, 2, 1), (1, 0, 1), (2, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("coeffs", STRICT_C + RELAXED_C, ids=str)
+def test_classify_matches_the_search_from_position_1(coeffs):
+    # whole classifications of seeded strings of 20 to 300 digits; relaxed c
+    # have witnesses before the failing chunk, e.g. (1,1,2) for (1,3,1)
+    c = RecurrenceVector(coeffs, relaxed=True)
+    rng = random.Random(str(coeffs))
+    nearly = 0
+    for _ in range(30):
+        a = random_nearly_satisfying(c, rng.randint(20, 300), rng)
+        expected = classify_every_candidate(c, a)
+        assert classify(c, a) == expected, (coeffs, a)
+        nearly += expected.kind == KIND_NEARLY_SATISFYING
+    assert nearly > 0
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 2, 1)])
+def test_classify_scans_at_most_k_plus_1_times(monkeypatch, coeffs):
+    # the first scan from 1, then one per candidate from the failing chunk's
+    # start s to the failure, at most k positions, each resumed at s
+    c = RecurrenceVector(coeffs)
+    rng = random.Random(5000)
+    s = random_satisfying(coeffs, 5000, rng)
+    i = next(i for i in range(4900, 5000)
+             if not is_satisfying(c, s[:i] + (s[i] + 1,) + s[i + 1:]))
+    a = s[:i] + (s[i] + 1,) + s[i + 1:]
+    start = scan(c, a).chunk_start
+    calls = []
+    original = representation._scan_from
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(representation, "_scan_from", counted)
+    cls = classify(c, a)
+    assert cls.kind == KIND_NEARLY_SATISFYING
+    assert 2 <= len(calls) <= c.k + 1
+    assert calls == [1] + [start] * (len(calls) - 1)
 
 
 def test_non_end_complete_overfull_tail():
