@@ -10,8 +10,11 @@ checks are the tests' linear-scan oracle and the increment chain.
 
 The enumerator behind the regions splits the positions at their midpoint:
 suffix lists over the upper half, built once per call, are appended to each
-prefix of a recursive walk over the lower half.  The tests check it against
-the single recursive walk over all positions, string by string and in order.
+prefix of a recursive walk over the lower half.  Each prefix's strings come
+as one batch of parallel iterables: the public iterator flattens them, the
+full list, the shells and the ball covers consume them whole, and a shell
+builds only the strings of its own support.  The tests check it against the
+single recursive walk over all positions, string by string and in order.
 """
 
 from __future__ import annotations
@@ -67,19 +70,45 @@ def summand_count(digits) -> int:
 def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False):
     """Yield every satisfying string with support in [1, n], lexicographically.
 
+    With values enabled, each yield is (string, vector).  The strings come
+    from `_batches`, one batch per prefix of the split walk, and with values
+    each batch's strings are listed before they are paired (see `_batches`).
+    `support_region` reads its strings from here, so a tracer that wraps
+    this generator sees every string of a region.
+    """
+    for strings, vectors in _batches(c, n):
+        if with_values:
+            yield from zip(list(strings), vectors)
+        else:
+            yield from strings
+
+
+def _batches(c: RecurrenceVector, n: int, exact: bool = False):
+    """Yield the satisfying strings with support in [1, n] in lazy batches.
+
+    Each batch is (strings, vectors), two parallel iterables, and the
+    batches in order give the strings lexicographically.  With exact, only
+    the strings of support exactly n are built and yielded.
+
     The walk follows the scanner automaton, whose state is the length of the
     prefix of the coefficients matched so far: a digit below the next
     coefficient returns to state 0, a digit equal to it advances, and a full
     copy of the coefficients is rejected.  It splits the positions at
     m = n // 2.  The suffixes over positions m+1..n are built once per call,
-    one list per scanner state at m+1.  A recursive walk over positions 1..m
-    visits each prefix once and yields the prefix followed by each of the
-    suffixes its state admits, so only the prefixes, about X_{m+1} of them,
-    pass through nested generators.  The suffixes are joined to the prefix
-    by `map` over the suffix list, not in bytecode.  With values enabled,
-    each yield is (string, vector), the prefix's vector maintained along the
-    walk plus the suffix's, added one coordinate column at a time and
-    zipped back into tuples.
+    one list per scanner state at m+1, with one column per coordinate of
+    their vectors.  A recursive walk over positions 1..m visits each prefix
+    once, about X_{m+1} of them, keeping the prefix's vector along the walk.
+    Per prefix it yields the prefix alone (unless exact: its support is at
+    most m < n), then one batch of the suffixes its state admits, joined to
+    the prefix by `map` and `zip`, not in bytecode.
+
+    A caller that keeps each string inside a new tuple lists the batch's
+    strings first.  Otherwise a string's only referrer is that young tuple,
+    the cyclic collector moves the string behind the tuple while it sorts
+    out unreachable objects, and it then checks the tuple for untracking
+    before the string: the tuples stay tracked into the oldest generation
+    and set off full collections, each of which traverses the whole growing
+    region.
     """
     coeffs = c.coefficients
     k = c.k
@@ -94,10 +123,11 @@ def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False)
     # at p, up to their last nonzero digit and lexicographic, and one column
     # per coordinate of their vectors.  Built from p = n down to m + 1, each
     # from the lists at p + 1: a zero at p comes first, then the nonzero
-    # digits at p in increasing order, each first alone.
+    # digits at p in increasing order, each first alone (exact: only at n).
     tails = [([], [[]] * (k - 1))] * k
     for p in range(n, m, -1):
         b = basis[p - 1]
+        alone = p == n or not exact
         later = tails
         tails = []
         for s, top in enumerate(coeffs):
@@ -107,10 +137,12 @@ def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False)
             # a digit equal to c_{s+1} advances the match; a full copy is rejected
             for d in range(1, top + 1 if s + 1 < k else top):
                 rest, cols = later[s + 1 if d == top else 0]
-                strings.append((d,))
+                if alone:
+                    strings.append((d,))
                 strings += map(add, repeat((d,)), rest)
                 for column, col, x in zip(columns, cols, b):
-                    column.append(d * x)
+                    if alone:
+                        column.append(d * x)
                     column += map(add, repeat(d * x), col)
             tails.append((strings, columns))
     buf = [0] * n
@@ -140,14 +172,10 @@ def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False)
     # children, so the prefix's suffixes come before its children
     for last, (strings, columns) in prefixes(1, 0, 0):
         pad = tuple(buf[:m])
-        padded = map(add, repeat(pad), strings)
-        if with_values:
-            yield pad[:last], tuple(val)
-            yield from zip(padded, zip(*[map(add, repeat(x), col)
-                                         for x, col in zip(val, columns)]))
-        else:
-            yield pad[:last]
-            yield from padded
+        if not exact:
+            yield (pad[:last],), (tuple(val),)
+        yield (map(add, repeat(pad), strings),
+               zip(*[map(add, repeat(x), col) for x, col in zip(val, columns)]))
 
 
 def _check_cap(c: RecurrenceVector, n: int, cap: int, message: str) -> None:
@@ -182,7 +210,10 @@ def enumerate_representations(c: RecurrenceVector, n: int,
     if n < 0:
         raise ValueError("support bound must be >= 0")
     _check_cap(c, n, cap, "enumeration of {x} strings exceeds cap {cap}")
-    return list(iter_representations(c, n))
+    out = []
+    for strings, _ in _batches(c, n):
+        out += strings
+    return out
 
 
 @dataclass
@@ -207,22 +238,23 @@ def support_region(c: RecurrenceVector, n: int,
     """D_n: every vector with a satisfying string supported in [1, n]."""
     if n < 0:
         raise ValueError("support bound must be >= 0")
-    return _region(c, n, cap, 0)
+    _check_cap(c, n, cap, "region of {x} points exceeds cap")
+    pairs = iter_representations(c, n, with_values=True)
+    return RegionSet(n, {v: (len(a), a) for a, v in pairs})
 
 
 def support_shell(c: RecurrenceVector, n: int,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> RegionSet:
-    """R_n = D_n minus D_{n-1}: vectors whose string has support exactly n."""
+    """R_n = D_n minus D_{n-1}: vectors whose string has support exactly n.
+
+    Only the X_{n+1} - X_n strings of support n are built, in lex order.
+    """
     if n < 1:
         raise ValueError("shell index must be >= 1")
-    return _region(c, n, cap, n)
-
-
-def _region(c: RecurrenceVector, n: int, cap: int, least: int) -> RegionSet:
-    """Vectors of the strings with support in [least, n], keyed in lex order."""
     _check_cap(c, n, cap, "region of {x} points exceeds cap")
-    members = {v: (len(a), a) for a, v in iter_representations(c, n, with_values=True)
-               if len(a) >= least}
+    members = {}
+    for strings, vectors in _batches(c, n, exact=True):
+        members.update(zip(vectors, zip(repeat(n), list(strings))))
     return RegionSet(n, members)
 
 
@@ -242,8 +274,8 @@ def ball_coverage(c: RecurrenceVector, radius: int,
     n = 0
     while True:
         _check_cap(c, n, cap, "ball not covered below the enumeration cap")
-        for _, v in iter_representations(c, n, with_values=True):
-            remaining.discard(v)
+        for _, vectors in _batches(c, n):
+            remaining.difference_update(vectors)
         if not remaining:
             return n
         n += 1
@@ -258,7 +290,10 @@ _SVG_COLORS = (
 
 
 def regions_csv_text(c: RecurrenceVector, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> str:
-    region = support_region(c, n, cap)
+    return _region_csv_text(c, support_region(c, n, cap))
+
+
+def _region_csv_text(c: RecurrenceVector, region: RegionSet) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["x%d" % (d + 1) for d in range(c.k - 1)] + ["n_first", "sr_string"])
@@ -277,7 +312,10 @@ def regions_svg_text(c: RecurrenceVector, n: int, cap: int = DEFAULT_ENUMERATION
     """Scatter of the planar region, one color per shell, origin marked."""
     if c.k != 3:
         raise ValueError("svg rendering is planar only (k = 3)")
-    region = support_region(c, n, cap)
+    return _region_svg_text(support_region(c, n, cap), size)
+
+
+def _region_svg_text(region: RegionSet, size: int = 640) -> str:
     extent = 1
     for v in region.members:
         extent = max(extent, abs(v[0]), abs(v[1]))

@@ -133,19 +133,21 @@ def _cmd_verify(args) -> int:
 
 def _cmd_regions(args) -> int:
     c = _recurrence(args.c, relaxed=False)
-    cap = _enumeration_cap()
+    planar = c.k == 3
+    # one region serves both files; a lone svg that is skipped needs none
+    if args.csv or planar or not args.svg:
+        region = bridge.support_region(c, args.n, cap=_enumeration_cap())
     if args.csv:
-        bridge.export_regions_csv(c, args.n, args.csv, cap=cap)
+        atomic_write_text(args.csv, bridge._region_csv_text(c, region))
         print("wrote %s" % args.csv)
     if args.svg:
-        if c.k != 3:
+        if not planar:
             print("svg skipped: rendering is planar only (k = 3); csv has the data",
                   file=sys.stderr)
         else:
-            bridge.export_regions_svg(c, args.n, args.svg, cap=cap)
+            atomic_write_text(args.svg, bridge._region_svg_text(region))
             print("wrote %s" % args.svg)
     if not args.csv and not args.svg:
-        region = bridge.support_region(c, args.n, cap=cap)
         print("points: %d" % len(region))
     return 0
 

@@ -10,7 +10,7 @@ from zeckvec import (BridgeDomainError, CapExceededError, RecurrenceVector,
                      is_satisfying, iter_representations, legal_decompose,
                      scalar_bridge, scalar_term, support_region, support_shell)
 from zeckvec.analytics import exact_series
-from zeckvec.bridge import regions_csv_text, regions_svg_text
+from zeckvec.bridge import _batches, regions_csv_text, regions_svg_text
 from zeckvec.recurrence import scalar_window
 
 C211 = RecurrenceVector((2, 1, 1))
@@ -163,16 +163,49 @@ def test_enumeration_matches_brute_force(coeffs):
 def test_split_walk_matches_the_nested_walk(coeffs):
     # every n while X_{n+1} <= 2*10^4: both parities, and the split at n = 0, 1, 2
     c = RecurrenceVector(coeffs, relaxed=coeffs in WALK_RELAXED)
+    balls = {r: set(product(range(-r, r + 1), repeat=c.k - 1)) for r in range(4)}
+    covered = {}
     n = 0
     while scalar_term(c, n + 1) <= 2 * 10 ** 4:
-        assert list(iter_representations(c, n)) == list(nested_walk(c, n))
+        strings = list(nested_walk(c, n))
+        assert list(iter_representations(c, n)) == strings
+        assert enumerate_representations(c, n) == strings
         pairs = list(nested_walk(c, n, with_values=True))
         assert list(iter_representations(c, n, with_values=True)) == pairs
+        region = {v: (len(a), a) for a, v in pairs}
+        assert list(support_region(c, n).members.items()) == list(region.items())
         if n >= 1:
             shell = {v: (len(a), a) for a, v in pairs if len(a) >= n}
             assert list(support_shell(c, n).members.items()) == list(shell.items())
+        for r, ball in balls.items():
+            if r not in covered and ball <= region.keys():
+                covered[r] = n
         n += 1
     assert n >= 3
+    # the covering level of each ball the walked regions reach; a ball they
+    # do not reach needs a region of more than X_n points
+    for r in balls:
+        if r in covered:
+            assert ball_coverage(c, r) == covered[r]
+        else:
+            with pytest.raises(CapExceededError):
+                ball_coverage(c, r, cap=scalar_term(c, n))
+
+
+@pytest.mark.parametrize("coeffs", WALK_VECTORS + WALK_RELAXED,
+                         ids=lambda coeffs: ",".join(map(str, coeffs)))
+def test_shell_walk_builds_only_the_shell(coeffs):
+    # the batches behind support_shell hold exactly the X_{n+1} - X_n strings
+    # of support n: no shorter string is built and then dropped
+    c = RecurrenceVector(coeffs, relaxed=coeffs in WALK_RELAXED)
+    n = 1
+    while scalar_term(c, n + 1) <= 2 * 10 ** 4:
+        strings = []
+        for batch, _ in _batches(c, n, True):
+            strings += batch
+        assert len(strings) == scalar_term(c, n + 1) - scalar_term(c, n)
+        assert all(len(a) == n for a in strings)
+        n += 1
 
 
 def _with_brute_force_size(coeffs):
@@ -221,6 +254,26 @@ def test_region_memory_stays_at_the_nested_walks(coeffs, n, parent_peak, parent_
     # every slot is fixed by __slots__: nothing new is kept, no list grows
     assert _held_state(c) == parent_held
     support_region(c, n)
+    assert _held_state(c) == parent_held
+
+
+@pytest.mark.parametrize("coeffs, n, parent_peak, parent_held", [
+    ((1, 1), 20, 2_381_384, (None, 22, 2, 2, 21)),
+    ((2, 1, 1), 11, 5_505_936, (None, 13, 3, 3, 13)),
+], ids=["1,1", "2,1,1"])
+def test_shell_memory_stays_at_the_parents(coeffs, n, parent_peak, parent_held):
+    # parent_peak and parent_held: the tracemalloc peak of the same call on a
+    # fresh RecurrenceVector when the shell was the region's walk filtered to
+    # support n (CPython 3.11.7, 64-bit), and the lengths of the held lists
+    c = RecurrenceVector(coeffs)
+    tracemalloc.start()
+    try:
+        shell = support_shell(c, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(shell) == scalar_term(c, n + 1) - scalar_term(c, n)
+    assert peak <= 1.05 * parent_peak, peak
     assert _held_state(c) == parent_held
 
 

@@ -302,6 +302,24 @@ def test_regions_svg_notice_for_higher_dimension(tmp_path, capsys):
     assert "planar" in err
 
 
+@pytest.mark.parametrize("c, files, builds", [
+    ("2,1,1", ("--csv", "--svg"), 1), ("2,1,1", ("--svg",), 1), ("2,1,1", (), 1),
+    ("1,1,1,1", ("--csv", "--svg"), 1), ("1,1,1,1", ("--svg",), 0),
+])
+def test_regions_builds_one_region_per_command(tmp_path, capsys, monkeypatch, c, files, builds):
+    # both files are rendered from one region; a lone svg that is skipped
+    # (k != 3) builds none
+    from zeckvec import bridge
+    calls = []
+    build = bridge.support_region
+    monkeypatch.setattr(bridge, "support_region", lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    argv = ["regions", "--c", c, "--n", "4"]
+    for flag in files:
+        argv += [flag, str(tmp_path / ("r" + flag[1:].replace("-", ".")))]
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == builds
+
+
 def test_stats_json_reproducible(tmp_path, capsys):
     p1 = tmp_path / "s1.json"
     p2 = tmp_path / "s2.json"
