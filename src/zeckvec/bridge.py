@@ -59,7 +59,7 @@ def legal_decompose(c: RecurrenceVector, n: int) -> tuple:
         return ()
     seq = c.scalar()
     top = seq.max_index_at_most(n)
-    return tuple(greedy_digits(n, seq._up[top:0:-1]))
+    return tuple(greedy_digits(n, seq._up[top:0:-1])[0])
 
 
 def summand_count(digits) -> int:
@@ -170,12 +170,17 @@ def _batches(c: RecurrenceVector, n: int, exact: bool = False):
 
     # a nonzero digit after m is placed later than any in the prefix's
     # children, so the prefix's suffixes come before its children
-    for last, (strings, columns) in prefixes(1, 0, 0):
-        pad = tuple(buf[:m])
-        if not exact:
-            yield (pad[:last],), (tuple(val),)
-        yield (map(add, repeat(pad), strings),
-               zip(*[map(add, repeat(x), col) for x, col in zip(val, columns)]))
+    try:
+        for last, (strings, columns) in prefixes(1, 0, 0):
+            pad = tuple(buf[:m])
+            if not exact:
+                yield (pad[:last],), (tuple(val),)
+            yield (map(add, repeat(pad), strings),
+                   zip(*[map(add, repeat(x), col) for x, col in zip(val, columns)]))
+    finally:
+        # prefixes reaches itself through its closure; without this the
+        # cycle would keep the suffix lists until a collection found it
+        del prefixes
 
 
 def _check_cap(c: RecurrenceVector, n: int, cap: int, message: str) -> None:

@@ -34,8 +34,8 @@ from typing import Optional
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
                      NonTerminationError, NotEndCompleteError,
                      NotNearlySatisfyingError, NotSatisfyingError)
-from .recurrence import (RecurrenceVector, block_greedy_digits, column_value, extend,
-                         greedy_digits, scalar_window, string_value)
+from .recurrence import (RecurrenceVector, _held_blocks, column_value, extend,
+                         greedy_digits, scalar_window)
 from .representation import (KIND_NEARLY_SATISFYING, _scan_from, canonical,
                              classify, scan)
 
@@ -350,12 +350,14 @@ def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
 
     |v| is the l1 norm: with the sup norm, vectors whose coordinates nearly
     cancel along the slow mode (tribonacci's (5, -8) has length 12) would
-    need a retry.  log rho is computed once and kept on c.
+    need a retry.  log rho is computed once and kept on c (`_held_blocks`).
     """
-    log_growth = c._bridge
-    if log_growth is None:
-        log_growth = c._bridge = _backward_log_growth(c.coefficients)
-    return int(math.log(sum(map(abs, v))) / log_growth) + 2 * c.k
+    held = c._bridge
+    if held is None:
+        held = c._bridge = [None, None]
+    if held[0] is None:
+        held[0] = _backward_log_growth(c.coefficients)
+    return int(math.log(sum(map(abs, v))) / held[0]) + 2 * c.k
 
 
 def _held_digits(c: RecurrenceVector, v: tuple, n: int):
@@ -370,7 +372,7 @@ def _held_digits(c: RecurrenceVector, v: tuple, n: int):
     if len(t) < n + k - 2:
         extend(t, coeffs, n + k - 2, down=True)
     z = sum(map(mul, v, xs[n - 1:n - k:-1])) % xs[n]
-    arr = greedy_digits(z, xs[n - 1:0:-1])
+    arr = greedy_digits(z, xs[n - 1:0:-1])[0]
     while arr and not arr[-1]:
         arr.pop()
     return arr, column_value(vec._alpha, t, arr)
@@ -379,14 +381,17 @@ def _held_digits(c: RecurrenceVector, v: tuple, n: int):
 def _streamed_digits(c: RecurrenceVector, v: tuple, n: int):
     """Level-n greedy digits of v and their value, for n > k, with a few
     live terms: the top window from `scalar_window`, the digits from
-    `block_greedy_digits` and the value from `string_value`."""
+    `block_greedy_digits` and the value from `string_value`, both through
+    the block constants held on c.  Greedy digits are at most c1, so the
+    held leaf columns fit them."""
     coeffs, k = c.coefficients, c.k
+    blocks = _held_blocks(c)
     window = scalar_window(coeffs, n - k, k + 1)   # X_{n-k} .. X_n
     z = sum(map(mul, v, window[-2::-1])) % window[-1]
-    arr = block_greedy_digits(coeffs, z, window[:-1], n - 1)
+    arr = blocks.greedy(z, window[:-1], n - 1)
     while arr and not arr[-1]:
         arr.pop()
-    return arr, string_value(coeffs, arr)
+    return arr, blocks.value(arr)
 
 
 def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:

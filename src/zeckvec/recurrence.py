@@ -9,9 +9,12 @@ sequence stores one integer column, the last coordinate of each term, and
 builds each vector term from k-1 consecutive entries of it on request.
 `scalar_window` and `string_value` reach far terms and long strings without
 the terms between: by powers of x modulo the characteristic polynomial, and
-by a product tree of Horner leaves modulo its reciprocal.  `greedy_digits`
-is the one greedy expansion against descending terms; `block_greedy_digits`
-gives the same digits a block at a time from one window of k exact terms.
+by a product tree modulo its reciprocal whose leaves are each one dot product
+with packed columns.  `greedy_digits` is the one greedy expansion against
+descending terms; `block_greedy_digits` gives the same digits a block at a
+time from one window of k exact terms, the greedy itself summing each
+block's coefficients in the low bits of packed terms.  `_Blocks` holds the
+constants of both per recurrence.
 `BasisSearch` is the breadth-first search over sums of X_{-1}, ..., X_{-b}
 that the minimality and spanning oracles share, held per recurrence.
 """
@@ -19,7 +22,6 @@ that the minimality and spanning oracles share, held per recurrence.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain
 from operator import add, mul
 
 from .errors import InvalidRecurrenceError
@@ -61,7 +63,7 @@ class RecurrenceVector:
         self.weakly_decreasing = weakly
         self._scalar = None
         self._vector = None
-        self._bridge = None   # the bridge's log growth rate, kept by normalize
+        self._bridge = None   # [log growth rate, block constants], see `_held_blocks`
         self._search = None
 
     @property
@@ -182,13 +184,15 @@ def _times_mod(p, q, low) -> list:
     return pq
 
 
-def greedy_digits(z: int, terms) -> list:
+def greedy_digits(z: int, terms) -> tuple:
     """Greedy digits of z >= 0 against an iterable of descending terms, one
-    digit per term, zeros included; z is left below the last term.
+    digit per term, zeros included, and what is left of z, which is below
+    the last term.
 
-    `legal_decompose` and both bridge paths expand through this loop.
-    Greedy digits are small (at most c1 for weakly decreasing
-    coefficients), so subtracting beats bisect and divmod.
+    `legal_decompose`, the held bridge and, a block at a time,
+    `block_greedy_digits` expand through this loop.  Greedy digits are
+    small (at most c1 for weakly decreasing coefficients), so subtracting
+    beats bisect and divmod.
     """
     arr = []
     append = arr.append
@@ -202,86 +206,163 @@ def greedy_digits(z: int, terms) -> list:
             append(d)
         else:
             append(0)
-    return arr
+    return arr, z
 
 
 # Digits per step of `block_greedy_digits` and per leaf of `string_value`.
 # Measured on 15 vectors of 1200, 2400 and 4000 digits, three per strict c
-# of the benchmark (2 cores, Python 3.11.7, best of 3): `decompose` took
-# 0.126, 0.114, 0.111 and 0.118 s with blocks of 64, 128, 256 and 512, and
-# `string_value` on their strings 0.040-0.042 s at every size.  At level
-# 2049, where streaming starts, 256 was up to 1.3 times as slow as 128.
+# of the benchmark, with the block constants held (2 cores, Python 3.11.7,
+# sizes interleaved in one process, best of 7-9, three runs): `decompose`
+# took 189-213 ms in all with blocks of 64, and 141-181 ms with 128, 192
+# or 256, in no steady order; a streamed call at level 2049 took
+# 0.5-1.1 ms at every size from 128 up.  The held constants take 22-41 KB
+# per recurrence at 128, 38-79 KB at 192 and 57-129 KB at 256.
 BLOCK = 128
 
 
 def block_greedy_digits(coefficients, z: int, top, count: int) -> list:
     """`greedy_digits` of 0 <= z < X_{count+1} against X_count, ..., X_1,
-    BLOCK digits per step, from top = [X_{count+1-k}, ..., X_count].
+    BLOCK digits per step, from top = [X_{count+1-k}, ..., X_count], for
+    weakly decreasing coefficients (see `_Blocks.greedy`)."""
+    return _Blocks(coefficients).greedy(z, top, count)
 
-    Blocks are aligned from the bottom: their bases u run down from
-    BLOCK * ((count-1) // BLOCK) to 0, and E = (X_{u+1-k}, ..., X_u) is
-    the one exact window kept.  Every X_{u+j} is A_j . E for small vectors
-    A_j, the unit-seed solutions at j, so a block of s positions costs a
-    few big products.  Its digits are the greedy digits of the estimate
-    H = z X_s // X_{u+s} against X_s..X_1, and T = their value at the
-    block's positions.  Legal strings order like their values, and the z
-    whose greedy digits start with the block's fill [T, T + bound_j), for
-    j the scanner state after the block and
-    bound_j = c_{j+1} X_u + ... + c_k X_{u+j+1-k}.  So 0 <= z - T < bound_j
-    accepts the block, and otherwise H steps by one toward it.
+
+class _Blocks:
+    """The constants of the blocked greedy and of `string_value`'s leaves for
+    one recurrence.  The bridge and `evaluate` hold them on c
+    (`_held_blocks`); the public functions build what they need per call.
+
+    columns[p-1] = y^p mod Q for 1 <= p < BLOCK + k, with Q as in
+    `string_value`, packed in k signed width-bit slots, y^0 lowest.  The
+    first BLOCK are the leaves' columns, for digits up to top = max(c);
+    read backward, they are also the rows that step the greedy's window
+    down.  terms packs X_j above the unit-seed row A_j, for j = BLOCK down
+    to 1 (see `greedy`).
     """
-    k = len(coefficients)
-    xs = scalar_terms(coefficients, BLOCK + k + 1)
-    desc = xs[BLOCK:0:-1]                       # X_BLOCK .. X_1
-    rev = coefficients[::-1]
-    # The k unit-seed solutions (e_l at indices 1-k..0) travel in slots of
-    # one integer per index, so one `extend` per direction carries them all.
-    # Upward they lie in [0, X_{j+k}], which bounds a block's digit sums;
-    # downward they grow by at most a factor sum(c) per step.
-    up = (coefficients[0] * BLOCK * xs[BLOCK + k]).bit_length() + 1
-    down = (sum(coefficients) ** (BLOCK + k)).bit_length() + 1
-    rows = extend([1 << up * l for l in range(k)], coefficients,
-                  BLOCK + k)[BLOCK + k - 1:k - 1:-1]     # A_BLOCK .. A_1
-    lows = extend([1 << down * l for l in range(k - 1, -1, -1)], coefficients,
-                  BLOCK + k, down=True)                  # A_0, A_-1, ...
 
-    def shift(s):
-        # the rows taking (X_{u+1-k}, ..., X_u) to (X_{u-s+1-k}, ..., X_{u-s})
-        return [_slots(lows[s + k - 1 - m], down, k) for m in range(k)]
+    __slots__ = ("coefficients", "xs", "up", "span", "terms", "top", "width", "columns",
+                 "step")
 
-    u = BLOCK * ((count - 1) // BLOCK)
-    s = count - u
-    xtop = top[-1]                              # X_{u+s}
-    window = [sum(map(mul, row, top)) for row in shift(s)]
-    step = shift(BLOCK)
-    arr = []
-    while True:
-        h = min(z * xs[s] // xtop, xs[s + 1] - 1)
-        terms, block = desc[BLOCK - s:], rows[BLOCK - s:]
-        moved = 0
+    def __init__(self, coefficients):
+        k = len(coefficients)
+        self.coefficients = coefficients
+        self.xs = xs = scalar_terms(coefficients, BLOCK + k + 1)
+        # The k unit-seed solutions (e_l at indices 1-k..0) travel in slots
+        # of one integer per index, so one `extend` carries them all.  They
+        # lie in [0, X_{j+k}], so a block's greedy digits, at most c1 for
+        # weakly decreasing c, sum them to below 2^(up-1) in every slot.
+        self.up = up = (coefficients[0] * BLOCK * xs[BLOCK + k]).bit_length() + 1
+        self.span = span = k * up + 8
+        rows = extend([1 << up * l for l in range(k)], coefficients,
+                      BLOCK + k)[BLOCK + k - 1:k - 1:-1]     # A_BLOCK .. A_1
+        self.terms = [(x << span) + row for x, row in zip(xs[BLOCK:0:-1], rows)]
+        # y^p mod Q = t_{1-p} + X_{-p} . (y, ..., y^(k-1)) for the last
+        # coordinates t of `backward_column`, and X_{-p} sums at most sum(c)
+        # of them per coordinate
+        big = sum(coefficients) * max(map(abs, backward_column(coefficients, BLOCK + 2 * k)))
+        self.top = max(coefficients)
+        self.width = width = (self.top * BLOCK * big).bit_length() + 1
+        self.columns = _packed_powers(coefficients, BLOCK + k, width)[1:]
+        self.step = self.shift(BLOCK)
+
+    def shift(self, s: int) -> list:
+        """The rows taking (X_{u+1-k}, ..., X_u) to (X_{u-s+1-k}, ..., X_{u-s})."""
+        k, columns, width = len(self.coefficients), self.columns, self.width
+        return [_slots(columns[s + k - 2 - m], width, k)[::-1] for m in range(k)]
+
+    def greedy(self, z: int, top, count: int) -> list:
+        """`greedy_digits` of 0 <= z < X_{count+1} against X_count, ..., X_1,
+        BLOCK digits per step, from top = [X_{count+1-k}, ..., X_count], for
+        weakly decreasing coefficients.
+
+        Blocks are aligned from the bottom: their bases u run down from
+        BLOCK * ((count-1) // BLOCK) to 0, and E = (X_{u+1-k}, ..., X_u) is
+        the one exact window kept.  Every X_{u+j} is A_j . E for small
+        vectors A_j, the unit-seed solutions at j, so a block of s positions
+        costs a few big products.  Its digits are the greedy digits of the
+        estimate H = z X_s // X_{u+s} against X_s..X_1, and T = their value
+        at the block's positions.  H < X_{s+1}, so the top bits of z and
+        X_{u+s}, 64 more than X_{BLOCK+1} has, give it to within one.
+        Legal strings order like their values, and the z whose greedy
+        digits start with the block's fill [T, T + bound_j), for j the
+        scanner state after the block and
+        bound_j = c_{j+1} X_u + ... + c_k X_{u+j+1-k}.  So
+        0 <= z - T < bound_j accepts the block, and otherwise H steps by one
+        toward it.
+
+        T = a . E for a = sum_j d_j A_j, which the greedy sums as it goes:
+        it runs on H 2^span + 2^(span-1) against the terms X_j 2^span + A_j,
+        A_j packed in up-bit slots.  No slot of a reaches 2^(up-1), so the
+        low part never borrows from the high one, every comparison goes as
+        the plain greedy's on H, and the low part of what is left is
+        2^(span-1) - a.  Greedy digits are legal, and from any state a legal
+        c1..ct leads to a state of at least t (c is weakly decreasing), so
+        j is the longest tail of the block's digits that equals c1..cj.
+        """
+        coefficients, xs, up, span, terms = (
+            self.coefficients, self.xs, self.up, self.span, self.terms)
+        k = len(coefficients)
+        rev = coefficients[::-1]
+        heads = [list(coefficients[:j]) for j in range(k)]
+        half, mask = 1 << span - 1, (1 << span) - 1
+        keep = xs[BLOCK + 1].bit_length() + 64
+        u = BLOCK * ((count - 1) // BLOCK)
+        s = count - u
+        xtop = top[-1]                              # X_{u+s}
+        window = [sum(map(mul, row, top)) for row in self.shift(s)]
+        arr = []
         while True:
-            digits = greedy_digits(h, terms)
-            j = 0
-            for d in digits:
-                j = j + 1 if d == coefficients[j] else 0
-            a = _slots(sum(map(mul, digits, block)), up, k)
-            r = z - sum(map(mul, a, window))
-            if r < 0:
-                move = -1
-            elif r >= sum(map(mul, rev, window[j:])):
-                move = 1
-            else:
-                break
-            # exact inputs move H one way and inside [0, X_{s+1})
-            if move == -moved or not 0 <= h + move < xs[s + 1]:
-                raise ValueError("z is not in [0, X_{count+1}) or top is not "
-                                 "[X_{count+1-k}, ..., X_count]")
-            h, moved = h + move, move
-        arr += digits
-        if not u:
-            return arr
-        z, xtop, s, u = r, window[-1], BLOCK, u - BLOCK
-        window = [sum(map(mul, row, window)) for row in step]
+            cut = max(0, xtop.bit_length() - keep)
+            h = min((z >> cut) * xs[s] // (xtop >> cut), xs[s + 1] - 1)
+            block = terms[BLOCK - s:]
+            moved = 0
+            while True:
+                digits, rest = greedy_digits((h << span) + half, block)
+                j = min(k - 1, s)
+                while digits[s - j:] != heads[j]:
+                    j -= 1
+                a = _slots(half - (rest & mask), up, k)
+                r = z - sum(map(mul, a, window))
+                if r < 0:
+                    move = -1
+                elif r >= sum(map(mul, rev, window[j:])):
+                    move = 1
+                else:
+                    break
+                # exact inputs move H one way and inside [0, X_{s+1})
+                if move == -moved or not 0 <= h + move < xs[s + 1]:
+                    raise ValueError("z is not in [0, X_{count+1}) or top is not "
+                                     "[X_{count+1-k}, ..., X_count]")
+                h, moved = h + move, move
+            arr += digits
+            if not u:
+                return arr
+            z, xtop, s, u = r, window[-1], BLOCK, u - BLOCK
+            window = [sum(map(mul, row, window)) for row in self.step]
+
+    def value(self, a) -> tuple:
+        """`string_value` of a string whose digits lie in [0, top]."""
+        return _tree_value(self.coefficients, a, self.width, self.columns)
+
+
+def _held_blocks(c: RecurrenceVector) -> _Blocks:
+    """The block constants of c, built on first use and kept in c._bridge,
+    the list [the bridge's log growth rate, block constants], either entry
+    None until it is needed."""
+    held = c._bridge
+    if held is None:
+        held = c._bridge = [None, None]
+    if held[1] is None:
+        held[1] = _Blocks(c.coefficients)
+    return held[1]
+
+
+def _packed_powers(coefficients, stop: int, width: int) -> list:
+    """[y^0, ..., y^(stop-1)] mod Q (at least k of them), each packed in k
+    signed width-bit slots, y^0 lowest.  The coefficients of y^p mod Q solve
+    the recurrence downward in p, and so do their packings."""
+    k = len(coefficients)
+    return extend([1 << width * i for i in range(k)], coefficients, stop, down=True)
 
 
 def _slots(x: int, width: int, count: int) -> list:
@@ -300,43 +381,42 @@ def string_value(coefficients, a) -> tuple:
     X_{-p} solves the recurrence in p with characteristic polynomial
     Q(y) = y^k + c_{k-1} y^(k-1) + ... + c1 y - 1.  So the sum equals
     sum_i r_i X_{-i} for r = (sum_p a[p-1] y^p) mod Q, which is
-    (r_1, ..., r_{k-1}) because X_0 = 0 and X_{-i} = e_i.  Horner's rule
-    takes r for each leaf of BLOCK digits; neighbours join as
-    r_lo + (y^h mod Q) r_hi, h the digits below, with y^h by squaring.
-    Each leaf is folded into a stack with one node per tree level, as in a
-    binary counter, so O(log len(a)) remainders are live at once; the
-    remainder mod Q is unique, so the grouping does not change it.
+    (r_1, ..., r_{k-1}) because X_0 = 0 and X_{-i} = e_i.  The leaves'
+    columns are built for this call only, as far as a reaches, with slots
+    wide enough for its largest digit (see `_tree_value`).
+    """
+    top = max(max(a), -min(a), 1) if len(a) else 1
+    count = min(len(a), BLOCK)
+    # every coefficient of y^p mod Q is at most sum(c)^p in size
+    width = (top * count * sum(coefficients) ** count).bit_length() + 1
+    return _tree_value(coefficients, a, width,
+                       _packed_powers(coefficients, count + 1, width)[1:])
+
+
+def _tree_value(coefficients, a, width: int, columns: list) -> tuple:
+    """`string_value` of a, from columns[p-1] = y^p mod Q packed in width-bit
+    slots, for p up to BLOCK and to len(a), with room for any leaf's sum.
+
+    Each leaf of BLOCK digits takes r as one dot product of its digits with
+    the columns; neighbours join as r_lo + (y^h mod Q) r_hi, h the digits
+    below, with y^h by squaring.  Each leaf is folded into a stack with one
+    node per tree level, as in a binary counter, so O(log len(a))
+    remainders are live at once; the remainder mod Q is unique, so the
+    grouping does not change it.
     """
     k = len(coefficients)
-    # y^k = 1 - c1 y - ... - c_{k-1} y^(k-1)
-    ones = [i for i, w in enumerate(coefficients[:-1], 1) if w == 1]
-    scaled = [(i, w) for i, w in enumerate(coefficients[:-1], 1) if w > 1]
-
-    def horner(digits):
-        r = [0] * k
-        pop, insert = r.pop, r.insert
-        for d in chain(reversed(digits), (0,)):
-            h = pop()
-            insert(0, h + d if d else h)
-            if h:
-                for i in ones:
-                    r[i] -= h
-                for i, w in scaled:
-                    r[i] -= w * h
-        return r
-
-    low = [1] + [-w for w in coefficients[:-1]]
+    low = [1] + [-w for w in coefficients[:-1]]     # y^k mod Q
     powers = []     # powers[l] = y^(BLOCK 2^l) mod Q
     stack = []      # (level, r): r for 2^level leaves, levels strictly decreasing
 
     def join(lo, hi, level):
         while len(powers) <= level:
             powers.append(_times_mod(powers[-1], powers[-1], low) if powers
-                          else horner([0] * (BLOCK - 1) + [1]))
+                          else _slots(columns[BLOCK - 1], width, k))
         return list(map(add, lo, _times_mod(powers[level], hi, low)))
 
     for i in range(0, len(a), BLOCK):
-        level, r = 0, horner(a[i:i + BLOCK])
+        level, r = 0, _slots(sum(map(mul, a[i:i + BLOCK], columns)), width, k)
         while stack and stack[-1][0] == level:
             r = join(stack.pop()[1], r, level)
             level += 1

@@ -1,3 +1,4 @@
+import gc
 import time
 import tracemalloc
 from itertools import product
@@ -275,6 +276,32 @@ def test_shell_memory_stays_at_the_parents(coeffs, n, parent_peak, parent_held):
     assert len(shell) == scalar_term(c, n + 1) - scalar_term(c, n)
     assert peak <= 1.05 * parent_peak, peak
     assert _held_state(c) == parent_held
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1, 1), (3, 2, 1)])
+def test_the_walk_leaves_no_cycle_behind(coeffs):
+    # the split walk's recursive generator must not hold itself alive: with
+    # the collector off, a collection right after each call finds nothing
+    c = RecurrenceVector(coeffs)
+    calls = [lambda: support_region(c, 9), lambda: support_shell(c, 9),
+             lambda: enumerate_representations(c, 9), lambda: ball_coverage(c, 3)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for call in calls:
+            gc.collect()
+            call()
+            assert gc.collect() == 0
+        for with_values in (False, True):
+            gc.collect()
+            strings = iter_representations(c, 9, with_values=with_values)
+            for _ in range(50):
+                next(strings)
+            del strings
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_enumeration_cap():

@@ -563,14 +563,14 @@ def test_block_greedy_matches_the_term_by_term_greedy(coeffs):
     k = len(coeffs)
     rng = random.Random(k * 100 + coeffs[0])
     seq = RecurrenceVector(coeffs).scalar()
-    xs = scalar_terms(coeffs, 3 * BLOCK + k + 2)
+    xs = scalar_terms(coeffs, 20 * BLOCK + k + 2)
     for count in [*range(1, 2 * k + 2), BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + k,
-                  2 * BLOCK + 1, 3 * BLOCK + k]:
+                  2 * BLOCK + 1, 3 * BLOCK + k, 8 * BLOCK + 1, 20 * BLOCK + k]:
         top = [seq.term(i) for i in range(count + 1 - k, count + 1)]
         edges = {0, 1, xs[count] - 1, xs[count], xs[count + 1] - 2, xs[count + 1] - 1}
         for z in sorted(edges) + [rng.randrange(xs[count + 1]) for _ in range(3)]:
             assert (block_greedy_digits(coeffs, z, top, count)
-                    == greedy_digits(z, xs[count:0:-1])), (count, z)
+                    == greedy_digits(z, xs[count:0:-1])[0]), (count, z)
 
 
 @pytest.mark.parametrize("count", [5, 3 * BLOCK + 1])
@@ -618,6 +618,27 @@ def test_string_value_stack_matches_the_backward_column_for_many_leaves(coeffs):
             a = [rng.randint(0, coeffs[0] + 2) for _ in range(length)]
             t = backward_column(coeffs, length + len(coeffs) - 1)
             assert string_value(coeffs, a) == column_value(column_weights(coeffs), t, a), length
+
+
+RELAXED = [(1, 3, 1), (1, 0, 1), (2, 0, 0, 1), (1, 4, 2, 1)]
+
+
+@pytest.mark.parametrize("coeffs", STRICT + RELAXED, ids=lambda cs: ",".join(map(str, cs)))
+def test_string_value_takes_digits_of_any_size(coeffs):
+    # the leaves' slots must widen with the largest digit: digits up to
+    # max(c), which the held columns take, and far above it
+    c = RecurrenceVector(coeffs, relaxed=coeffs in RELAXED)
+    rng = random.Random(sum(coeffs) * 31 + len(coeffs))
+    alpha = column_weights(coeffs)
+    for top in (max(coeffs), coeffs[0] + 2, 10 ** 6, 10 ** 30):
+        for length in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 17 * BLOCK + 1):
+            a = [rng.randint(0, top) for _ in range(length - 1)] + [top]
+            rng.shuffle(a)
+            a.append(rng.randint(1, top))
+            t = backward_column(coeffs, len(a) + len(coeffs) - 1)
+            want = column_value(alpha, t, a)
+            assert string_value(coeffs, a) == want, (top, length)
+            assert evaluate(c, a) == want, (top, length)
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1, 1)])
