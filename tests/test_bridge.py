@@ -278,7 +278,8 @@ def test_shell_memory_stays_at_the_parents(coeffs, n, parent_peak, parent_held):
     assert _held_state(c) == parent_held
 
 
-@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1, 1), (3, 2, 1)])
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1, 1), (3, 2, 1)],
+                         ids=lambda cs: ",".join(map(str, cs)))
 def test_the_walk_leaves_no_cycle_behind(coeffs):
     # the split walk's recursive generator must not hold itself alive: with
     # the collector off, a collection right after each call finds nothing
