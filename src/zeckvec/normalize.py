@@ -34,7 +34,7 @@ from typing import Optional
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
                      NonTerminationError, NotEndCompleteError,
                      NotNearlySatisfyingError, NotSatisfyingError)
-from .recurrence import (RecurrenceVector, _held_blocks, column_value, extend,
+from .recurrence import (RecurrenceVector, _Blocks, _held_bridge, column_value, extend,
                          greedy_digits, scalar_window)
 from .representation import (KIND_NEARLY_SATISFYING, _scan_from, canonical,
                              classify, scan)
@@ -350,14 +350,10 @@ def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
 
     |v| is the l1 norm: with the sup norm, vectors whose coordinates nearly
     cancel along the slow mode (tribonacci's (5, -8) has length 12) would
-    need a retry.  log rho is computed once and kept on c (`_held_blocks`).
+    need a retry.  log rho is computed once and kept on c (`_held_bridge`).
     """
-    held = c._bridge
-    if held is None:
-        held = c._bridge = [None, None]
-    if held[0] is None:
-        held[0] = _backward_log_growth(c.coefficients)
-    return int(math.log(sum(map(abs, v))) / held[0]) + 2 * c.k
+    log_growth = _held_bridge(c, 0, _backward_log_growth)
+    return int(math.log(sum(map(abs, v))) / log_growth) + 2 * c.k
 
 
 def _held_digits(c: RecurrenceVector, v: tuple, n: int):
@@ -385,7 +381,7 @@ def _streamed_digits(c: RecurrenceVector, v: tuple, n: int):
     the block constants held on c.  Greedy digits are at most c1, so the
     held leaf columns fit them."""
     coeffs, k = c.coefficients, c.k
-    blocks = _held_blocks(c)
+    blocks = _held_bridge(c, 1, _Blocks)
     window = scalar_window(coeffs, n - k, k + 1)   # X_{n-k} .. X_n
     z = sum(map(mul, v, window[-2::-1])) % window[-1]
     arr = blocks.greedy(z, window[:-1], n - 1)

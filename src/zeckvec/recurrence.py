@@ -14,7 +14,7 @@ with packed columns.  `greedy_digits` is the one greedy expansion against
 descending terms; `block_greedy_digits` gives the same digits a block at a
 time from one window of k exact terms, the greedy itself summing each
 block's coefficients in the low bits of packed terms.  `_Blocks` holds the
-constants of both per recurrence.
+constants of both per recurrence for the streamed bridge.
 `BasisSearch` is the breadth-first search over sums of X_{-1}, ..., X_{-b}
 that the minimality and spanning oracles share, held per recurrence.
 """
@@ -63,7 +63,7 @@ class RecurrenceVector:
         self.weakly_decreasing = weakly
         self._scalar = None
         self._vector = None
-        self._bridge = None   # [log growth rate, block constants], see `_held_blocks`
+        self._bridge = None   # (log growth rate, block constants), see `_held_bridge`
         self._search = None
 
     @property
@@ -229,19 +229,18 @@ def block_greedy_digits(coefficients, z: int, top, count: int) -> list:
 
 class _Blocks:
     """The constants of the blocked greedy and of `string_value`'s leaves for
-    one recurrence.  The bridge and `evaluate` hold them on c
-    (`_held_blocks`); the public functions build what they need per call.
+    one weakly decreasing recurrence.  The streamed bridge holds them on c
+    (`_held_bridge`); `block_greedy_digits` builds them per call.
 
     columns[p-1] = y^p mod Q for 1 <= p < BLOCK + k, with Q as in
     `string_value`, packed in k signed width-bit slots, y^0 lowest.  The
-    first BLOCK are the leaves' columns, for digits up to top = max(c);
-    read backward, they are also the rows that step the greedy's window
+    first BLOCK are the leaves' columns, for greedy digits, which are at
+    most c1; read backward, they are also the rows that step the greedy's window
     down.  terms packs X_j above the unit-seed row A_j, for j = BLOCK down
     to 1 (see `greedy`).
     """
 
-    __slots__ = ("coefficients", "xs", "up", "span", "terms", "top", "width", "columns",
-                 "step")
+    __slots__ = ("coefficients", "xs", "up", "span", "terms", "width", "columns", "step")
 
     def __init__(self, coefficients):
         k = len(coefficients)
@@ -260,8 +259,7 @@ class _Blocks:
         # coordinates t of `backward_column`, and X_{-p} sums at most sum(c)
         # of them per coordinate
         big = sum(coefficients) * max(map(abs, backward_column(coefficients, BLOCK + 2 * k)))
-        self.top = max(coefficients)
-        self.width = width = (self.top * BLOCK * big).bit_length() + 1
+        self.width = width = (coefficients[0] * BLOCK * big).bit_length() + 1
         self.columns = _packed_powers(coefficients, BLOCK + k, width)[1:]
         self.step = self.shift(BLOCK)
 
@@ -341,20 +339,21 @@ class _Blocks:
             window = [sum(map(mul, row, window)) for row in self.step]
 
     def value(self, a) -> tuple:
-        """`string_value` of a string whose digits lie in [0, top]."""
+        """`string_value` of a string of greedy digits, which lie in [0, c1]."""
         return _tree_value(self.coefficients, a, self.width, self.columns)
 
 
-def _held_blocks(c: RecurrenceVector) -> _Blocks:
-    """The block constants of c, built on first use and kept in c._bridge,
-    the list [the bridge's log growth rate, block constants], either entry
-    None until it is needed."""
+def _held_bridge(c: RecurrenceVector, slot: int, build):
+    """Entry slot of c._bridge, the pair (the bridge's log growth rate, its
+    block constants), made by build(c.coefficients) on first use.  The pair
+    is None until either entry is needed, and is replaced, never changed in
+    place."""
     held = c._bridge
-    if held is None:
-        held = c._bridge = [None, None]
-    if held[1] is None:
-        held[1] = _Blocks(c.coefficients)
-    return held[1]
+    if held is None or held[slot] is None:
+        held = list(held or (None, None))
+        held[slot] = build(c.coefficients)
+        held = c._bridge = tuple(held)
+    return held[slot]
 
 
 def _packed_powers(coefficients, stop: int, width: int) -> list:
@@ -387,8 +386,10 @@ def string_value(coefficients, a) -> tuple:
     """
     top = max(max(a), -min(a), 1) if len(a) else 1
     count = min(len(a), BLOCK)
-    # every coefficient of y^p mod Q is at most sum(c)^p in size
-    width = (top * count * sum(coefficients) ** count).bit_length() + 1
+    # Every coefficient of y^p mod Q is at most R^p in size, R = 1 + max(c):
+    # the columns start at 1 and step downward by the recurrence, and
+    # R^k - 1 >= (R - 1)(R^(k-1) + ... + R) >= c_{k-1} R^(k-1) + ... + c1 R.
+    width = (top * count * (1 + max(coefficients)) ** count).bit_length() + 1
     return _tree_value(coefficients, a, width,
                        _packed_powers(coefficients, count + 1, width)[1:])
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotSatisfyingError
-from .recurrence import RecurrenceVector, _held_blocks, string_value
+from .recurrence import RecurrenceVector, string_value
 
 KIND_SATISFYING = "satisfying"
 KIND_NEARLY_SATISFYING = "nearly_satisfying"
@@ -94,14 +94,9 @@ def evaluate(c: RecurrenceVector, a) -> tuple:
 
     `string_value` evaluates it by a product tree whose leaves are dot
     products with packed columns, so memory stays linear in the string's
-    length.  The columns are c's block constants, of a fixed size, when the
-    digits are at most max(c); no term sequence of c grows.
+    length and nothing is memoized on c.
     """
-    a = canonical(a)
-    blocks = _held_blocks(c)
-    if max(a, default=0) <= blocks.top:
-        return blocks.value(a)
-    return string_value(c.coefficients, a)
+    return string_value(c.coefficients, canonical(a))
 
 
 @dataclass(frozen=True)

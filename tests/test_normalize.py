@@ -253,6 +253,16 @@ def test_evaluate_grows_no_memo():
     assert (c.scalar(), c.vector()) == sequences
 
 
+@pytest.mark.parametrize("coeffs", STRICT + [(1, 3, 1)], ids=lambda cs: ",".join(map(str, cs)))
+def test_evaluate_holds_nothing_on_a_fresh_recurrence(coeffs):
+    # the block constants are the streamed bridge's alone
+    rng = random.Random(len(coeffs))
+    for length in (1, BLOCK - 1, 3 * BLOCK + 1):
+        c = RecurrenceVector(coeffs, relaxed=coeffs == (1, 3, 1))
+        evaluate(c, [rng.randint(0, coeffs[0]) for _ in range(length)])
+        assert (c._bridge, c._scalar, c._vector, c._search) == (None,) * 4
+
+
 def test_decompose_does_not_depend_on_call_order():
     rng = random.Random(23)
     for coeffs in [(1, 1, 1), (2, 1, 1)]:
@@ -626,7 +636,7 @@ RELAXED = [(1, 3, 1), (1, 0, 1), (2, 0, 0, 1), (1, 4, 2, 1)]
 @pytest.mark.parametrize("coeffs", STRICT + RELAXED, ids=lambda cs: ",".join(map(str, cs)))
 def test_string_value_takes_digits_of_any_size(coeffs):
     # the leaves' slots must widen with the largest digit: digits up to
-    # max(c), which the held columns take, and far above it
+    # max(c), as greedy digits are, and far above it
     c = RecurrenceVector(coeffs, relaxed=coeffs in RELAXED)
     rng = random.Random(sum(coeffs) * 31 + len(coeffs))
     alpha = column_weights(coeffs)
