@@ -10,7 +10,6 @@ result), 1 invalid input, 2 enumeration cap or search budget exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -67,16 +66,14 @@ def _parse_string(text: str) -> tuple:
 
 
 def _write_trace(path: str, trace: normalize.NormalizationTrace):
-    lines = []
-    for step in trace.steps:
-        lines.append(json.dumps({
-            "op": step.op,
-            "pos": step.pos,
-            "string": representation.format_coefficients(step.string),
-            "G": step.mass,
-            "count": step.count,
-        }, sort_keys=True))
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    # one JSON object per step, keys in sorted order.  op is carry or borrow
+    # and the steps' strings are trimmed tuples of nonnegative ints, written
+    # as digits and commas, so nothing needs escaping
+    lines = ['{"G": %d, "count": %d, "op": "%s", "pos": %d, "string": "%s"}\n'
+             % (step.mass, step.count, step.op, step.pos,
+                ",".join(map(str, step.string)))
+             for step in trace.steps]
+    atomic_write_text(path, "".join(lines))
 
 
 def _cmd_seq(args) -> int:

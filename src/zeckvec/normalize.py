@@ -21,15 +21,29 @@ applies:
 
 A round touches only positions >= n_p - 1, so the next round's scan resumes at
 the chunk start before n_p and keeps the chunk starts found before that.
+
+Increments are bumps in the same loop: once the list satisfies, the next bump
+adds 1 at its position and the rounds go on, with the mass and chunk starts
+kept, so `increment` is one pass with one bump and traced `decompose` one pass
+over its whole chain.  Between bumps a scan may also stop early.  The loop
+keeps marks at the chunk starts of the satisfying strings it has seen, and it
+drops every mark at or below a touched position: the bump at i, a borrow from
+I (which touches up to I + k) and a carry into i (up to i + k).  From a kept
+mark the rest of the list is the suffix that was accepted from state 0 when
+the mark was taken, so a scan that reaches a chunk start with a mark
+satisfies there.  Only the grammar is used, so this holds for any c.  Probes
+and `normalize_nsr` take no bumps and set no marks, so their scans are as
+before.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product, repeat
 from operator import ge, mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
                      NonTerminationError, NotEndCompleteError,
@@ -46,8 +60,7 @@ SUPPORT_SLACK_PER_K = 50
 _HARD_STEP_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     op: str         # "carry" | "borrow"
     pos: int
     string: tuple   # state after the step (after the whole run for count > 1)
@@ -159,30 +172,60 @@ def borrow(c: RecurrenceVector, a, i: int) -> tuple:
 
 
 def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
-             iterations=None, support_cap=None, carry_only=False):
+             iterations=None, support_cap=None, carry_only=False, bumps=(), starts=()):
     """The reduction loop on the trimmed list a, in place (module docstring).
 
-    history and iterations, when given, get the mass after each step and one
-    IterationRecord per round; carry_only raises NotEndCompleteError on a
-    round that is not end-complete.  Returns (steps, max_support, reason):
-    reason is None once a satisfies, else "support_growth" or "step_budget".
+    Each position in bumps gets 1 added once a satisfies, in turn; starts,
+    when given, are the chunk starts of a, which then satisfies already.
+    limit counts the steps since the last bump.  history and iterations,
+    when given, get the mass after each step and one IterationRecord per
+    round; carry_only raises NotEndCompleteError on a round that is not
+    end-complete.  Returns (steps, max_support, reason): reason is None once
+    a satisfies after the last bump, else "support_growth" or "step_budget".
     """
     if limit < 0:
         raise ValueError("budget must be >= 0")
     coeffs, k, total = c.coefficients, c.k, c.coefficient_total
     g = sum(a)
     steps = 0
+    stop_at = limit
     max_support = len(a)
-    starts, p = [], 1
+    bumps = iter(bumps)
+    starts = list(starts)
+    p = len(a) + 1 if starts else 1
+    # marks: positions from which the rest of a satisfies from state 0.  Each
+    # was a chunk start of a satisfying a, and nothing from it on has changed
+    # since, as none lies at or below hi, the highest position touched since
+    # the last bump.  Marks are taken only at bumps, so until the first one
+    # there are none to drop.
+    marks, hi = set(), math.inf
     while True:
-        fail = _scan_from(coeffs, k, a, starts, p)
+        fail = _scan_from(coeffs, k, a, starts, p, marks)
         if fail is None:
-            if trace is not None:
-                trace.terminated = True
-            return steps, max_support, None
+            b = next(bumps, None)
+            if b is None:
+                if trace is not None:
+                    trace.terminated = True
+                return steps, max_support, None
+            # resume at the last chunk start at or before b (starts[0] is 1);
+            # the chunk starts past b begin satisfying suffixes of a
+            j = max(bisect_right(starts, b) - 1, 0)
+            if marks:
+                marks.difference_update(range(1, b + 1))
+            marks.update(starts[j + 1:])
+            hi = b
+            p = starts[j] if starts else 1
+            del starts[j:]
+            if b > len(a):
+                a.extend([0] * (b - len(a)))
+                max_support = max(max_support, b)
+            a[b - 1] += 1
+            g += 1
+            stop_at = steps + limit
+            continue
         if support_cap is not None and len(a) > support_cap:
             return steps, max_support, "support_growth"
-        if steps >= limit:
+        if steps >= stop_at:
             return steps, max_support, "step_budget"
         fail_pos, matched = fail
         i = starts[-1] - 1
@@ -204,7 +247,7 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
             if history is not None:
                 history.append(g)
             max_support = max(max_support, len(a))
-            legal = steps < limit and len(a) >= i + k and all(map(ge, a[i:i + k], coeffs))
+            legal = steps < stop_at and len(a) >= i + k and all(map(ge, a[i:i + k], coeffs))
             case = "borrow_carry" if legal else "borrow_only"
         if case != "borrow_only":
             # carry into n_p - 1 (0 is the virtual position)
@@ -223,6 +266,11 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
         if iterations is not None:
             iterations.append(IterationRecord(fail_pos, i + 1, matched, case,
                                               g_before, prefix_mass))
+        # a borrow from I touches up to I + k, a carry into i up to i + k
+        top = (i if case == "carry_only" else fail_pos) + k
+        if top > hi:
+            marks.difference_update(range(hi + 1, top + 1))
+            hi = top
         p = starts[-2] if len(starts) > 1 else 1
         del starts[-2:]
 
@@ -266,12 +314,13 @@ def normalize_nsr(c: RecurrenceVector, a, budget: int = DEFAULT_BUDGET) -> Probe
     return _reduce(c, a, budget=budget)
 
 
-def _bump_and_rewrite(c: RecurrenceVector, a: list, i: int, budget, trace) -> None:
-    """Add 1 at position i of the satisfying list a and rewrite it in place."""
-    a.extend([0] * (i - len(a)))
-    a[i - 1] += 1
+def _bump_and_rewrite(c: RecurrenceVector, a: list, bumps, budget, trace,
+                      starts=()) -> None:
+    """Add 1 at each position of bumps in turn to the satisfying list a,
+    whose chunk starts are starts when given, and rewrite it in place after
+    each; budget bounds the steps after each bump."""
     limit = _HARD_STEP_CAP if budget is None else budget
-    if _rewrite(c, a, limit, trace)[2] is not None:
+    if _rewrite(c, a, limit, trace, bumps=bumps, starts=starts)[2] is not None:
         raise NonTerminationError("normalization did not terminate within %r steps" % budget)
 
 
@@ -284,24 +333,28 @@ def increment(c: RecurrenceVector, a, i: int, budget=None, trace=None) -> tuple:
     NonTerminationError reports failure.
     """
     a = canonical(a)
-    if not scan(c, a).ok:
+    result = scan(c, a)
+    if not result.ok:
         raise NotSatisfyingError("increment requires a satisfying representation: %r" % (a,))
     if i < 1:
         raise ValueError("index must be >= 1")
     if budget is None and not c.weakly_decreasing:
         budget = DEFAULT_BUDGET
     out = list(a)
-    _bump_and_rewrite(c, out, i, budget, trace)
+    _bump_and_rewrite(c, out, (i,), budget, trace, result.starts)
     return tuple(out)
 
 
 def _decompose_chain(c: RecurrenceVector, v: tuple, trace=None) -> tuple:
+    """v as a chain of increments from the empty string: shift copies of
+    X_{-k}, shift = the least making every count below nonnegative, then
+    v_j + shift*c_j copies of X_{-j} for j = 1..k-1."""
     coeffs, k = c.coefficients, c.k
     shift = max(0, *(-(x // cj) for x, cj in zip(v, coeffs)))
+    counts = [shift] + [x + shift * cj for x, cj in zip(v, coeffs)]
     a = []
-    for i, count in [(k, shift)] + [(j, v[j - 1] + shift * coeffs[j - 1]) for j in range(1, k)]:
-        for _ in range(count):
-            _bump_and_rewrite(c, a, i, None, trace)
+    _bump_and_rewrite(c, a, chain.from_iterable(map(repeat, (k, *range(1, k)), counts)),
+                      None, trace)
     return tuple(a)
 
 

@@ -22,7 +22,7 @@ that the minimality and spanning oracles share, held per recurrence.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import add, mul
+from operator import add, ge, mul
 
 from .errors import InvalidRecurrenceError
 
@@ -223,7 +223,12 @@ BLOCK = 128
 def block_greedy_digits(coefficients, z: int, top, count: int) -> list:
     """`greedy_digits` of 0 <= z < X_{count+1} against X_count, ..., X_1,
     BLOCK digits per step, from top = [X_{count+1-k}, ..., X_count], for
-    weakly decreasing coefficients (see `_Blocks.greedy`)."""
+    weakly decreasing coefficients (see `_Blocks.greedy`); others are refused,
+    since their greedy digits may exceed c1 and break the chunk grammar."""
+    if not all(map(ge, coefficients, coefficients[1:])):
+        raise InvalidRecurrenceError(
+            "the blocked greedy requires weakly decreasing coefficients: %r"
+            % (tuple(coefficients),))
     return _Blocks(coefficients).greedy(z, top, count)
 
 

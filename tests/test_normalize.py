@@ -5,15 +5,18 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from zeckvec import (BorrowBlockedError, CarryBlockedError, NonTerminationError,
-                     NotEndCompleteError, NotNearlySatisfyingError, RecurrenceVector, borrow, carry,
-                     classify, coefficient_sum, decompose, evaluate, increment,
-                     is_satisfying, normalize_nsr, prefix_sum,
+import zeckvec
+from zeckvec import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
+                     NonTerminationError, NotEndCompleteError, NotNearlySatisfyingError,
+                     RecurrenceVector, borrow, carry, classify, coefficient_sum, decompose,
+                     evaluate, increment, is_satisfying, normalize_nsr, prefix_sum,
                      probe_termination, resolve_end_complete, scalar_term, scan,
                      spanning_probe, vector_term)
-from zeckvec.normalize import (HELD_LEVEL_CAP, IterationRecord, NormalizationTrace,
-                               ProbeReport, _bridge_level, _decompose_chain,
-                               _held_digits, _reduce, _streamed_digits)
+from zeckvec import normalize
+from zeckvec.normalize import (HELD_LEVEL_CAP, TRACE_FULL_STEPS, TRACE_THIN_EVERY,
+                               IterationRecord, NormalizationTrace, ProbeReport, TraceStep,
+                               _bridge_level, _decompose_chain, _held_digits, _reduce,
+                               _streamed_digits)
 from zeckvec.recurrence import (BLOCK, backward_column, block_greedy_digits, column_value,
                                 column_weights, greedy_digits, scalar_terms, scalar_window,
                                 string_value)
@@ -504,6 +507,97 @@ def test_traced_decompose_matches_increment_chain(coeffs, data):
     assert vars(got) == vars(want)
 
 
+def assert_crosses_thinning(trace):
+    """The trace holds an entry for every unit step up to TRACE_FULL_STEPS,
+    a borrow run collapsed into one entry that may carry the run past it,
+    and after that at most one entry per TRACE_THIN_EVERY steps."""
+    assert trace.step_count >= TRACE_FULL_STEPS + TRACE_THIN_EVERY
+    done = n = 0
+    while done < TRACE_FULL_STEPS:
+        done += trace.steps[n].count
+        n += 1
+    assert done == TRACE_FULL_STEPS or trace.steps[n - 1].op == "borrow"
+    later = len(trace.steps) - n
+    assert 1 <= later <= (trace.step_count - TRACE_FULL_STEPS) // TRACE_THIN_EVERY
+
+
+@pytest.mark.parametrize("coeffs", STRICT, ids=lambda cs: ",".join(map(str, cs)))
+def test_traced_decompose_matches_increment_chain_past_the_thinning(coeffs):
+    # |v| of 1000-1600 takes the chain past TRACE_FULL_STEPS unit steps
+    c = RecurrenceVector(coeffs)
+    rng = random.Random(1600)
+    for n in (1000, 1300, 1600):
+        v = (n,) + tuple(rng.randint(-n, n) for _ in range(c.k - 2))
+        got, want = NormalizationTrace(), NormalizationTrace()
+        assert decompose(c, v, trace=got) == increment_chain(c, v, want)
+        assert vars(got) == vars(want)
+        assert_crosses_thinning(got)
+
+
+def satisfying_string(coeffs, length, rng):
+    """A satisfying string of more than length digits, chunk by chunk:
+    c_1..c_j, a digit below c_{j+1}, up to two zeros; a last 1 <= c_1 ends
+    it in a live state (strict c only)."""
+    out = []
+    while len(out) < length:
+        j = rng.randrange(len(coeffs))
+        out += list(coeffs[:j]) + [rng.randrange(coeffs[j])] + [0] * rng.randrange(3)
+    return tuple(out) + (1,)
+
+
+class _CountedReads:
+    """A read-only view of a list that counts the positions read from it."""
+
+    def __init__(self, a, reads):
+        self.a, self.reads = a, reads
+
+    def __len__(self):
+        return len(self.a)
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return self.a[i]
+
+
+@pytest.mark.parametrize("coeffs", STRICT, ids=lambda cs: ",".join(map(str, cs)))
+def test_increment_scans_a_stretch_that_does_not_grow_with_the_string(monkeypatch, coeffs):
+    # each scan of the rewriting loop ends at the first chunk start of the
+    # satisfying string past every touched position, so the positions it
+    # reads per increment do not depend on the length; a rescan to the end
+    # would read them all
+    c = RecurrenceVector(coeffs)
+    rng = random.Random(41)
+    reads = []
+    original = normalize._scan_from
+
+    def counted(coeffs, k, a, starts, p, stop=()):
+        return original(coeffs, k, _CountedReads(a, reads), starts, p, stop)
+
+    monkeypatch.setattr(normalize, "_scan_from", counted)
+    for length in (41, 400, 4000):
+        per_increment = []
+        for _ in range(100):
+            a = satisfying_string(coeffs, length, rng)
+            assert len(a) > 40 and is_satisfying(c, a)
+            del reads[:]
+            increment(c, a, rng.randint(1, 2 * c.k))
+            per_increment.append(len(reads))
+        assert max(per_increment) <= 120, (length, max(per_increment))
+        assert sum(per_increment) <= 20 * len(per_increment), (length, sum(per_increment))
+
+
+def test_trace_steps_are_named_tuples():
+    step = TraceStep("borrow", 3, (0, 2, 1, 2, 1, 1), 7)
+    assert TraceStep._fields == ("op", "pos", "string", "mass", "count")
+    assert step.count == 1
+    assert step == ("borrow", 3, (0, 2, 1, 2, 1, 1), 7, 1)
+    assert repr(step) == ("TraceStep(op='borrow', pos=3, string=(0, 2, 1, 2, 1, 1), "
+                          "mass=7, count=1)")
+    with pytest.raises(AttributeError):
+        step.count = 2
+    assert "TraceStep" not in zeckvec.__all__
+
+
 # -- the held and the streamed bridge ------------------------------------------
 
 # every weakly decreasing c with k <= 5, c1 <= 4 and ck = 1: 69 vectors
@@ -581,6 +675,18 @@ def test_block_greedy_matches_the_term_by_term_greedy(coeffs):
         for z in sorted(edges) + [rng.randrange(xs[count + 1]) for _ in range(3)]:
             assert (block_greedy_digits(coeffs, z, top, count)
                     == greedy_digits(z, xs[count:0:-1])[0]), (count, z)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 3, 1), (1, 4, 2, 1)])
+def test_block_greedy_refuses_coefficients_that_are_not_weakly_decreasing(coeffs):
+    # their greedy digits can exceed c1, which the blocks assume; the
+    # refusal comes before any work, for z inside the range
+    k = len(coeffs)
+    xs = scalar_terms(coeffs, 302)
+    for count in (50, 300):
+        for z in (0, xs[count], xs[count + 1] - 1):
+            with pytest.raises(InvalidRecurrenceError):
+                block_greedy_digits(coeffs, z, xs[count + 1 - k:count + 1], count)
 
 
 @pytest.mark.parametrize("count", [5, 3 * BLOCK + 1])
