@@ -50,8 +50,7 @@ from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceErr
                      NotNearlySatisfyingError, NotSatisfyingError)
 from .recurrence import (RecurrenceVector, _Blocks, _held_bridge, column_value, extend,
                          greedy_digits, scalar_window)
-from .representation import (KIND_NEARLY_SATISFYING, _scan_from, canonical,
-                             classify, scan)
+from .representation import KIND_NEARLY_SATISFYING, _scan_from, canonical, classify
 
 DEFAULT_BUDGET = 10_000
 TRACE_FULL_STEPS = 1_000
@@ -333,15 +332,15 @@ def increment(c: RecurrenceVector, a, i: int, budget=None, trace=None) -> tuple:
     NonTerminationError reports failure.
     """
     a = canonical(a)
-    result = scan(c, a)
-    if not result.ok:
+    starts = []
+    if _scan_from(c.coefficients, c.k, a, starts, 1) is not None:
         raise NotSatisfyingError("increment requires a satisfying representation: %r" % (a,))
     if i < 1:
         raise ValueError("index must be >= 1")
     if budget is None and not c.weakly_decreasing:
         budget = DEFAULT_BUDGET
     out = list(a)
-    _bump_and_rewrite(c, out, (i,), budget, trace, result.starts)
+    _bump_and_rewrite(c, out, (i,), budget, trace, starts)
     return tuple(out)
 
 

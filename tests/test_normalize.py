@@ -564,7 +564,9 @@ def test_increment_scans_a_stretch_that_does_not_grow_with_the_string(monkeypatc
     # each scan of the rewriting loop ends at the first chunk start of the
     # satisfying string past every touched position, so the positions it
     # reads per increment do not depend on the length; a rescan to the end
-    # would read them all
+    # would read them all.  increment's own check before the loop reads the
+    # whole string once, so the loop runs here as increment runs it, with
+    # the chunk starts of that check.
     c = RecurrenceVector(coeffs)
     rng = random.Random(41)
     reads = []
@@ -578,9 +580,11 @@ def test_increment_scans_a_stretch_that_does_not_grow_with_the_string(monkeypatc
         per_increment = []
         for _ in range(100):
             a = satisfying_string(coeffs, length, rng)
-            assert len(a) > 40 and is_satisfying(c, a)
+            result = scan(c, a)
+            assert len(a) > 40 and result.ok
             del reads[:]
-            increment(c, a, rng.randint(1, 2 * c.k))
+            normalize._bump_and_rewrite(c, list(a), (rng.randint(1, 2 * c.k),), None, None,
+                                        result.starts)
             per_increment.append(len(reads))
         assert max(per_increment) <= 120, (length, max(per_increment))
         assert sum(per_increment) <= 20 * len(per_increment), (length, sum(per_increment))
