@@ -191,7 +191,7 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
     max_support = len(a)
     bumps = iter(bumps)
     starts = list(starts)
-    p = len(a) + 1 if starts else 1
+    p = len(a) + 1 if starts else 1   # a seeded a satisfies: the first scan passes
     # marks: positions from which the rest of a satisfies from state 0.  Each
     # was a chunk start of a satisfying a, and nothing from it on has changed
     # since, as none lies at or below hi, the highest position touched since
