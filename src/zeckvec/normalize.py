@@ -25,15 +25,8 @@ the chunk start before n_p and keeps the chunk starts found before that.
 Increments are bumps in the same loop: once the list satisfies, the next bump
 adds 1 at its position and the rounds go on, with the mass and chunk starts
 kept, so `increment` is one pass with one bump and traced `decompose` one pass
-over its whole chain.  Between bumps a scan may also stop early.  The loop
-keeps marks at the chunk starts of the satisfying strings it has seen, and it
-drops every mark at or below a touched position: the bump at i, a borrow from
-I (which touches up to I + k) and a carry into i (up to i + k).  From a kept
-mark the rest of the list is the suffix that was accepted from state 0 when
-the mark was taken, so a scan that reaches a chunk start with a mark
-satisfies there.  Only the grammar is used, so this holds for any c.  Probes
-and `normalize_nsr` take no bumps and set no marks, so their scans are as
-before.
+over its whole chain.  A bump at i changes nothing before the last chunk start
+at or before i, so the scan after it resumes there.
 """
 
 from __future__ import annotations
@@ -192,27 +185,16 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
     bumps = iter(bumps)
     starts = list(starts)
     p = len(a) + 1 if starts else 1   # a seeded a satisfies: the first scan passes
-    # marks: positions from which the rest of a satisfies from state 0.  Each
-    # was a chunk start of a satisfying a, and nothing from it on has changed
-    # since, as none lies at or below hi, the highest position touched since
-    # the last bump.  Marks are taken only at bumps, so until the first one
-    # there are none to drop.
-    marks, hi = set(), math.inf
     while True:
-        fail = _scan_from(coeffs, k, a, starts, p, marks)
+        fail = _scan_from(coeffs, k, a, starts, p)
         if fail is None:
             b = next(bumps, None)
             if b is None:
                 if trace is not None:
                     trace.terminated = True
                 return steps, max_support, None
-            # resume at the last chunk start at or before b (starts[0] is 1);
-            # the chunk starts past b begin satisfying suffixes of a
+            # resume at the last chunk start at or before b (starts[0] is 1)
             j = max(bisect_right(starts, b) - 1, 0)
-            if marks:
-                marks.difference_update(range(1, b + 1))
-            marks.update(starts[j + 1:])
-            hi = b
             p = starts[j] if starts else 1
             del starts[j:]
             if b > len(a):
@@ -265,11 +247,6 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
         if iterations is not None:
             iterations.append(IterationRecord(fail_pos, i + 1, matched, case,
                                               g_before, prefix_mass))
-        # a borrow from I touches up to I + k, a carry into i up to i + k
-        top = (i if case == "carry_only" else fail_pos) + k
-        if top > hi:
-            marks.difference_update(range(hi + 1, top + 1))
-            hi = top
         p = starts[-2] if len(starts) > 1 else 1
         del starts[-2:]
 

@@ -44,18 +44,14 @@ class ScanResult:
     matched: Optional[int]        # j: positions n_p..n_p+j-1 equal c1..cj exactly
 
 
-def _scan_from(coeffs: tuple, k: int, a, starts: list, p: int, stop=()):
+def _scan_from(coeffs: tuple, k: int, a, starts: list, p: int):
     """Run the chunk grammar over a from chunk start p, appending each chunk
     start to starts.  Returns None when the rest of a satisfies, otherwise
     (fail_pos, matched) for the chunk at starts[-1].  Resuming at a chunk
     start of an earlier scan is exact while no position before it changed.
-    stop holds positions from which the rest of a is known to satisfy from
-    state 0: a chunk start among them ends the scan, and is not appended.
     """
     m = len(a)
     while p <= m:
-        if p in stop:
-            return None
         starts.append(p)
         j = 0
         while j < k:

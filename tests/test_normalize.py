@@ -560,34 +560,41 @@ class _CountedReads:
 
 
 @pytest.mark.parametrize("coeffs", STRICT, ids=lambda cs: ",".join(map(str, cs)))
-def test_increment_scans_a_stretch_that_does_not_grow_with_the_string(monkeypatch, coeffs):
-    # each scan of the rewriting loop ends at the first chunk start of the
-    # satisfying string past every touched position, so the positions it
-    # reads per increment do not depend on the length; a rescan to the end
-    # would read them all.  increment's own check before the loop reads the
-    # whole string once, so the loop runs here as increment runs it, with
-    # the chunk starts of that check.
+def test_a_bump_resumes_the_scan_at_the_last_chunk_start_before_it(monkeypatch, coeffs):
+    # a bump at b changes nothing before the last chunk start at or before b,
+    # so the first scan after each bump starts there and reads nothing before
+    # it.  The loop's scans that pass are the seeded one and one per bump.
     c = RecurrenceVector(coeffs)
     rng = random.Random(41)
-    reads = []
+    scans = []
     original = normalize._scan_from
 
-    def counted(coeffs, k, a, starts, p, stop=()):
-        return original(coeffs, k, _CountedReads(a, reads), starts, p, stop)
+    def recorded(coeffs, k, a, starts, p):
+        reads = []
+        fail = original(coeffs, k, _CountedReads(a, reads), starts, p)
+        scans.append((p, fail, reads))
+        return fail
 
-    monkeypatch.setattr(normalize, "_scan_from", counted)
-    for length in (41, 400, 4000):
-        per_increment = []
-        for _ in range(100):
+    monkeypatch.setattr(normalize, "_scan_from", recorded)
+    for length in (41, 400):
+        for _ in range(50):
             a = satisfying_string(coeffs, length, rng)
-            result = scan(c, a)
-            assert len(a) > 40 and result.ok
-            del reads[:]
-            normalize._bump_and_rewrite(c, list(a), (rng.randint(1, 2 * c.k),), None, None,
-                                        result.starts)
-            per_increment.append(len(reads))
-        assert max(per_increment) <= 120, (length, max(per_increment))
-        assert sum(per_increment) <= 20 * len(per_increment), (length, sum(per_increment))
+            bumps = [rng.randint(1, len(a) + c.k) for _ in range(2)]
+            before, expected = a, []
+            for b in bumps:
+                starts = scan(c, before).starts
+                expected.append(max(q for q in starts if q <= b))
+                before = normalize.increment(c, before, b)
+            del scans[:]
+            out = list(a)
+            normalize._bump_and_rewrite(c, out, bumps, None, None, scan(c, a).starts)
+            assert tuple(out) == before
+            after_pass = [n + 1 for n, (_, fail, _) in enumerate(scans) if fail is None]
+            assert len(after_pass) == len(bumps) + 1
+            for n, q in zip(after_pass, expected):
+                p, _, reads = scans[n]
+                assert p == q, (a, bumps)
+                assert min(reads, default=p - 1) >= p - 1, (a, bumps)
 
 
 def test_trace_steps_are_named_tuples():
