@@ -5,6 +5,10 @@ command is a probe or --relaxed is given), computes with exact integers, and
 writes files atomically.  Identical argv and seed produce byte-identical
 output files.  Exit codes: 0 success (a budget-exceeded probe is a valid
 result), 1 invalid input, 2 enumeration cap or search budget exceeded.
+
+A call builds the argument parser of its own subcommand only; the usage,
+help and errors of the top level, which list every subcommand, build all
+of them.  Nothing is built at import or kept between calls.
 """
 
 from __future__ import annotations
@@ -233,79 +237,69 @@ def _cmd_cover(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="zeckvec", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+_RANGE = (("--from", dict(dest="start", type=int, required=True)),
+          ("--to", dict(dest="stop", type=int, required=True)))
+_TRACE = ("--trace", dict(help="write the rewriting steps as JSON lines"))
 
-    def common(p, relaxed_flag=False):
+# name: (help, handler, whether --relaxed applies, the arguments after --c)
+_COMMANDS = {
+    "seq": ("scalar terms, one per line", _cmd_seq, True, _RANGE),
+    "vec": ("vector terms as tuples", _cmd_vec, True, _RANGE),
+    "decompose": ("unique satisfying representation of a vector", _cmd_decompose, False, (
+        ("--v", dict(required=True, help="target vector, e.g. -4,0")),
+        _TRACE)),
+    "verify": ("classify a coefficient string", _cmd_verify, True, (
+        ("--a", dict(required=True, help="coefficient string, e.g. 2,4,2,0,1")),)),
+    "regions": ("export representable regions", _cmd_regions, False, (
+        ("--n", dict(type=int, required=True)),
+        ("--csv", {}),
+        ("--svg", {}))),
+    "stats": ("summand count distributions and growth fits", _cmd_stats, False, (
+        ("--n-min", dict(dest="n_min", type=int, required=True)),
+        ("--n-max", dict(dest="n_max", type=int, required=True)),
+        ("--sample", dict(type=int, help="sample size (exact distribution if omitted)")),
+        ("--seed", dict(type=int, default=0)),
+        ("--json", dict(help="write per-window records")),
+        ("--csv", dict(help="write the (n, mean, variance) series")))),
+    "minimality": ("compare string mass against the search oracle", _cmd_minimality, False, (
+        ("--n", dict(type=int, required=True)),
+        ("--bound", dict(type=int)))),
+    "probe": ("run the rewriting loop under a budget", _cmd_probe, False, (
+        ("--a", dict(required=True)),
+        ("--budget", dict(type=int, default=normalize.DEFAULT_BUDGET)),
+        _TRACE)),
+    "cover": ("minimum region index covering a sup-norm ball", _cmd_cover, False, (
+        ("--r", dict(type=int, required=True)),)),
+}
+
+
+def _build_parser(command=None) -> _Parser:
+    """The top-level parser with only the subparser of `command`, or with
+    every subparser when `command` names none: the usage, help and errors
+    of the top level list all the commands, and a named command's own
+    parser reads the rest of argv."""
+    # --help shows the docstring up to its last paragraph, which is about
+    # the parsers themselves (python -OO strips the docstring)
+    parser = _Parser(prog="zeckvec", description=__doc__ and __doc__.rpartition("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = command in _COMMANDS
+    for name, (help_text, func, relaxed, extra) in _COMMANDS.items():
+        if named and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--c", required=True, help="recurrence coefficients, e.g. 2,1,1")
-        if relaxed_flag:
+        if relaxed:
             p.add_argument("--relaxed", action="store_true",
                            help="permit non weakly decreasing coefficients")
-
-    p = sub.add_parser("seq", help="scalar terms, one per line")
-    common(p, relaxed_flag=True)
-    p.add_argument("--from", dest="start", type=int, required=True)
-    p.add_argument("--to", dest="stop", type=int, required=True)
-    p.set_defaults(func=_cmd_seq)
-
-    p = sub.add_parser("vec", help="vector terms as tuples")
-    common(p, relaxed_flag=True)
-    p.add_argument("--from", dest="start", type=int, required=True)
-    p.add_argument("--to", dest="stop", type=int, required=True)
-    p.set_defaults(func=_cmd_vec)
-
-    p = sub.add_parser("decompose", help="unique satisfying representation of a vector")
-    common(p)
-    p.add_argument("--v", required=True, help="target vector, e.g. -4,0")
-    p.add_argument("--trace", help="write the rewriting steps as JSON lines")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("verify", help="classify a coefficient string")
-    common(p, relaxed_flag=True)
-    p.add_argument("--a", required=True, help="coefficient string, e.g. 2,4,2,0,1")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("regions", help="export representable regions")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--csv")
-    p.add_argument("--svg")
-    p.set_defaults(func=_cmd_regions)
-
-    p = sub.add_parser("stats", help="summand count distributions and growth fits")
-    common(p)
-    p.add_argument("--n-min", dest="n_min", type=int, required=True)
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p.add_argument("--sample", type=int, help="sample size (exact distribution if omitted)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", help="write per-window records")
-    p.add_argument("--csv", help="write the (n, mean, variance) series")
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("minimality", help="compare string mass against the search oracle")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=int)
-    p.set_defaults(func=_cmd_minimality)
-
-    p = sub.add_parser("probe", help="run the rewriting loop under a budget")
-    common(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--budget", type=int, default=normalize.DEFAULT_BUDGET)
-    p.add_argument("--trace", help="write the rewriting steps as JSON lines")
-    p.set_defaults(func=_cmd_probe)
-
-    p = sub.add_parser("cover", help="minimum region index covering a sup-norm ball")
-    common(p)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=_cmd_cover)
-
+        for flag, options in extra:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     # The integers are the run's own input and output: lift the interpreter's
     # limit on int <-> str conversion (Python 3.10.7 and later) for the run.
     get_limit = getattr(sys, "get_int_max_str_digits", None)
@@ -315,7 +309,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_CliError, ValueError) as exc:
+    except (_CliError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except ZeckvecError as exc:

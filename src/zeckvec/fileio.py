@@ -4,7 +4,14 @@ import os
 
 
 def atomic_write_text(path: str, text: str):
+    """Write text to path through a temp file; if the write or the rename
+    fails, remove the temp file and re-raise."""
     tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

@@ -86,7 +86,7 @@ def scan(c: RecurrenceVector, a: tuple) -> ScanResult:
 
 def is_satisfying(c: RecurrenceVector, a) -> bool:
     """True iff the string is a satisfying representation (empty string included)."""
-    return scan(c, canonical(a)).ok
+    return _scan_from(c.coefficients, c.k, canonical(a), [], 1) is None
 
 
 def evaluate(c: RecurrenceVector, a) -> tuple:
@@ -153,17 +153,19 @@ def classify(c: RecurrenceVector, a) -> SrClassification:
     s = 1.  Each candidate's scan resumes at s, before which nothing changed.
     """
     a = canonical(a)
-    result = scan(c, a)
-    if result.ok:
+    starts = []
+    fail = _scan_from(c.coefficients, c.k, a, starts, 1)
+    if fail is None:
         return SrClassification(KIND_SATISFYING, None, None, False)
-    p = result.chunk_start if c.weakly_decreasing else 1
+    fail_pos, matched = fail
+    p = starts[-1] if c.weakly_decreasing else 1
     b = list(a)
-    for i in range(p, result.fail_pos + 1):
+    for i in range(p, fail_pos + 1):
         if b[i - 1]:
             b[i - 1] -= 1
             if _scan_from(c.coefficients, c.k, b, [], p) is None:
-                end_complete = result.fail_pos == len(a) and result.matched == c.k - 1
-                return SrClassification(KIND_NEARLY_SATISFYING, i, result.fail_pos, end_complete)
+                end_complete = fail_pos == len(a) and matched == c.k - 1
+                return SrClassification(KIND_NEARLY_SATISFYING, i, fail_pos, end_complete)
             b[i - 1] += 1
     return SrClassification(KIND_OTHER, None, None, False)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import json
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from zeckvec import cli
 from zeckvec.cli import main
 
 
@@ -505,3 +507,90 @@ def test_error_class_exit_codes(capsys, monkeypatch, name, expected):
     monkeypatch.setattr(cli, "scalar_term", fail)
     code, out, err = run(capsys, "seq", "--c", "1,1", "--from", "1", "--to", "1")
     assert (code, out, err) == (expected, "", "error: raised by the test\n")
+
+
+COMMANDS = ["seq", "vec", "decompose", "verify", "regions", "stats", "minimality",
+            "probe", "cover"]
+
+# argv whose parse ends in help or in an error: the top level's usage, help
+# and errors list every command, a named command's come from its own parser
+PARSE_ONLY_ARGV = [(name, "--help") for name in COMMANDS] + [
+    ("--help",), (), ("bogus",), ("-h", "stats"), ("stats", "--c", "1,1"),
+    ("seq", "--c", "1,1", "--from", "x", "--to", "3"),
+    ("seq", "--c", "1,1", "--from", "1", "--to", "3", "--extra"),
+    ("decompose",), ("stats", "--n-m", "3", "--c", "1,1", "--n-max", "4"),
+]
+
+
+def outcome(capsys, argv):
+    """Exit code (or the SystemExit of --help), stdout and stderr of main."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSE_ONLY_ARGV, ids=" ".join)
+def test_parse_output_is_that_of_the_full_build(capsys, monkeypatch, argv):
+    got = outcome(capsys, argv)
+    assert got[0] in (("SystemExit", 0), 1)
+    full_build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_build())
+    assert outcome(capsys, argv) == got
+
+
+@pytest.mark.parametrize("argv, built", [
+    *[((name, "--help"), [name]) for name in COMMANDS],
+    (("seq", "--c", "1,1", "--from", "1", "--to", "2"), ["seq"]),
+    (("--help",), COMMANDS), ((), COMMANDS), (("bogus",), COMMANDS),
+], ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(len(x)))
+def test_a_named_command_builds_only_its_parser(capsys, monkeypatch, argv, built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    outcome(capsys, argv)
+    assert names == built
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["zeckvec", "seq", "--c", "2,1,1", "--from", "1", "--to", "3"])
+    assert main() == 0
+    assert capsys.readouterr().out == "1\n3\n8\n"
+
+
+# argv whose last argument, still missing, is an output file
+OUTPUT_ARGV = [
+    ("regions", "--c", "1,1", "--n", "3", "--csv"),
+    ("regions", "--c", "2,1,1", "--n", "3", "--svg"),
+    ("stats", "--c", "1,1", "--n-min", "3", "--n-max", "5", "--json"),
+    ("stats", "--c", "2,1,1", "--n-min", "3", "--n-max", "5", "--sample", "8", "--csv"),
+    ("decompose", "--c", "2,1,1", "--v", "-4,0", "--trace"),
+    ("probe", "--c", "1,3,1", "--a", "2", "--budget", "50", "--trace"),
+]
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+@pytest.mark.parametrize("argv", OUTPUT_ARGV, ids=" ".join)
+def test_an_output_file_that_cannot_be_written_exits_1(tmp_path, capsys, argv, target):
+    # one error line and exit 1, no temp file left behind, and what the
+    # command printed before the write stays on stdout
+    good = tmp_path / "good"
+    code, want, _ = run(capsys, *argv, str(good))
+    assert code == 0
+    if target == "directory":
+        bad = tmp_path / "taken"
+        bad.mkdir()
+    else:
+        bad = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 1
+    assert out == want.replace("wrote %s\n" % good, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1 and err.endswith("\n")
+    assert [p.name for p in tmp_path.rglob("*") if ".tmp." in p.name] == []

@@ -143,6 +143,7 @@ def test_classify_matches_unbounded_witness_search(coeffs, relaxed):
     for a in sorted(bumped):
         expected = classify_unbounded(c, a)
         assert classify(c, a) == expected, (coeffs, a)
+        assert is_satisfying(c, a) == scan(c, a).ok, (coeffs, a)
         nearly += expected.kind == KIND_NEARLY_SATISFYING
     assert nearly > 0
 
@@ -206,6 +207,7 @@ def test_classify_matches_the_search_from_position_1(coeffs):
         a = random_nearly_satisfying(c, rng.randint(20, 300), rng)
         expected = classify_every_candidate(c, a)
         assert classify(c, a) == expected, (coeffs, a)
+        assert is_satisfying(c, a) == scan(c, a).ok, (coeffs, a)
         nearly += expected.kind == KIND_NEARLY_SATISFYING
     assert nearly > 0
 
