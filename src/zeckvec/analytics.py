@@ -8,9 +8,11 @@ population (biased) estimators.
 
 The summand count of an integer is the digit sum of its legal decomposition,
 with multiplicity, as in `bridge.summand_count`: 5 = X_2 + X_1 + X_1 counts
-3, not 2.  Its distribution over a window tends to a Gaussian as n grows.
-That is a limit in n, not a bound at a fixed window: for c = (2,1,1) the
-skewness is still about -0.22 at n = 24 and shrinks like n^(-1/2).
+3, not 2.  Sampled mode counts it by the same greedy walk without building
+the digits (`recurrence.greedy_count`).  Its distribution over a window
+tends to a Gaussian as n grows.  That is a limit in n, not a bound at a
+fixed window: for c = (2,1,1) the skewness is still about -0.22 at n = 24
+and shrinks like n^(-1/2).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .bridge import DEFAULT_ENUMERATION_CAP, _check_cap, legal_decompose
 from .errors import OracleExhaustedError
 from .fileio import atomic_write_text
 from .normalize import decompose
-from .recurrence import RecurrenceVector
+from .recurrence import RecurrenceVector, greedy_count
 from .representation import coefficient_sum
 
 GOLDEN_RATIO = (1 + 5 ** 0.5) / 2
@@ -161,7 +163,10 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
     greedy expansions of X_{m+1} - 1 for m <= n (requires X_{n+1} within the
     cap; the cost is polynomial in n, not in the width).  Sampled mode
     draws uniformly with an explicit seed; draws come from the bit length of
-    the window width with rejection, so runs are exactly reproducible.  The
+    the window width with rejection, so runs are exactly reproducible.  It
+    counts each draw's summands by the greedy walk of `legal_decompose`
+    without building the digits: every draw lies in [X_n, X_{n+1}), so
+    every walk runs over the same terms X_n, ..., X_1.  The
     distribution is Gaussian only as a limit in n: skewness and excess
     kurtosis shrink toward 0 as the window grows, but need not be small at
     any fixed n.
@@ -179,6 +184,7 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
     seq = c.scalar()
     lo = seq.term(n)
     width = seq.term(n + 1) - lo
+    terms = seq._up[n:0:-1]
     rng = random.Random(seed)
     bits = width.bit_length()
     histogram = {}
@@ -187,7 +193,7 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
         r = rng.getrandbits(bits)
         if r >= width:
             continue
-        key = sum(legal_decompose(c, lo + r))
+        key = greedy_count(lo + r, terms)
         histogram[key] = histogram.get(key, 0) + 1
         drawn += 1
     total, mean, var, skew, kurt = _moments(histogram)

@@ -11,9 +11,10 @@ builds each vector term from k-1 consecutive entries of it on request.
 the terms between: by powers of x modulo the characteristic polynomial, and
 by a product tree modulo its reciprocal whose leaves are each one dot product
 with packed columns.  `greedy_digits` is the one greedy expansion against
-descending terms; `block_greedy_digits` gives the same digits a block at a
-time from one window of k exact terms, the greedy itself summing each
-block's coefficients in the low bits of packed terms.  `_Blocks` holds the
+descending terms, and `greedy_count` the same walk counting its summands
+only; `block_greedy_digits` gives the same digits a block at a time from
+one window of k exact terms, the greedy itself summing each block's
+coefficients in the low bits of packed terms.  `_Blocks` holds the
 constants of both per recurrence for the streamed bridge.
 `BasisSearch` is the breadth-first search over sums of X_{-1}, ..., X_{-b}
 that the minimality and spanning oracles share, held per recurrence.
@@ -207,6 +208,26 @@ def greedy_digits(z: int, terms) -> tuple:
         else:
             append(0)
     return arr, z
+
+
+def greedy_count(z: int, terms) -> int:
+    """Digit sum of `greedy_digits(z, terms)[0]`, without the digits.
+
+    Sampled `summand_distribution` counts each draw's summands here.  It
+    stays a loop of its own: the other greedy callers need the digits, and
+    one shared loop would branch on which caller it serves.  The inner
+    `while` counts a digit of any size, so relaxed coefficients need no
+    special case.
+    """
+    count = 0
+    for x in terms:
+        if z >= x:
+            z -= x
+            count += 1
+            while z >= x:
+                z -= x
+                count += 1
+    return count
 
 
 # Digits per step of `block_greedy_digits` and per leaf of `string_value`.

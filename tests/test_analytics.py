@@ -13,6 +13,7 @@ from zeckvec import (CapExceededError, MinimalityResult, OracleExhaustedError,
 from zeckvec import analytics
 from zeckvec.analytics import (FIBONACCI_MEAN_SLOPE, SummandStats, _moments,
                                exact_series, oracle_minima, stats_json_text)
+from zeckvec.recurrence import greedy_count, greedy_digits
 
 FIB = RecurrenceVector((1, 1))
 C211 = RecurrenceVector((2, 1, 1))
@@ -471,3 +472,54 @@ def test_exact_mode_matches_sweep(monkeypatch, coeffs):
         assert got == want and repr(got) == repr(want), (coeffs, n)
         assert fed == [want_keys], (coeffs, n)
         n += 1
+
+
+def digit_sum_sampled(c, n, size, seed):
+    """Sampled mode as it was: each draw's summand count is the digit sum of
+    its `legal_decompose`, drawn by the same RNG protocol."""
+    lo = scalar_term(c, n)
+    width = scalar_term(c, n + 1) - lo
+    rng = random.Random(seed)
+    bits = width.bit_length()
+    histogram = {}
+    drawn = 0
+    while drawn < size:
+        r = rng.getrandbits(bits)
+        if r >= width:
+            continue
+        key = sum(legal_decompose(c, lo + r))
+        histogram[key] = histogram.get(key, 0) + 1
+        drawn += 1
+    total, mean, var, skew, kurt = _moments(histogram)
+    return SummandStats(n, "sampled", total, seed, mean, var, skew, kurt,
+                        dict(sorted(histogram.items())))
+
+
+@pytest.mark.parametrize("coeffs", STRICT_SMALL + RELAXED_SMALL,
+                         ids=lambda cs: ",".join(map(str, cs)))
+def test_sampled_counts_equal_the_digit_sums(coeffs):
+    c = RecurrenceVector(coeffs, relaxed=coeffs in RELAXED_SMALL)
+    for n in [*range(1, 31), 300, 1000]:
+        want = digit_sum_sampled(c, n, 6, seed=n)
+        got = summand_distribution(c, n, mode="sampled", size=6, seed=n)
+        # whole objects, so the floats and the key order agree bit for bit
+        assert got == want and repr(got) == repr(want), (coeffs, n)
+    rng = random.Random(",".join(map(str, coeffs)))
+    for n in (1, 2, 5, 30, 300):
+        terms = [scalar_term(c, i) for i in range(n, 0, -1)]
+        top = scalar_term(c, n + 1)
+        for z in [0, top - 1, *(rng.randrange(top) for _ in range(20))]:
+            assert greedy_count(z, terms) == sum(greedy_digits(z, terms)[0]), (coeffs, n, z)
+
+
+def test_sampled_mode_makes_no_greedy_expansion_per_draw(monkeypatch):
+    calls = []
+
+    def counted(c, value):
+        calls.append(value)
+        return legal_decompose(c, value)
+    monkeypatch.setattr(analytics, "legal_decompose", counted)
+    for c, n in [(FIB, 30), (C211, 200), (RecurrenceVector((1, 3, 1), relaxed=True), 40)]:
+        stats = summand_distribution(c, n, mode="sampled", size=50, seed=7)
+        assert stats.size == 50
+    assert calls == []

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from zeckvec import cli
 from zeckvec.cli import main
+from zeckvec.fileio import atomic_write_text
 
 
 def run(capsys, *argv):
@@ -593,4 +595,21 @@ def test_an_output_file_that_cannot_be_written_exits_1(tmp_path, capsys, argv, t
     assert code == 1
     assert out == want.replace("wrote %s\n" % good, "")
     assert err.startswith("error: [Errno ") and err.count("\n") == 1 and err.endswith("\n")
+    # the line names the path given on the command line, not the temp file
+    assert err.endswith(": %r\n" % str(bad)) and ".tmp." not in err
     assert [p.name for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
+
+
+def test_a_failed_atomic_write_names_the_callers_path(tmp_path):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    missing = tmp_path / "missing" / "out"
+    for path, kind, code in [(taken, IsADirectoryError, errno.EISDIR),
+                             (missing, FileNotFoundError, errno.ENOENT)]:
+        with pytest.raises(OSError) as info:
+            atomic_write_text(str(path), "text\n")
+        assert type(info.value) is kind and info.value.errno == code
+        assert info.value.filename == str(path) and info.value.filename2 is None
+    assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+    atomic_write_text(str(tmp_path / "good"), "text\n")
+    assert (tmp_path / "good").read_bytes() == b"text\n"
