@@ -235,6 +235,8 @@ def gaussian_diagnostics(c: RecurrenceVector, stats: list) -> GaussianReport:
     if len(stats) < 3:
         raise ValueError("need at least 3 windows to fit")
     xs = [s.n for s in stats]
+    if len(set(xs)) < 2:
+        raise ValueError("the fit needs windows at two or more n")
     mean_fit = LinearFit(*_least_squares(xs, [s.mean for s in stats]))
     var_fit = LinearFit(*_least_squares(xs, [s.variance for s in stats]))
     per_n = [(s.n, s.mean, s.variance, s.skewness, s.excess_kurtosis) for s in stats]

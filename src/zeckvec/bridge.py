@@ -12,15 +12,14 @@ The enumerator behind the regions splits the positions at their midpoint:
 suffix lists over the upper half, built once per call, are appended to each
 prefix of a recursive walk over the lower half.  Each prefix's strings come
 as one batch of parallel iterables: the public iterator flattens them, the
-full list, the shells and the ball covers consume them whole, and a shell
-builds only the strings of its own support.  The tests check it against the
+full list, the CSV rows, the shells and the ball covers consume them whole,
+and a shell, like each level of a ball cover after the first, builds only
+the strings of its own support.  The tests check it against the
 single recursive walk over all positions, string by string and in order.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from itertools import product, repeat
 from operator import add
@@ -28,7 +27,6 @@ from operator import add
 from .errors import BridgeDomainError, CapExceededError
 from .fileio import atomic_write_text
 from .recurrence import RecurrenceVector, extend, greedy_digits, scalar_window
-from .representation import format_coefficients
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -76,6 +74,8 @@ def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False)
     `support_region` reads its strings from here, so a tracer that wraps
     this generator sees every string of a region.
     """
+    if n < 0:
+        raise ValueError("support bound must be >= 0")
     for strings, vectors in _batches(c, n):
         if with_values:
             yield from zip(list(strings), vectors)
@@ -267,9 +267,10 @@ def ball_coverage(c: RecurrenceVector, radius: int,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Minimum n whose region covers the sup-norm ball of the given radius.
 
-    Grows the region one support level at a time, discarding covered ball
-    points.  A ball of more than cap points is refused before it is built:
-    it lies in D_N, of at most X_{N+1} points (one per satisfying string).
+    Grows the region one shell at a time, D_n being D_{n-1} together with
+    R_n, and discards the covered ball points.  A ball of more than cap
+    points is refused before it is built: it lies in D_N, of at most
+    X_{N+1} points (one per satisfying string).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -279,7 +280,7 @@ def ball_coverage(c: RecurrenceVector, radius: int,
     n = 0
     while True:
         _check_cap(c, n, cap, "ball not covered below the enumeration cap")
-        for _, vectors in _batches(c, n):
+        for _, vectors in _batches(c, n, exact=n > 0):
             remaining.difference_update(vectors)
         if not remaining:
             return n
@@ -295,16 +296,22 @@ _SVG_COLORS = (
 
 
 def regions_csv_text(c: RecurrenceVector, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> str:
-    return _region_csv_text(c, support_region(c, n, cap))
+    """The rows of D_n as CSV, one per satisfying string in walk order.
 
-
-def _region_csv_text(c: RecurrenceVector, region: RegionSet) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["x%d" % (d + 1) for d in range(c.k - 1)] + ["n_first", "sr_string"])
-    for v, (first, a) in region.members.items():   # insertion order = lex order
-        writer.writerow(list(v) + [first, format_coefficients(a)])
-    return out.getvalue()
+    By uniqueness each vector has one string, so these are the rows of
+    `support_region`'s members, and n_first is the string's length.  Only
+    a string of two or more digits holds a comma, and only it is quoted,
+    as `csv`'s QUOTE_MINIMAL would.
+    """
+    if n < 0:
+        raise ValueError("support bound must be >= 0")
+    _check_cap(c, n, cap, "region of {x} points exceeds cap")
+    parts = [",".join(["x%d" % (d + 1) for d in range(c.k - 1)] + ["n_first", "sr_string\n"])]
+    for strings, vectors in _batches(c, n):
+        parts.append("".join([('%s,%d,"%s"\n' if len(a) >= 2 else "%s,%d,%s\n")
+                              % (",".join(map(str, v)), len(a), ",".join(map(str, a)))
+                              for v, a in zip(vectors, list(strings))]))
+    return "".join(parts)
 
 
 def export_regions_csv(c: RecurrenceVector, n: int, path: str,
@@ -317,10 +324,7 @@ def regions_svg_text(c: RecurrenceVector, n: int, cap: int = DEFAULT_ENUMERATION
     """Scatter of the planar region, one color per shell, origin marked."""
     if c.k != 3:
         raise ValueError("svg rendering is planar only (k = 3)")
-    return _region_svg_text(support_region(c, n, cap), size)
-
-
-def _region_svg_text(region: RegionSet, size: int = 640) -> str:
+    region = support_region(c, n, cap)
     extent = 1
     for v in region.members:
         extent = max(extent, abs(v[0]), abs(v[1]))

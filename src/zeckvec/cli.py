@@ -62,13 +62,6 @@ def _recurrence(text: str, relaxed: bool) -> RecurrenceVector:
     return RecurrenceVector(coeffs, relaxed=relaxed)
 
 
-def _parse_string(text: str) -> tuple:
-    try:
-        return representation.parse_coefficients(text)
-    except ValueError as exc:
-        raise _CliError(str(exc))
-
-
 def _write_trace(path: str, trace: normalize.NormalizationTrace):
     # one JSON object per step, keys in sorted order.  op is carry or borrow
     # and the steps' strings are trimmed tuples of nonnegative ints, written
@@ -111,7 +104,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     c = _recurrence(args.c, relaxed=args.relaxed)
-    a = _parse_string(args.a)
+    a = representation.parse_coefficients(args.a)
     cls = representation.classify(c, a)
     value = representation.evaluate(c, a)
     print("kind: %s" % _KIND_LABEL[cls.kind])
@@ -134,22 +127,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_regions(args) -> int:
     c = _recurrence(args.c, relaxed=False)
-    planar = c.k == 3
-    # one region serves both files; a lone svg that is skipped needs none
-    if args.csv or planar or not args.svg:
-        region = bridge.support_region(c, args.n, cap=_enumeration_cap())
     if args.csv:
-        atomic_write_text(args.csv, bridge._region_csv_text(c, region))
+        bridge.export_regions_csv(c, args.n, args.csv, cap=_enumeration_cap())
         print("wrote %s" % args.csv)
     if args.svg:
-        if not planar:
+        if c.k != 3:
             print("svg skipped: rendering is planar only (k = 3); csv has the data",
                   file=sys.stderr)
         else:
-            atomic_write_text(args.svg, bridge._region_svg_text(region))
+            bridge.export_regions_svg(c, args.n, args.svg, cap=_enumeration_cap())
             print("wrote %s" % args.svg)
     if not args.csv and not args.svg:
-        print("points: %d" % len(region))
+        print("points: %d" % len(bridge.support_region(c, args.n, cap=_enumeration_cap())))
     return 0
 
 
@@ -210,7 +199,7 @@ def _cmd_minimality(args) -> int:
 
 def _cmd_probe(args) -> int:
     c = _recurrence(args.c, relaxed=True)
-    a = _parse_string(args.a)
+    a = representation.parse_coefficients(args.a)
     report = normalize.probe_termination(c, a, budget=args.budget)
     print("outcome: %s" % report.outcome)
     print("steps: %d" % report.steps)

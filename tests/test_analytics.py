@@ -114,6 +114,14 @@ def test_gaussian_diagnostics_shape():
         gaussian_diagnostics(C211, stats[:2])
 
 
+def test_gaussian_diagnostics_refuses_windows_at_one_n():
+    # a line through windows that all sit at one n has no slope
+    with pytest.raises(ValueError, match="two or more n"):
+        gaussian_diagnostics(FIB, [summand_distribution(FIB, 5)] * 3)
+    report = gaussian_diagnostics(FIB, [summand_distribution(FIB, n) for n in (5, 5, 6)])
+    assert report.mean_fit.slope > 0
+
+
 def test_fibonacci_slope_constant():
     assert FIBONACCI_MEAN_SLOPE == pytest.approx(0.2763932, abs=1e-6)
     stats = [summand_distribution(FIB, n, mode="exact") for n in range(8, 18)]

@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import time
 import tracemalloc
 from itertools import product
@@ -7,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zeckvec import (BridgeDomainError, CapExceededError, RecurrenceVector,
-                     ball_coverage, enumerate_representations, evaluate,
-                     is_satisfying, iter_representations, legal_decompose,
+                     ball_coverage, bridge, enumerate_representations, evaluate,
+                     format_coefficients, is_satisfying, iter_representations, legal_decompose,
                      scalar_bridge, scalar_term, support_region, support_shell)
 from zeckvec.analytics import exact_series
 from zeckvec.bridge import _batches, regions_csv_text, regions_svg_text
@@ -282,6 +284,28 @@ def test_shell_memory_stays_at_the_parents(coeffs, n, parent_peak, parent_held):
     assert _held_state(c) == parent_held
 
 
+def _fresh_peak(call, coeffs, n):
+    # the tracemalloc peak of call on a fresh RecurrenceVector, after a full
+    # collection has emptied the free lists that earlier work left
+    c = RecurrenceVector(coeffs)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(c, n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("coeffs, n", [((1, 1), 20), ((2, 1, 1), 11)], ids=["1,1", "2,1,1"])
+def test_region_csv_holds_no_region(coeffs, n):
+    # the rows come from the walk, so the export holds its text and the
+    # suffix lists, not a dict of the region with a row list beside it
+    csv_peak = _fresh_peak(regions_csv_text, coeffs, n)
+    region_peak = _fresh_peak(support_region, coeffs, n)
+    assert csv_peak < region_peak / 2, (csv_peak, region_peak)
+
+
 @pytest.mark.parametrize("coeffs", [(1, 1), (2, 1, 1), (3, 2, 1)],
                          ids=lambda cs: ",".join(map(str, cs)))
 def test_the_walk_leaves_no_cycle_behind(coeffs):
@@ -440,6 +464,28 @@ def test_ball_coverage_cap_admits_x_n_plus_1_equal_to_it(coeffs):
             ball_coverage(c, r, cap=size - 1)
 
 
+@pytest.mark.parametrize("coeffs", STRICT_VECTORS + [(1, 2, 1)],
+                         ids=lambda cs: ",".join(map(str, cs)))
+def test_ball_coverage_walks_one_shell_per_level(monkeypatch, coeffs):
+    # D_n is D_{n-1} together with R_n: level 0 walks the zero vector and
+    # each later level its own shell, X_{N+1} vectors up to the covering N
+    c = RecurrenceVector(coeffs, relaxed=coeffs == (1, 2, 1))
+    levels, vectors = [], []
+    walk = bridge._batches
+
+    def counted(c, n, exact=False):
+        levels.append((n, exact))
+        for strings, batch in walk(c, n, exact):
+            batch = list(batch)
+            vectors.extend(batch)
+            yield strings, batch
+
+    monkeypatch.setattr(bridge, "_batches", counted)
+    covering = ball_coverage(c, 2)
+    assert levels == [(n, n > 0) for n in range(covering + 1)]
+    assert len(vectors) == scalar_term(c, covering + 1)
+
+
 def test_ball_coverage_of_relaxed_c():
     assert ball_coverage(RecurrenceVector((1, 2, 1), relaxed=True), 3) == 8
 
@@ -455,9 +501,41 @@ def test_csv_and_svg_deterministic():
     assert s1.startswith("<svg")
 
 
+def _old_region_csv(c, n):
+    # the renderer the CSV had while it was built from support_region's dict
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["x%d" % (d + 1) for d in range(c.k - 1)] + ["n_first", "sr_string"])
+    for v, (first, a) in support_region(c, n).members.items():
+        writer.writerow(list(v) + [first, format_coefficients(a)])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("coeffs", WALK_VECTORS + WALK_RELAXED,
+                         ids=lambda coeffs: ",".join(map(str, coeffs)))
+def test_region_csv_matches_the_csv_writer_over_the_region(coeffs):
+    # a row per string equals a row per vector only while no two strings
+    # share a vector: a merge in the dict would show here
+    c = RecurrenceVector(coeffs, relaxed=coeffs in WALK_RELAXED)
+    n = 0
+    while scalar_term(c, n + 1) <= 3000:
+        assert regions_csv_text(c, n) == _old_region_csv(c, n)
+        n += 1
+
+
 def test_svg_requires_planar():
     with pytest.raises(ValueError):
         regions_svg_text(RecurrenceVector((1, 1)), 3)
+
+
+@pytest.mark.parametrize("with_values", [False, True])
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1, 1), (1, 1, 1)],
+                         ids=lambda cs: ",".join(map(str, cs)))
+def test_iterator_refuses_a_negative_bound(coeffs, with_values):
+    # as enumerate_representations and support_region do, at the first next
+    strings = iter_representations(RecurrenceVector(coeffs), -1, with_values=with_values)
+    with pytest.raises(ValueError, match="support bound must be >= 0"):
+        next(strings)
 
 
 def test_iterator_matches_list_api():

@@ -174,6 +174,15 @@ def test_verify_nearly_satisfying(capsys):
     assert "end_complete: true" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--c", "2,1,1", "--a", "1,-1"), "coefficient strings are nonnegative: (1, -1)"),
+    (("verify", "--c", "2,1,1", "--a", "1,x"), "invalid literal for int() with base 10: 'x'"),
+    (("probe", "--c", "1,3,1", "--a", "2,y"), "invalid literal for int() with base 10: 'y'"),
+])
+def test_an_invalid_string_is_one_error_line(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
+
+
 def test_verify_relaxed_flag(capsys):
     code, _, err = run(capsys, "verify", "--c", "1,3,1", "--a", "2")
     assert code == 1
@@ -308,11 +317,12 @@ def test_regions_svg_notice_for_higher_dimension(tmp_path, capsys):
 
 @pytest.mark.parametrize("c, files, builds", [
     ("2,1,1", ("--csv", "--svg"), 1), ("2,1,1", ("--svg",), 1), ("2,1,1", (), 1),
-    ("1,1,1,1", ("--csv", "--svg"), 1), ("1,1,1,1", ("--svg",), 0),
+    ("1,1,1,1", ("--csv", "--svg"), 0), ("1,1,1,1", ("--svg",), 0),
+    ("2,1,1", ("--csv",), 0), ("1,1", ("--csv",), 0),
 ])
 def test_regions_builds_one_region_per_command(tmp_path, capsys, monkeypatch, c, files, builds):
-    # both files are rendered from one region; a lone svg that is skipped
-    # (k != 3) builds none
+    # the csv comes from the walk; only the svg and the point count build a
+    # region, and a lone svg that is skipped (k != 3) builds none
     from zeckvec import bridge
     calls = []
     build = bridge.support_region
