@@ -31,7 +31,6 @@ from .errors import OracleExhaustedError
 from .fileio import atomic_write_text
 from .normalize import decompose
 from .recurrence import RecurrenceVector, greedy_count
-from .representation import coefficient_sum
 
 GOLDEN_RATIO = (1 + 5 ** 0.5) / 2
 FIBONACCI_MEAN_SLOPE = 1 / (GOLDEN_RATIO ** 2 + 1)   # 0.2763932...
@@ -274,9 +273,9 @@ def check_minimality(c: RecurrenceVector, v, support_bound: Optional[int] = None
     """
     if support_bound is not None and support_bound < 1:
         raise ValueError("support bound must be >= 1")
-    v = tuple(int(x) for x in v)
+    v = tuple(map(int, v))
     sr = decompose(c, v)
-    sr_count = coefficient_sum(sr)
+    sr_count = sum(sr)   # decompose returns a canonical string
     if support_bound is None:
         support_bound = len(sr) + c.k
     if sr_count == 0:

@@ -238,12 +238,23 @@ class RegionSet:
         return self.members.keys()
 
 
-def support_region(c: RecurrenceVector, n: int,
-                   cap: int = DEFAULT_ENUMERATION_CAP) -> RegionSet:
-    """D_n: every vector with a satisfying string supported in [1, n]."""
+def region_size(c: RecurrenceVector, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    """|D_n| = X_{n+1}, with `support_region`'s refusals and no region built.
+
+    By uniqueness each vector of D_n has one satisfying string, and the
+    strings supported in [1, n] number X_{n+1}.  `_check_cap` has read that
+    term when it lets n through.
+    """
     if n < 0:
         raise ValueError("support bound must be >= 0")
     _check_cap(c, n, cap, "region of {x} points exceeds cap")
+    return c.scalar()._up[n + 1]
+
+
+def support_region(c: RecurrenceVector, n: int,
+                   cap: int = DEFAULT_ENUMERATION_CAP) -> RegionSet:
+    """D_n: every vector with a satisfying string supported in [1, n]."""
+    region_size(c, n, cap)
     pairs = iter_representations(c, n, with_values=True)
     return RegionSet(n, {v: (len(a), a) for a, v in pairs})
 
@@ -303,9 +314,7 @@ def regions_csv_text(c: RecurrenceVector, n: int, cap: int = DEFAULT_ENUMERATION
     a string of two or more digits holds a comma, and only it is quoted,
     as `csv`'s QUOTE_MINIMAL would.
     """
-    if n < 0:
-        raise ValueError("support bound must be >= 0")
-    _check_cap(c, n, cap, "region of {x} points exceeds cap")
+    region_size(c, n, cap)
     parts = [",".join(["x%d" % (d + 1) for d in range(c.k - 1)] + ["n_first", "sr_string\n"])]
     for strings, vectors in _batches(c, n):
         parts.append("".join([('%s,%d,"%s"\n' if len(a) >= 2 else "%s,%d,%s\n")

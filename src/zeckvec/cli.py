@@ -21,7 +21,7 @@ import sys
 from . import analytics, bridge, normalize, representation
 from .errors import ZeckvecError
 from .fileio import atomic_write_text
-from .recurrence import RecurrenceVector, scalar_term, vector_term
+from .recurrence import RecurrenceVector, scalar_term, string_value, vector_term
 
 _KIND_LABEL = {
     representation.KIND_SATISFYING: "SR",
@@ -104,9 +104,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     c = _recurrence(args.c, relaxed=args.relaxed)
+    # parse_coefficients returns a canonical tuple: classify and evaluate it
+    # through the cores that take one, so the string is validated once
     a = representation.parse_coefficients(args.a)
-    cls = representation.classify(c, a)
-    value = representation.evaluate(c, a)
+    cls = representation._classify(c, a)
+    value = string_value(c.coefficients, a)
     print("kind: %s" % _KIND_LABEL[cls.kind])
     print("value: %s" % representation.format_vector(value))
     if cls.kind != representation.KIND_SATISFYING:
@@ -138,7 +140,7 @@ def _cmd_regions(args) -> int:
             bridge.export_regions_svg(c, args.n, args.svg, cap=_enumeration_cap())
             print("wrote %s" % args.svg)
     if not args.csv and not args.svg:
-        print("points: %d" % len(bridge.support_region(c, args.n, cap=_enumeration_cap())))
+        print("points: %d" % bridge.region_size(c, args.n, cap=_enumeration_cap()))
     return 0
 
 

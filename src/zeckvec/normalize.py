@@ -21,6 +21,12 @@ applies:
 
 A round touches only positions >= n_p - 1, so the next round's scan resumes at
 the chunk start before n_p and keeps the chunk starts found before that.
+Each round's `IterationRecord`, like each `TraceStep`, is a named tuple.
+
+Every public entry validates its string once, by `canonical`, and hands the
+tuple on: the probes and `resolve_end_complete` classify it through
+`representation._classify`, which checks nothing again, and the loop works
+on a list copy of it.
 
 Increments are bumps in the same loop: once the list satisfies, the next bump
 adds 1 at its position and the rounds go on, with the mass and chunk starts
@@ -43,7 +49,7 @@ from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceErr
                      NotNearlySatisfyingError, NotSatisfyingError)
 from .recurrence import (RecurrenceVector, _Blocks, _held_bridge, column_value, extend,
                          greedy_digits, scalar_window)
-from .representation import KIND_NEARLY_SATISFYING, _scan_from, canonical, classify
+from .representation import KIND_NEARLY_SATISFYING, _classify, _scan_from, canonical
 
 DEFAULT_BUDGET = 10_000
 TRACE_FULL_STEPS = 1_000
@@ -95,8 +101,7 @@ class NormalizationTrace:
         return [s.string for s in self.steps]
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     fail_pos: int
     chunk_start: int
     matched: int
@@ -272,7 +277,7 @@ def resolve_end_complete(c: RecurrenceVector, a):
     if not c.weakly_decreasing:
         raise InvalidRecurrenceError("end-complete resolution requires weakly decreasing coefficients")
     a = canonical(a)
-    cls = classify(c, a)
+    cls = _classify(c, a)
     if not cls.end_complete:
         raise NotEndCompleteError("not an end-complete nearly satisfying string: %r" % (a,))
     trace = NormalizationTrace()
@@ -284,7 +289,7 @@ def resolve_end_complete(c: RecurrenceVector, a):
 def normalize_nsr(c: RecurrenceVector, a, budget: int = DEFAULT_BUDGET) -> ProbeReport:
     """Normalize a nearly satisfying string to the satisfying one (budgeted)."""
     a = canonical(a)
-    cls = classify(c, a)
+    cls = _classify(c, a)
     if cls.kind != KIND_NEARLY_SATISFYING:
         raise NotNearlySatisfyingError("input is not a nearly satisfying representation: %r" % (a,))
     return _reduce(c, a, budget=budget)
@@ -473,7 +478,7 @@ def probe_termination(c: RecurrenceVector, a, budget: int = DEFAULT_BUDGET) -> P
     patterns).
     """
     a = canonical(a)
-    cls = classify(c, a)
+    cls = _classify(c, a)
     if cls.kind != KIND_NEARLY_SATISFYING:
         raise NotNearlySatisfyingError("probe requires a nearly satisfying representation: %r" % (a,))
     support_cap = len(a) + SUPPORT_SLACK_PER_K * c.k

@@ -9,6 +9,12 @@ than c_{j+1}, then zeros, then the next chunk.  A string fails either because
 some element is too large or because it contains a full copy of c; the scanner
 reports the failure position, which doubles as the "first overfilled element"
 used by the rewriting engine.
+
+Every public entry validates its string exactly once, through `canonical`.
+The grammar's cores take a string that is already canonical: `_scan_from`,
+and `_classify` behind `classify`.  So the rewriting engine and the CLI,
+which have just canonicalized a string, pass the tuple on with no second
+check.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ KIND_OTHER = "other"
 
 def canonical(a) -> tuple:
     """Validate and trim a coefficient string (no trailing zeros, all entries >= 0)."""
-    out = tuple(int(x) for x in a)
-    if any(x < 0 for x in out):
+    out = tuple(map(int, a))
+    if out and min(out) < 0:
         raise ValueError("coefficient strings are nonnegative: %r" % (out,))
     m = len(out)
     while m and out[m - 1] == 0:
@@ -143,6 +149,13 @@ def classify(c: RecurrenceVector, a) -> SrClassification:
     decremented; the smallest such index is reported.  End-completeness means
     the scanner's failure is terminal with a full k-1 prefix match, i.e. the
     string ends in a (possibly overfull) copy of c that carries alone resolve.
+    """
+    return _classify(c, canonical(a))
+
+
+def _classify(c: RecurrenceVector, a: tuple) -> SrClassification:
+    """`classify` of a string that is already canonical.
+
     The witness lies at or before the failure position I, a nonzero digit:
     a decrement past I leaves the same failure.  For weakly decreasing c it
     lies at or after the failing chunk's start s, also nonzero.  After a
@@ -152,7 +165,6 @@ def classify(c: RecurrenceVector, a) -> SrClassification:
     a_I > c_{j+1} (or a full copy), so it fails by I too.  Relaxed c take
     s = 1.  Each candidate's scan resumes at s, before which nothing changed.
     """
-    a = canonical(a)
     starts = []
     fail = _scan_from(c.coefficients, c.k, a, starts, 1)
     if fail is None:
@@ -186,14 +198,14 @@ def prefix_sum(a, n: int) -> int:
 # -- serialization used by every CLI command ---------------------------------
 
 def format_coefficients(a) -> str:
-    return ",".join(str(x) for x in canonical(a))
+    return ",".join(map(str, canonical(a)))
 
 
 def parse_coefficients(text: str) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    return canonical(int(part) for part in text.split(","))
+    return canonical(text.split(","))   # canonical takes int of each part
 
 
 def format_vector(v) -> str:

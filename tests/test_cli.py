@@ -6,10 +6,11 @@ import json
 import os
 import random
 import sys
+import tracemalloc
 
 import pytest
 
-from zeckvec import cli
+from zeckvec import RecurrenceVector, cli, support_region
 from zeckvec.cli import main
 from zeckvec.fileio import atomic_write_text
 
@@ -183,6 +184,19 @@ def test_an_invalid_string_is_one_error_line(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
 
 
+def test_verify_validates_the_string_once(capsys, monkeypatch):
+    # parse_coefficients checks the string; classification and evaluation
+    # take its canonical tuple
+    from zeckvec import representation
+    calls = []
+    check = representation.canonical
+    monkeypatch.setattr(representation, "canonical", lambda a: calls.append(a) or check(a))
+    for a in ("2,4,2,0,1", "2,4,3", "0,0"):
+        calls.clear()
+        assert run(capsys, "verify", "--c", "4,2,1", "--a", a)[0] == 0
+        assert len(calls) == 1
+
+
 def test_verify_relaxed_flag(capsys):
     code, _, err = run(capsys, "verify", "--c", "1,3,1", "--a", "2")
     assert code == 1
@@ -316,13 +330,13 @@ def test_regions_svg_notice_for_higher_dimension(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("c, files, builds", [
-    ("2,1,1", ("--csv", "--svg"), 1), ("2,1,1", ("--svg",), 1), ("2,1,1", (), 1),
+    ("2,1,1", ("--csv", "--svg"), 1), ("2,1,1", ("--svg",), 1), ("2,1,1", (), 0),
     ("1,1,1,1", ("--csv", "--svg"), 0), ("1,1,1,1", ("--svg",), 0),
     ("2,1,1", ("--csv",), 0), ("1,1", ("--csv",), 0),
 ])
 def test_regions_builds_one_region_per_command(tmp_path, capsys, monkeypatch, c, files, builds):
-    # the csv comes from the walk; only the svg and the point count build a
-    # region, and a lone svg that is skipped (k != 3) builds none
+    # the csv comes from the walk and the point count is X_{n+1}; only the
+    # svg builds a region, and a lone svg that is skipped (k != 3) builds none
     from zeckvec import bridge
     calls = []
     build = bridge.support_region
@@ -332,6 +346,40 @@ def test_regions_builds_one_region_per_command(tmp_path, capsys, monkeypatch, c,
         argv += [flag, str(tmp_path / ("r" + flag[1:].replace("-", ".")))]
     assert run(capsys, *argv)[0] == 0
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize("c, n", [("1,1", 0), ("1,1", 9), ("2,1,1", 6), ("1,1,1", 8),
+                                  ("4,2,1", 4), ("3,3,2,1", 3), ("1,1,1,1", 7)])
+def test_bare_regions_prints_the_size_of_the_region(capsys, c, n):
+    code, out, _ = run(capsys, "regions", "--c", c, "--n", str(n))
+    region = support_region(RecurrenceVector(tuple(map(int, c.split(",")))), n)
+    assert (code, out) == (0, "points: %d\n" % len(region))
+
+
+def test_bare_regions_counts_a_large_region_without_building_it(capsys):
+    # D_14 of (2,1,1) has 585,893 points; a dict of them would hold hundreds
+    # of MB, the count needs the first 16 terms
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "regions", "--c", "2,1,1", "--n", "14")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "points: 585893\n")
+    assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv, env, expected", [
+    (("--n", "-1"), None, (1, "error: support bound must be >= 0\n")),
+    (("--n", "12"), "90327", (2, "error: region of 90328 points exceeds cap\n")),
+    (("--n", "12"), "90328", (0, "")),
+])
+def test_bare_regions_keeps_the_refusals_of_the_region(capsys, monkeypatch, argv, env, expected):
+    if env is not None:
+        monkeypatch.setenv("ZECKVEC_CAP", env)
+    code, out, err = run(capsys, "regions", "--c", "2,1,1", *argv)
+    assert (code, err) == expected
+    assert out == ("points: 90328\n" if code == 0 else "")
 
 
 def test_stats_json_reproducible(tmp_path, capsys):

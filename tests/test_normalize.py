@@ -107,6 +107,54 @@ def test_normalize_rejects_satisfying_input():
         normalize_nsr(C211, (1,))
 
 
+@pytest.mark.parametrize("entry, args", [
+    (normalize_nsr, (C211, (0, 2, 2, 0))),
+    (probe_termination, (BAD131, (2,), 300)),
+    (probe_termination, (RecurrenceVector((1, 2, 1), relaxed=True), [2])),
+    (resolve_end_complete, (C211, (2, 1, 0, 2, 1, 1))),
+    (increment, (C211, (0, 2, 1), 3)),
+])
+def test_an_entry_validates_its_string_once(monkeypatch, entry, args):
+    # the entry's own canonical checks the string; the classification and
+    # the rewriting take the canonical tuple with no second check
+    from zeckvec import representation
+    calls = []
+    check = representation.canonical
+    counted = lambda a: calls.append(a) or check(a)
+    monkeypatch.setattr(representation, "canonical", counted)
+    monkeypatch.setattr(normalize, "canonical", counted)
+    entry(*args)
+    assert len(calls) == 1
+
+
+def test_iteration_records_keep_their_fields_order_and_repr():
+    assert IterationRecord._fields == ("fail_pos", "chunk_start", "matched", "case",
+                                       "mass", "prefix_mass")
+    record = IterationRecord(fail_pos=4, chunk_start=2, matched=1, case="borrow_carry",
+                             mass=9, prefix_mass=3)
+    assert tuple(record) == (4, 2, 1, "borrow_carry", 9, 3)
+    assert record == IterationRecord(4, 2, 1, "borrow_carry", 9, 3)
+    assert repr(record) == ("IterationRecord(fail_pos=4, chunk_start=2, matched=1, "
+                            "case='borrow_carry', mass=9, prefix_mass=3)")
+    with pytest.raises(AttributeError):
+        record.mass = 0
+    # the reprs the frozen dataclass gave these runs' records
+    assert repr(normalize_nsr(C211, (0, 2, 2)).iterations) == (
+        "[IterationRecord(fail_pos=3, chunk_start=2, matched=1, case='borrow_carry', "
+        "mass=4, prefix_mass=0)]")
+    assert repr(normalize_nsr(C211, (2, 1, 0, 2, 1, 1)).iterations) == (
+        "[IterationRecord(fail_pos=6, chunk_start=4, matched=2, case='carry_only', "
+        "mass=7, prefix_mass=3), IterationRecord(fail_pos=3, chunk_start=1, matched=2, "
+        "case='carry_only', mass=4, prefix_mass=0)]")
+    assert repr(probe_termination(BAD131, (2,), budget=6).iterations) == (
+        "[IterationRecord(fail_pos=1, chunk_start=1, matched=0, case='borrow_only', "
+        "mass=2, prefix_mass=0), IterationRecord(fail_pos=3, chunk_start=3, matched=0, "
+        "case='borrow_only', mass=6, prefix_mass=2), IterationRecord(fail_pos=3, "
+        "chunk_start=3, matched=0, case='borrow_carry', mass=10, prefix_mass=2), "
+        "IterationRecord(fail_pos=5, chunk_start=5, matched=0, case='borrow_carry', "
+        "mass=10, prefix_mass=3)]")
+
+
 def test_divergent_probe_matches_worked_steps():
     report = probe_termination(BAD131, (2,), budget=10_000)
     assert not report.terminated

@@ -268,6 +268,81 @@ def test_canonical_trims_and_validates():
         canonical((1, -1))
 
 
+def _generator_canonical(a) -> tuple:
+    """canonical as a generator pass: the reference for its outcomes."""
+    out = tuple(int(x) for x in a)
+    if any(x < 0 for x in out):
+        raise ValueError("coefficient strings are nonnegative: %r" % (out,))
+    m = len(out)
+    while m and out[m - 1] == 0:
+        m -= 1
+    return out[:m]
+
+
+def _outcome(fn, make):
+    try:
+        return "value", fn(make())
+    except Exception as exc:   # the class and the text are the outcome
+        return type(exc), str(exc)
+
+
+class _Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# factories, so a generator or iterator input is fresh for each side
+CANONICAL_INPUTS = [
+    lambda: (), lambda: [], lambda: "", lambda: "0", lambda: "000", lambda: "0120",
+    lambda: "12a", lambda: "1,2", lambda: " 1", lambda: (1, 0, 2, 0, 0), lambda: (0, 0, 0),
+    lambda: (1, -1), lambda: (-1,), lambda: (0, -0), lambda: (-3, 0, 0),
+    lambda: (True, False, True, False), lambda: (False,), lambda: (1.9, 2.0, 0.0),
+    lambda: (-0.5, 1), lambda: (-1.5, 1), lambda: (float("nan"),), lambda: (1, float("inf")),
+    lambda: (float("-inf"),), lambda: ("1", " 2 ", "0"), lambda: ("-1", "0"), lambda: ("x",),
+    lambda: (b"3", b"0"), lambda: (1j,), lambda: (None,), lambda: ([1],), lambda: ((),),
+    lambda: (10 ** 100, 0, -(10 ** 100)), lambda: (10 ** 100, 0),
+    lambda: (_Index(2), _Index(0)), lambda: (_Index(-2),),
+    lambda: (x for x in (3, 0, 1, 0)), lambda: (x for x in (3, -1)), lambda: iter([0, 0]),
+    lambda: {2: None}, lambda: range(3, -1, -1), lambda: range(-1, 2),
+    lambda: 5, lambda: None, lambda: 1.5,
+]
+
+
+@pytest.mark.parametrize("make", CANONICAL_INPUTS)
+def test_canonical_matches_the_generator_pass(make):
+    assert _outcome(canonical, make) == _outcome(_generator_canonical, make)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(min_value=-3, max_value=10 ** 30), st.booleans(),
+                          st.floats(), st.sampled_from(["0", "7", "-2", "", "a", " 4 "])),
+                max_size=8))
+def test_canonical_matches_the_generator_pass_on_mixed_lists(items):
+    assert _outcome(canonical, lambda: items) == _outcome(_generator_canonical, lambda: items)
+
+
+@pytest.mark.parametrize("text", ["", " ", "0", "0,0", "2,4,2,0,1", " 1 , 2 ,0", "1,,2", "1,x",
+                                  "-1,0", "1,-0", "+3,1_0", "\u0663,1", "1.5", "1,", ",1"])
+def test_parse_coefficients_matches_the_parse_by_generator(text):
+    def by_generator():
+        stripped = text.strip()
+        if not stripped:
+            return ()
+        return _generator_canonical(int(part) for part in stripped.split(","))
+    assert (_outcome(parse_coefficients, lambda: text)
+            == _outcome(lambda t: by_generator(), lambda: text))
+
+
+@pytest.mark.parametrize("a", [(), (2, 1, 1), (0, 2, 2, 0, 0), (2, 1, 3), (1, 3, 3, 2, 1, 0, 2)])
+def test_classify_is_its_core_on_the_canonical_string(a):
+    for coeffs, relaxed in (((2, 1, 1), False), ((3, 3, 2, 1), False), ((1, 3, 1), True)):
+        c = RecurrenceVector(coeffs, relaxed=relaxed)
+        assert classify(c, a) == representation._classify(c, canonical(a))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(enumerate_representations(C211, 5)),
        st.integers(min_value=1, max_value=7))
