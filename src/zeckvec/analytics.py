@@ -183,7 +183,7 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
     seq = c.scalar()
     lo = seq.term(n)
     width = seq.term(n + 1) - lo
-    terms = seq._up[n:0:-1]
+    terms = seq.descending(n)
     rng = random.Random(seed)
     bits = width.bit_length()
     histogram = {}

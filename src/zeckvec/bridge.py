@@ -26,7 +26,7 @@ from operator import add
 
 from .errors import BridgeDomainError, CapExceededError
 from .fileio import atomic_write_text
-from .recurrence import RecurrenceVector, extend, greedy_digits, scalar_window
+from .recurrence import RecurrenceVector, greedy_digits, scalar_window
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -37,6 +37,7 @@ def scalar_bridge(c: RecurrenceVector, n: int, v) -> int:
         raise BridgeDomainError("bridge index must be >= k-2 = %d" % (c.k - 2))
     if len(v) != c.k - 1:
         raise ValueError("vector dimension must be k-1 = %d" % (c.k - 1))
+    v = tuple(map(int, v))
     seq = c.scalar()
     dot = 0
     for i in range(1, c.k):
@@ -57,7 +58,7 @@ def legal_decompose(c: RecurrenceVector, n: int) -> tuple:
         return ()
     seq = c.scalar()
     top = seq.max_index_at_most(n)
-    return tuple(greedy_digits(n, seq._up[top:0:-1])[0])
+    return tuple(greedy_digits(n, seq.descending(top))[0])
 
 
 def summand_count(digits) -> int:
@@ -183,21 +184,17 @@ def _batches(c: RecurrenceVector, n: int, exact: bool = False):
         del prefixes
 
 
-def _check_cap(c: RecurrenceVector, n: int, cap: int, message: str) -> None:
-    """Raise CapExceededError(message) when X_{n+1} > cap.
+def _check_cap(c: RecurrenceVector, n: int, cap: int, message: str) -> int:
+    """X_{n+1}, or CapExceededError(message) when X_{n+1} > cap.
 
-    X is strictly increasing from X_1, so the held terms grow only until
-    they reach index n + 1 or pass the cap, whichever comes first: a far
-    window beyond a small cap builds no term above the cap.  Only a refusal
-    computes X_{n+1}, by `scalar_window`, with no memo.  The message's {x}
-    and {cap} fields name it and the cap in decimal or, past the
-    interpreter's limit on int-to-str conversion, by bit length.
+    The held terms grow only as `ScalarSequence.term_at_most` lets them, so
+    a refusal computes X_{n+1} by `scalar_window`, with no memo.  The
+    message's {x} and {cap} fields name it and the cap in decimal or, past
+    the interpreter's limit on int-to-str conversion, by bit length.
     """
-    up = c.scalar()._up
-    while len(up) <= n + 1 and up[-1] <= cap:
-        extend(up, c.coefficients, len(up) + 1)
-    if up[min(n + 1, len(up) - 1)] <= cap:
-        return
+    x = c.scalar().term_at_most(n + 1, cap)
+    if x is not None:
+        return x
     raise CapExceededError(message.format(
         x=_int_text(scalar_window(c.coefficients, n + 1, 1)[0]), cap=_int_text(cap)))
 
@@ -242,13 +239,12 @@ def region_size(c: RecurrenceVector, n: int, cap: int = DEFAULT_ENUMERATION_CAP)
     """|D_n| = X_{n+1}, with `support_region`'s refusals and no region built.
 
     By uniqueness each vector of D_n has one satisfying string, and the
-    strings supported in [1, n] number X_{n+1}.  `_check_cap` has read that
-    term when it lets n through.
+    strings supported in [1, n] number X_{n+1}, the term `_check_cap`
+    returns when it lets n through.
     """
     if n < 0:
         raise ValueError("support bound must be >= 0")
-    _check_cap(c, n, cap, "region of {x} points exceeds cap")
-    return c.scalar()._up[n + 1]
+    return _check_cap(c, n, cap, "region of {x} points exceeds cap")
 
 
 def support_region(c: RecurrenceVector, n: int,

@@ -107,19 +107,21 @@ def _cmd_verify(args) -> int:
     # parse_coefficients returns a canonical tuple: classify and evaluate it
     # through the cores that take one, so the string is validated once
     a = representation.parse_coefficients(args.a)
-    cls = representation._classify(c, a)
+    starts = []
+    cls = representation._classify(c, a, starts)
     value = string_value(c.coefficients, a)
     print("kind: %s" % _KIND_LABEL[cls.kind])
     print("value: %s" % representation.format_vector(value))
     if cls.kind != representation.KIND_SATISFYING:
-        result = representation.scan(c, a)
-        have, limit = a[result.fail_pos - 1], c.coefficients[result.matched]
+        # the classification's scan failed in its last chunk: resume there
+        fail_pos, matched = representation._scan_from(c.coefficients, c.k, a, [], starts[-1])
+        have, limit = a[fail_pos - 1], c.coefficients[matched]
         if have > limit:
             print("reason: element %d at position %d is too large (limit %d)"
-                  % (have, result.fail_pos, limit))
+                  % (have, fail_pos, limit))
         else:
             print("reason: full copy of the coefficients ending at position %d"
-                  % result.fail_pos)
+                  % fail_pos)
     if cls.kind == representation.KIND_NEARLY_SATISFYING:
         print("witness: %d" % cls.witness)
         print("first_overfilled: %d" % cls.first_overfilled)

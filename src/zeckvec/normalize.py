@@ -23,10 +23,12 @@ A round touches only positions >= n_p - 1, so the next round's scan resumes at
 the chunk start before n_p and keeps the chunk starts found before that.
 Each round's `IterationRecord`, like each `TraceStep`, is a named tuple.
 
-Every public entry validates its string once, by `canonical`, and hands the
-tuple on: the probes and `resolve_end_complete` classify it through
-`representation._classify`, which checks nothing again, and the loop works
-on a list copy of it.
+Every public entry validates its string once, by `canonical`, and scans it
+from position 1 once: the probes and `resolve_end_complete` classify it
+through `representation._classify`, which checks nothing again and leaves
+its scan's chunk starts, and the loop works on a list copy of it, resuming
+that scan at the last chunk start it found (`increment` hands on its own
+validating scan's starts the same way).
 
 Increments are bumps in the same loop: once the list satisfies, the next bump
 adds 1 at its position and the rounds go on, with the mass and chunk starts
@@ -47,8 +49,7 @@ from typing import NamedTuple, Optional
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
                      NonTerminationError, NotEndCompleteError,
                      NotNearlySatisfyingError, NotSatisfyingError)
-from .recurrence import (RecurrenceVector, _Blocks, _held_bridge, column_value, extend,
-                         greedy_digits, scalar_window)
+from .recurrence import RecurrenceVector, _Blocks, _held_bridge, greedy_digits, scalar_window
 from .representation import KIND_NEARLY_SATISFYING, _classify, _scan_from, canonical
 
 DEFAULT_BUDGET = 10_000
@@ -172,8 +173,10 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
              iterations=None, support_cap=None, carry_only=False, bumps=(), starts=()):
     """The reduction loop on the trimmed list a, in place (module docstring).
 
-    Each position in bumps gets 1 added once a satisfies, in turn; starts,
-    when given, are the chunk starts of a, which then satisfies already.
+    Each position in bumps gets 1 added once a satisfies, in turn; starts
+    are the chunk starts that the caller's scan of a from position 1 found,
+    up to its failure if there was one, and the first scan resumes at the
+    last of them (at 1 when there are none).
     limit counts the steps since the last bump.  history and iterations,
     when given, get the mass after each step and one IterationRecord per
     round; carry_only raises NotEndCompleteError on a round that is not
@@ -189,7 +192,7 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
     max_support = len(a)
     bumps = iter(bumps)
     starts = list(starts)
-    p = len(a) + 1 if starts else 1   # a seeded a satisfies: the first scan passes
+    p = starts.pop() if starts else 1
     while True:
         fail = _scan_from(coeffs, k, a, starts, p)
         if fail is None:
@@ -256,12 +259,13 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
         del starts[-2:]
 
 
-def _reduce(c: RecurrenceVector, a: tuple, budget=None, support_cap=None) -> ProbeReport:
+def _reduce(c: RecurrenceVector, a: tuple, budget=None, support_cap=None,
+            starts=()) -> ProbeReport:
     cur = list(a)
     trace, history, iterations = NormalizationTrace(), [sum(a)], []
     limit = _HARD_STEP_CAP if budget is None else budget
     steps, max_support, reason = _rewrite(c, cur, limit, trace, history, iterations,
-                                          support_cap)
+                                          support_cap, starts=starts)
     cur = tuple(cur)
     return ProbeReport("budget_exceeded" if reason else "terminated",
                        None if reason else cur, cur, steps, budget, reason,
@@ -277,22 +281,24 @@ def resolve_end_complete(c: RecurrenceVector, a):
     if not c.weakly_decreasing:
         raise InvalidRecurrenceError("end-complete resolution requires weakly decreasing coefficients")
     a = canonical(a)
-    cls = _classify(c, a)
+    starts = []
+    cls = _classify(c, a, starts)
     if not cls.end_complete:
         raise NotEndCompleteError("not an end-complete nearly satisfying string: %r" % (a,))
     trace = NormalizationTrace()
     cur = list(a)
-    _rewrite(c, cur, math.inf, trace, carry_only=True)
+    _rewrite(c, cur, math.inf, trace, carry_only=True, starts=starts)
     return tuple(cur), trace
 
 
 def normalize_nsr(c: RecurrenceVector, a, budget: int = DEFAULT_BUDGET) -> ProbeReport:
     """Normalize a nearly satisfying string to the satisfying one (budgeted)."""
     a = canonical(a)
-    cls = _classify(c, a)
+    starts = []
+    cls = _classify(c, a, starts)
     if cls.kind != KIND_NEARLY_SATISFYING:
         raise NotNearlySatisfyingError("input is not a nearly satisfying representation: %r" % (a,))
-    return _reduce(c, a, budget=budget)
+    return _reduce(c, a, budget=budget, starts=starts)
 
 
 def _bump_and_rewrite(c: RecurrenceVector, a: list, bumps, budget, trace,
@@ -391,21 +397,18 @@ def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
 
 
 def _held_digits(c: RecurrenceVector, v: tuple, n: int):
-    """Level-n greedy digits of v and their value, from the lists of c's own
-    sequences: X_0..X_n and the backward column t[0..n+k-3], grown in place
-    when too short, so the terms of one level serve every level below it."""
-    coeffs, k = c.coefficients, c.k
-    vec = c.vector()
-    xs, t = c.scalar()._up, vec._down
-    if len(xs) <= n:
-        extend(xs, coeffs, n + 1)
-    if len(t) < n + k - 2:
-        extend(t, coeffs, n + k - 2, down=True)
-    z = sum(map(mul, v, xs[n - 1:n - k:-1])) % xs[n]
-    arr = greedy_digits(z, xs[n - 1:0:-1])[0]
+    """Level-n greedy digits of v and their value, from the terms c's own
+    sequences hold: X_n..X_1 and the backward column for strings of n - 1
+    digits, which serve every level below n too."""
+    seq = c.scalar()
+    x_n = seq.term(n)
+    xs = seq.descending(n - 1)
+    # v has k - 1 entries, so the dot reads X_{n-1}, ..., X_{n-k+1}
+    z = sum(map(mul, v, xs)) % x_n
+    arr = greedy_digits(z, xs)[0]
     while arr and not arr[-1]:
         arr.pop()
-    return arr, column_value(vec._alpha, t, arr)
+    return arr, c.vector().value(arr, n - 1)
 
 
 def _streamed_digits(c: RecurrenceVector, v: tuple, n: int):
@@ -478,11 +481,12 @@ def probe_termination(c: RecurrenceVector, a, budget: int = DEFAULT_BUDGET) -> P
     patterns).
     """
     a = canonical(a)
-    cls = _classify(c, a)
+    starts = []
+    cls = _classify(c, a, starts)
     if cls.kind != KIND_NEARLY_SATISFYING:
         raise NotNearlySatisfyingError("probe requires a nearly satisfying representation: %r" % (a,))
     support_cap = len(a) + SUPPORT_SLACK_PER_K * c.k
-    report = _reduce(c, a, budget=budget, support_cap=support_cap)
+    report = _reduce(c, a, budget=budget, support_cap=support_cap, starts=starts)
     if not report.terminated:
         report.suffix_period = _repeated_block(report.last)
     return report

@@ -7,6 +7,10 @@ lengthens a plain list upward or downward.  A sequence keeps its terms in
 two such lists, one per direction, which only ever grow.  The vector
 sequence stores one integer column, the last coordinate of each term, and
 builds each vector term from k-1 consecutive entries of it on request.
+The two sequence classes own their lists: no other module reads them or
+grows them.  The rest of the package asks for what it needs by name (a
+term, the descending terms X_n..X_1, a term under a bound, a string's
+value from the held column), and the sequences decide how far to grow.
 `scalar_window` and `string_value` reach far terms and long strings without
 the terms between: by powers of x modulo the characteristic polynomial, and
 by a product tree modulo its reciprocal whose leaves are each one dot product
@@ -516,11 +520,33 @@ class ScalarSequence:
 
     def max_index_at_most(self, value: int) -> int:
         """Largest n >= 0 with X_n <= value (value >= 1)."""
-        up = self._up
-        while up[-1] <= value:
-            extend(up, self.owner.coefficients, len(up) + 1)
+        # X_m >= m for m >= 1, so X_{value+1} is above value: the held terms
+        # grow until the first one above value, and no further
+        self.term_at_most(value + 1, value)
         # X_0 = X_1 = 1: searching from index 2 answers 1 for value 1 (and below)
-        return bisect_right(up, value, 2) - 1
+        return bisect_right(self._up, value, 2) - 1
+
+    def term_at_most(self, n: int, bound: int):
+        """X_n for n >= 0 when X_n <= bound, else None.
+
+        X is strictly increasing from X_1, so the held terms grow only until
+        they reach index n or pass the bound, whichever comes first: none
+        past the first term above the bound, and none past X_n.
+        """
+        up = self._up
+        while len(up) <= n and up[-1] <= bound:
+            extend(up, self.owner.coefficients, len(up) + 1)
+        x = up[min(n, len(up) - 1)]
+        return x if x <= bound else None
+
+    def descending(self, n: int) -> list:
+        """A new list [X_n, ..., X_1] for n >= 0, growing the held terms to X_n."""
+        up = self._up
+        if n >= len(up):
+            extend(up, self.owner.coefficients, n + 1)
+        elif n < 0:
+            raise ValueError("descending terms need n >= 0")
+        return up[n:0:-1]
 
 
 class VectorSequence:
@@ -556,6 +582,18 @@ class VectorSequence:
     def basis(self, depth: int) -> list:
         """[X_{-1}, ..., X_{-depth}] as a list indexed by i-1."""
         return [self.term(-i) for i in range(1, depth + 1)]
+
+    def value(self, a, length: int) -> tuple:
+        """sum_p a[p-1] * X_{-p}, by `column_value` on the held backward
+        column, which grows to serve every string of length digits (to index
+        length + k - 2), or of a's own length if a is longer."""
+        t = self._down
+        if len(a) > length:
+            length = len(a)
+        stop = length + len(self._alpha)    # k - 1 rows
+        if len(t) < stop:
+            extend(t, self.owner.coefficients, stop, down=True)
+        return column_value(self._alpha, t, a)
 
 
 class BasisSearch:

@@ -153,8 +153,12 @@ def classify(c: RecurrenceVector, a) -> SrClassification:
     return _classify(c, canonical(a))
 
 
-def _classify(c: RecurrenceVector, a: tuple) -> SrClassification:
+def _classify(c: RecurrenceVector, a: tuple, starts=None) -> SrClassification:
     """`classify` of a string that is already canonical.
+
+    starts, when given, is an empty list that gets the chunk starts of the
+    first scan, from position 1 up to the failure if there is one, so a
+    caller can resume that scan instead of repeating it.
 
     The witness lies at or before the failure position I, a nonzero digit:
     a decrement past I leaves the same failure.  For weakly decreasing c it
@@ -165,7 +169,8 @@ def _classify(c: RecurrenceVector, a: tuple) -> SrClassification:
     a_I > c_{j+1} (or a full copy), so it fails by I too.  Relaxed c take
     s = 1.  Each candidate's scan resumes at s, before which nothing changed.
     """
-    starts = []
+    if starts is None:
+        starts = []
     fail = _scan_from(c.coefficients, c.k, a, starts, 1)
     if fail is None:
         return SrClassification(KIND_SATISFYING, None, None, False)

@@ -109,6 +109,22 @@ def test_bridge_rejects_wrong_dimension(v):
         scalar_bridge(C211, 5, v)
 
 
+@pytest.mark.parametrize("n", [5, 45])
+def test_bridge_converts_the_vector_before_the_terms(n):
+    # the elements are made ints first: a string vector once multiplied
+    # 'a' by X_44 = 272,809,183,135 of (1,1,1), a MemoryError at n = 45
+    c = RecurrenceVector((1, 1, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            scalar_bridge(c, n, "ab")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    assert scalar_bridge(c, n, ["1", 0]) == scalar_bridge(c, n, (1, 0))
+
+
 def test_bridge_maps_basis_to_shifted_terms():
     for n in range(3, 10):
         for i in range(1, n):

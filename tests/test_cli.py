@@ -197,6 +197,28 @@ def test_verify_validates_the_string_once(capsys, monkeypatch):
         assert len(calls) == 1
 
 
+def test_verify_scans_the_string_from_position_1_once(capsys, monkeypatch):
+    # the reason line resumes the classification's scan at its last chunk
+    # start; each string fails in a chunk after the first
+    from zeckvec import representation
+    scans = []
+    scan_from = representation._scan_from
+
+    def counted(coeffs, k, b, starts, p):
+        if p == 1 and tuple(b) == a:
+            scans.append(p)
+        return scan_from(coeffs, k, b, starts, p)
+
+    monkeypatch.setattr(representation, "_scan_from", counted)
+    for coeffs, a in [("4,2,1", (2, 4, 3)), ("2,1,1", (0, 2, 2)),
+                      ("3,3,2,1", (1, 3, 3, 2, 1, 0, 2)), ("2,1,1", (0, 2, 1, 3))]:
+        scans.clear()
+        argv = ("verify", "--c", coeffs, "--a", ",".join(map(str, a)))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "reason: " in out
+        assert len(scans) == 1, argv
+
+
 def test_verify_relaxed_flag(capsys):
     code, _, err = run(capsys, "verify", "--c", "1,3,1", "--a", "2")
     assert code == 1

@@ -127,6 +127,33 @@ def test_an_entry_validates_its_string_once(monkeypatch, entry, args):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("entry, args", [
+    (normalize_nsr, (C211, (0, 2, 2, 0))),
+    (probe_termination, (BAD131, (0, 2), 300)),
+    (probe_termination, (RecurrenceVector((1, 2, 1), relaxed=True), [0, 2])),
+    (resolve_end_complete, (C211, (2, 1, 0, 2, 1, 1))),
+    (increment, (C211, (0, 2, 1), 3)),
+])
+def test_an_entry_scans_its_string_from_position_1_once(monkeypatch, entry, args):
+    # the classification's scan (or increment's check) finds the chunk
+    # starts, and the rewriting resumes it at the last of them.  Each input
+    # fails, or ends, in a chunk after the first, so a second scan of the
+    # input from position 1 would be a repeated one
+    from zeckvec import representation
+    a, scans = zeckvec.canonical(args[1]), []
+    scan_from = representation._scan_from
+
+    def counted(coeffs, k, b, starts, p):
+        if p == 1 and tuple(b) == a:
+            scans.append(p)
+        return scan_from(coeffs, k, b, starts, p)
+
+    monkeypatch.setattr(representation, "_scan_from", counted)
+    monkeypatch.setattr(normalize, "_scan_from", counted)
+    entry(*args)
+    assert len(scans) == 1
+
+
 def test_iteration_records_keep_their_fields_order_and_repr():
     assert IterationRecord._fields == ("fail_pos", "chunk_start", "matched", "case",
                                        "mass", "prefix_mass")

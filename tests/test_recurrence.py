@@ -6,6 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from zeckvec import (InvalidRecurrenceError, RecurrenceVector, legal_decompose,
                      scalar_term, vector_term)
+from zeckvec.bridge import _check_cap
+from zeckvec.errors import CapExceededError
+from zeckvec.recurrence import (backward_column, column_value, column_weights, extend,
+                                string_value)
 
 TRIBONACCI = RecurrenceVector((1, 1, 1))
 CUSTOM = RecurrenceVector((2, 1, 1))
@@ -256,3 +260,85 @@ def test_legal_decompose_matches_linear_scan_on_wide_windows(coeffs, relaxed):
             top, digits = greedy_oracle(xs, value)
             assert legal_decompose(c, value) == digits, (coeffs, n, value)
             assert len(digits) == top
+
+
+# -- the sequences' own accessors to their held terms --------------------------
+
+HELD_CASES = [(c, False) for c in STRICT_ALL] + [((1, 3, 1), True)]
+
+
+@pytest.mark.parametrize("coeffs,relaxed", HELD_CASES)
+def test_descending_is_the_terms_from_n_down_to_1(coeffs, relaxed):
+    c = RecurrenceVector(coeffs, relaxed=relaxed)
+    scalars = oracle_scalars(coeffs, 0, 60)
+    for n in range(61):
+        want = [scalar_term(c, i) for i in range(n, 0, -1)]
+        assert want == [scalars[i] for i in range(n, 0, -1)]
+        fresh = RecurrenceVector(coeffs, relaxed=relaxed)
+        got = fresh.scalar().descending(n)
+        assert got == want, (coeffs, n)
+        # the held terms reach X_n and no further, and the list is a new one
+        assert len(fresh.scalar()._up) == max(n + 1, len(coeffs) + 1)
+        got.append(0)
+        assert fresh.scalar().descending(n) == want
+    # falling n on one recurrence: the first call grows, the rest only read
+    held = RecurrenceVector(coeffs, relaxed=relaxed).scalar()
+    for n in range(60, -1, -1):
+        assert held.descending(n) == [scalars[i] for i in range(n, 0, -1)]
+        assert len(held._up) == 61
+    with pytest.raises(ValueError):
+        held.descending(-1)
+
+
+def _cap_check_loop(c, n, cap):
+    """The bounded loop `_check_cap` ran on c's held scalar list before the
+    sequence owned it: True when X_{n+1} <= cap."""
+    up = c.scalar()._up
+    while len(up) <= n + 1 and up[-1] <= cap:
+        extend(up, c.coefficients, len(up) + 1)
+    return up[min(n + 1, len(up) - 1)] <= cap
+
+
+@pytest.mark.parametrize("coeffs,relaxed", HELD_CASES)
+def test_term_at_most_grows_the_terms_as_the_cap_check_did(coeffs, relaxed):
+    # every call on a fresh c: the verdict, the term and the held length
+    # after the call match the loop's, at the edge caps and far above them
+    scalars = oracle_scalars(coeffs, 0, 31)
+    for n in range(31):
+        x = scalars[n + 1]
+        for cap in (0, 1, x - 1, x, 2 ** 100000):
+            loop, seq, checked = (RecurrenceVector(coeffs, relaxed=relaxed) for _ in range(3))
+            admitted = _cap_check_loop(loop, n, cap)
+            assert seq.scalar().term_at_most(n + 1, cap) == (x if admitted else None)
+            if admitted:
+                assert _check_cap(checked, n, cap, "{x} > {cap}") == x
+            else:
+                with pytest.raises(CapExceededError, match="^%d > %d$" % (x, cap)):
+                    _check_cap(checked, n, cap, "{x} > {cap}")
+            held = len(loop.scalar()._up)
+            assert len(seq.scalar()._up) == held == len(checked.scalar()._up), (n, cap)
+
+
+@pytest.mark.parametrize("coeffs,relaxed", HELD_CASES)
+def test_vector_value_reads_the_column_grown_to_the_length(coeffs, relaxed):
+    rng = random.Random(sum(coeffs) + 10 * len(coeffs))
+    k = len(coeffs)
+    alpha = column_weights(coeffs)
+    for length in (1, 2, 7, 40):
+        for size in (0, 1, length - 1, length):
+            a = [rng.randint(-3, 4) for _ in range(size)]
+            c = RecurrenceVector(coeffs, relaxed=relaxed)
+            vec = c.vector()
+            got = vec.value(a, length)
+            assert got == string_value(coeffs, a), (coeffs, a)
+            assert got == column_value(alpha, backward_column(coeffs, size + k - 1), a)
+            # the column reaches index length + k - 2, which every string of
+            # at most length digits needs, and no further
+            assert len(vec._down) == length + k - 1
+            assert vec.value(a[:1], 1) == string_value(coeffs, a[:1])
+            assert len(vec._down) == length + k - 1
+        # a string longer than length grows the column as far as it reaches
+        a = [rng.randint(0, 4) for _ in range(length + 3)]
+        c = RecurrenceVector(coeffs, relaxed=relaxed)
+        assert c.vector().value(a, length) == string_value(coeffs, a)
+        assert len(c.vector()._down) == length + k + 2
