@@ -35,9 +35,9 @@ def scalar_bridge(c: RecurrenceVector, n: int, v) -> int:
     """Dot v with (X_{n-1}, ..., X_{n-k+1}) and reduce mod X_n (in [0, X_n))."""
     if n < c.k - 2:
         raise BridgeDomainError("bridge index must be >= k-2 = %d" % (c.k - 2))
+    v = tuple(map(int, v))
     if len(v) != c.k - 1:
         raise ValueError("vector dimension must be k-1 = %d" % (c.k - 1))
-    v = tuple(map(int, v))
     seq = c.scalar()
     dot = 0
     for i in range(1, c.k):

@@ -377,11 +377,12 @@ def _backward_log_growth(coeffs) -> float:
 # a higher level streams: the bridge never grows a held list past it.  Their
 # memory grows with the square of the level, the time they save only
 # linearly.  Measured on the five strict c of the benchmark (2 cores,
-# Python 3.11, best of 5, streamed by blocks): a held call took 0.06-0.08 ms
-# at level 700, 0.07-0.12 ms at 1024 and 0.14-0.20 ms at 2048, a streamed
-# one 0.27-0.42, 0.32-0.50 and 0.47-0.71 ms, so the held terms still win
-# below the cap.  At 2048 they take 0.5 to 1.0 MB per recurrence, at 4096
-# 1.7-3.8 MB and at 8192 6-15 MB.
+# Python 3.11, best of 5, a vector as large as the level allows, the digits
+# checked by the held product tree either way): a held level took
+# 0.18-0.42 ms at 700, 0.28-0.70 ms at 1024 and 0.38-1.05 ms at 2048, a
+# streamed one 0.33-0.72, 0.50-1.01 and 0.58-1.49 ms, so the held terms
+# still win below the cap.  The scalar terms X_0..X_L take 0.3 to 0.7 MB
+# per recurrence at L = 2048, 0.9-2.6 MB at 4096 and 3.4-10 MB at 8192.
 HELD_LEVEL_CAP = 2048
 
 
@@ -396,10 +397,9 @@ def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
     return int(math.log(sum(map(abs, v))) / log_growth) + 2 * c.k
 
 
-def _held_digits(c: RecurrenceVector, v: tuple, n: int):
-    """Level-n greedy digits of v and their value, from the terms c's own
-    sequences hold: X_n..X_1 and the backward column for strings of n - 1
-    digits, which serve every level below n too."""
+def _held_digits(c: RecurrenceVector, v: tuple, n: int) -> list:
+    """Level-n greedy digits of v, from the terms c's own scalar sequence
+    holds: X_n..X_1, which serve every level below n too."""
     seq = c.scalar()
     x_n = seq.term(n)
     xs = seq.descending(n - 1)
@@ -408,15 +408,13 @@ def _held_digits(c: RecurrenceVector, v: tuple, n: int):
     arr = greedy_digits(z, xs)[0]
     while arr and not arr[-1]:
         arr.pop()
-    return arr, c.vector().value(arr, n - 1)
+    return arr
 
 
-def _streamed_digits(c: RecurrenceVector, v: tuple, n: int):
-    """Level-n greedy digits of v and their value, for n > k, with a few
-    live terms: the top window from `scalar_window`, the digits from
-    `block_greedy_digits` and the value from `string_value`, both through
-    the block constants held on c.  Greedy digits are at most c1, so the
-    held leaf columns fit them."""
+def _streamed_digits(c: RecurrenceVector, v: tuple, n: int) -> list:
+    """Level-n greedy digits of v for n > k, with a few live terms: the top
+    window from `scalar_window` and the digits from `block_greedy_digits`,
+    through the block constants held on c."""
     coeffs, k = c.coefficients, c.k
     blocks = _held_bridge(c, 1, _Blocks)
     window = scalar_window(coeffs, n - k, k + 1)   # X_{n-k} .. X_n
@@ -424,7 +422,7 @@ def _streamed_digits(c: RecurrenceVector, v: tuple, n: int):
     arr = blocks.greedy(z, window[:-1], n - 1)
     while arr and not arr[-1]:
         arr.pop()
-    return arr, blocks.value(arr)
+    return arr
 
 
 def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
@@ -435,17 +433,19 @@ def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
     evaluate back to v.  The first level comes from |v|; a rejected level
     doubles.  That terminates: both window maps satisfy the recurrence and
     agree at i = 0..k-1, so z = S(a) mod X_n for the satisfying string a,
-    and S(a) < X_n once n > len(a).  Levels up to HELD_LEVEL_CAP read the
-    terms of c's own scalar and vector sequences; higher ones stream, in
-    memory linear in n: the digits come a block at a time from one exact
-    window of terms (`block_greedy_digits`) and the check evaluates them by
-    a product tree (`string_value`).
+    and S(a) < X_n once n > len(a).  Levels up to HELD_LEVEL_CAP take their
+    digits from the terms of c's own scalar sequence; higher ones stream,
+    in memory linear in n, a block at a time from one exact window of terms
+    (`block_greedy_digits`).  Every level's digits are checked by the one
+    product tree (`string_value`) with the block constants held on c,
+    greedy digits being at most c1, which the held leaf columns fit.
     """
+    blocks = _held_bridge(c, 1, _Blocks)
     n = _bridge_level(c, v)
     while True:
         digits = _held_digits if n <= HELD_LEVEL_CAP else _streamed_digits
-        arr, value = digits(c, v, n)
-        if value == v:
+        arr = digits(c, v, n)
+        if blocks.value(arr) == v:
             return tuple(arr)
         n *= 2
 

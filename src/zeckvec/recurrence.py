@@ -9,8 +9,8 @@ sequence stores one integer column, the last coordinate of each term, and
 builds each vector term from k-1 consecutive entries of it on request.
 The two sequence classes own their lists: no other module reads them or
 grows them.  The rest of the package asks for what it needs by name (a
-term, the descending terms X_n..X_1, a term under a bound, a string's
-value from the held column), and the sequences decide how far to grow.
+term, the descending terms X_n..X_1, a term under a bound), and the
+sequences decide how far to grow.
 `scalar_window` and `string_value` reach far terms and long strings without
 the terms between: by powers of x modulo the characteristic polynomial, and
 by a product tree modulo its reciprocal whose leaves are each one dot product
@@ -19,7 +19,9 @@ descending terms, and `greedy_count` the same walk counting its summands
 only; `block_greedy_digits` gives the same digits a block at a time from
 one window of k exact terms, the greedy itself summing each block's
 coefficients in the low bits of packed terms.  `_Blocks` holds the
-constants of both per recurrence for the streamed bridge.
+constants of both per recurrence for the bridge: its product tree is the
+one check of every bridge level's digits, and its greedy the streamed
+levels' digits.
 `BasisSearch` is the breadth-first search over sums of X_{-1}, ..., X_{-b}
 that the minimality and spanning oracles share, held per recurrence.
 """
@@ -259,7 +261,7 @@ def block_greedy_digits(coefficients, z: int, top, count: int) -> list:
 
 class _Blocks:
     """The constants of the blocked greedy and of `string_value`'s leaves for
-    one weakly decreasing recurrence.  The streamed bridge holds them on c
+    one weakly decreasing recurrence.  The bridge holds them on c
     (`_held_bridge`); `block_greedy_digits` builds them per call.
 
     columns[p-1] = y^p mod Q for 1 <= p < BLOCK + k, with Q as in
@@ -267,10 +269,14 @@ class _Blocks:
     first BLOCK are the leaves' columns, for greedy digits, which are at
     most c1; read backward, they are also the rows that step the greedy's window
     down.  terms packs X_j above the unit-seed row A_j, for j = BLOCK down
-    to 1 (see `greedy`).
+    to 1 (see `greedy`).  powers holds the y^(BLOCK 2^l) mod Q that `value`
+    has squared so far, as a tuple that a longer one replaces and that is
+    never changed in place, so calls that race can only store a correct
+    prefix of it.
     """
 
-    __slots__ = ("coefficients", "xs", "up", "span", "terms", "width", "columns", "step")
+    __slots__ = ("coefficients", "xs", "up", "span", "terms", "width", "columns", "step",
+                 "powers")
 
     def __init__(self, coefficients):
         k = len(coefficients)
@@ -292,6 +298,7 @@ class _Blocks:
         self.width = width = (coefficients[0] * BLOCK * big).bit_length() + 1
         self.columns = _packed_powers(coefficients, BLOCK + k, width)[1:]
         self.step = self.shift(BLOCK)
+        self.powers = ()
 
     def shift(self, s: int) -> list:
         """The rows taking (X_{u+1-k}, ..., X_u) to (X_{u-s+1-k}, ..., X_{u-s})."""
@@ -369,8 +376,11 @@ class _Blocks:
             window = [sum(map(mul, row, window)) for row in self.step]
 
     def value(self, a) -> tuple:
-        """`string_value` of a string of greedy digits, which lie in [0, c1]."""
-        return _tree_value(self.coefficients, a, self.width, self.columns)
+        """`string_value` of a string of greedy digits, which lie in [0, c1],
+        keeping the powers of y that its tree squared."""
+        r, self.powers = _tree_value(self.coefficients, a, self.width, self.columns,
+                                     self.powers)
+        return r
 
 
 def _held_bridge(c: RecurrenceVector, slot: int, build):
@@ -421,29 +431,33 @@ def string_value(coefficients, a) -> tuple:
     # R^k - 1 >= (R - 1)(R^(k-1) + ... + R) >= c_{k-1} R^(k-1) + ... + c1 R.
     width = (top * count * (1 + max(coefficients)) ** count).bit_length() + 1
     return _tree_value(coefficients, a, width,
-                       _packed_powers(coefficients, count + 1, width)[1:])
+                       _packed_powers(coefficients, count + 1, width)[1:])[0]
 
 
-def _tree_value(coefficients, a, width: int, columns: list) -> tuple:
-    """`string_value` of a, from columns[p-1] = y^p mod Q packed in width-bit
-    slots, for p up to BLOCK and to len(a), with room for any leaf's sum.
+def _tree_value(coefficients, a, width: int, columns: list, powers: tuple = ()) -> tuple:
+    """(`string_value` of a, powers), from columns[p-1] = y^p mod Q packed in
+    width-bit slots, for p up to BLOCK and to len(a), with room for any
+    leaf's sum, and powers[l] = y^(BLOCK 2^l) mod Q for the first levels,
+    returned longer when the tree squared more of them.
 
     Each leaf of BLOCK digits takes r as one dot product of its digits with
     the columns; neighbours join as r_lo + (y^h mod Q) r_hi, h the digits
     below, with y^h by squaring.  Each leaf is folded into a stack with one
     node per tree level, as in a binary counter, so O(log len(a))
     remainders are live at once; the remainder mod Q is unique, so the
-    grouping does not change it.
+    grouping does not change it.  A string of one leaf is that leaf.
     """
     k = len(coefficients)
+    if len(a) <= BLOCK:
+        return tuple(_slots(sum(map(mul, a, columns)), width, k)[1:]), powers
     low = [1] + [-w for w in coefficients[:-1]]     # y^k mod Q
-    powers = []     # powers[l] = y^(BLOCK 2^l) mod Q
     stack = []      # (level, r): r for 2^level leaves, levels strictly decreasing
 
     def join(lo, hi, level):
+        nonlocal powers
         while len(powers) <= level:
-            powers.append(_times_mod(powers[-1], powers[-1], low) if powers
-                          else _slots(columns[BLOCK - 1], width, k))
+            powers += (_times_mod(powers[-1], powers[-1], low) if powers
+                       else _slots(columns[BLOCK - 1], width, k),)
         return list(map(add, lo, _times_mod(powers[level], hi, low)))
 
     for i in range(0, len(a), BLOCK):
@@ -452,11 +466,11 @@ def _tree_value(coefficients, a, width: int, columns: list) -> tuple:
             r = join(stack.pop()[1], r, level)
             level += 1
         stack.append((level, r))
-    r = stack.pop()[1] if stack else [0] * k
+    r = stack.pop()[1]
     while stack:
         level, lo = stack.pop()
         r = join(lo, r, level)
-    return tuple(r[1:])
+    return tuple(r[1:]), powers
 
 
 def backward_column(coefficients, stop: int) -> list:
@@ -479,17 +493,6 @@ def column_weights(coefficients) -> tuple:
     t_{-p-j}, so one column serves every coordinate, for every index n.
     """
     return tuple(coefficients[d + 1:] + (0,) * d for d in range(len(coefficients) - 1))
-
-
-def column_value(alpha: tuple, t: list, a) -> tuple:
-    """sum_p a[p-1] * X_{-p} from the backward column t.
-
-    t must reach index len(a) + k - 2.  Takes the k-1 shifted column sums
-    S_j = sum_p a[p-1] t[p+j], then applies the alpha rows to them.
-    """
-    m = len(a)
-    sums = [sum(map(mul, a, t[j:j + m])) for j in range(1, len(alpha) + 1)]
-    return tuple([sum(map(mul, row, sums)) for row in alpha])
 
 
 class ScalarSequence:
@@ -582,18 +585,6 @@ class VectorSequence:
     def basis(self, depth: int) -> list:
         """[X_{-1}, ..., X_{-depth}] as a list indexed by i-1."""
         return [self.term(-i) for i in range(1, depth + 1)]
-
-    def value(self, a, length: int) -> tuple:
-        """sum_p a[p-1] * X_{-p}, by `column_value` on the held backward
-        column, which grows to serve every string of length digits (to index
-        length + k - 2), or of a's own length if a is longer."""
-        t = self._down
-        if len(a) > length:
-            length = len(a)
-        stop = length + len(self._alpha)    # k - 1 rows
-        if len(t) < stop:
-            extend(t, self.owner.coefficients, stop, down=True)
-        return column_value(self._alpha, t, a)
 
 
 class BasisSearch:

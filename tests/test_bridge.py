@@ -109,6 +109,14 @@ def test_bridge_rejects_wrong_dimension(v):
         scalar_bridge(C211, 5, v)
 
 
+def test_bridge_takes_an_iterator_as_decompose_does():
+    # the vector is made a tuple before its length is checked
+    assert scalar_bridge(C211, 6, iter([3, -4])) == scalar_bridge(C211, 6, (3, -4))
+    for v in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="vector dimension must be k-1 = 2"):
+            scalar_bridge(C211, 6, iter(v))
+
+
 @pytest.mark.parametrize("n", [5, 45])
 def test_bridge_converts_the_vector_before_the_terms(n):
     # the elements are made ints first: a string vector once multiplied

@@ -17,9 +17,11 @@ from zeckvec.normalize import (HELD_LEVEL_CAP, TRACE_FULL_STEPS, TRACE_THIN_EVER
                                IterationRecord, NormalizationTrace, ProbeReport, TraceStep,
                                _bridge_level, _decompose_chain, _held_digits, _reduce,
                                _streamed_digits)
-from zeckvec.recurrence import (BLOCK, backward_column, block_greedy_digits, column_value,
-                                column_weights, greedy_digits, scalar_terms, scalar_window,
-                                string_value)
+from zeckvec.recurrence import (BLOCK, _Blocks, _held_bridge, backward_column,
+                                block_greedy_digits, column_weights, greedy_digits, scalar_terms,
+                                scalar_window, string_value)
+
+from column_oracle import column_value
 
 STRICT = [(1, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 2, 1)]
 C211 = RecurrenceVector((2, 1, 1))
@@ -275,9 +277,9 @@ def test_bridge_matches_chain_and_enumeration(coeffs, data):
 
 
 def test_bridge_tables_match_the_sequences():
-    # the held bridge grows the sequences' own lists; they match fresh lists
-    # built from the recurrence, and every coordinate of X_{-p} comes from
-    # the one backward column
+    # the held bridge grows the scalar sequence's own list, which matches a
+    # fresh list built from the recurrence, and leaves the vector column at
+    # its seed; every coordinate of X_{-p} comes from that one column
     for k in range(2, 6):
         for head in itertools.combinations_with_replacement(range(4, 0, -1), k - 1):
             coeffs = head + (1,)
@@ -285,11 +287,13 @@ def test_bridge_tables_match_the_sequences():
             _held_digits(c, (1,) * (k - 1), 4 * k)
             xs, t, alpha = c.scalar()._up, c.vector()._down, c.vector()._alpha
             assert xs == scalar_terms(coeffs, 4 * k + 1)
-            assert t == backward_column(coeffs, 5 * k - 2)
+            assert t == backward_column(coeffs, 0)
             for p in range(4 * k):
+                want = vector_term(c, -p)
                 coords = tuple(sum(w * t[p + j] for j, w in enumerate(row))
                                for row in alpha)
-                assert coords == vector_term(c, -p)
+                assert coords == want
+            assert t == backward_column(coeffs, 5 * k - 2)
 
 
 def _digits_vector(rng, dim, digits):
@@ -730,8 +734,8 @@ def test_streamed_bridge_matches_tables_and_chain(coeffs, data):
     # every level tried, rejected ones included, far below the cap
     for n in bridge_levels(c, v, len(want)):
         assert _streamed_digits(c, v, n) == _held_digits(c, v, n)
-    arr, value = _streamed_digits(c, v, n)
-    assert (tuple(arr), value) == (want, v)
+    arr = _streamed_digits(c, v, n)
+    assert (tuple(arr), _held_bridge(c, 1, _Blocks).value(arr)) == (want, v)
 
 
 @pytest.mark.parametrize("coeffs", STRICT_SMALL, ids=lambda cs: ",".join(map(str, cs)))
@@ -873,20 +877,37 @@ def test_mixed_replay_grows_the_held_lists_in_place():
         level = len(xs) - 1
         for digits in sizes:
             v = _digits_vector(rng, c.k - 1, digits)
-            before = len(xs), len(t)
+            before = len(xs)
             a = decompose(c, v)
             assert evaluate(c, a) == v
-            # the same lists, longer only when a call needed a new highest level
+            # the same lists, the terms longer only when a call needed a new
+            # highest level, the column never
             assert c.scalar()._up is xs and c.vector()._down is t
             need = max([n for n in bridge_levels(c, v, len(a)) if n <= HELD_LEVEL_CAP],
                        default=0)
             if need > level:
                 level = need
-                assert (len(xs), len(t)) == (level + 1, level + c.k - 2)
+                assert len(xs) == level + 1
             else:
-                assert (len(xs), len(t)) == before
+                assert len(xs) == before
             assert len(xs) - 1 == level <= HELD_LEVEL_CAP
+            assert len(t) == c.k
         assert level > 0 and len(xs) <= HELD_LEVEL_CAP + 1
+
+
+@pytest.mark.parametrize("coeffs", STRICT)
+def test_decompose_leaves_the_vector_column_as_it_was(coeffs):
+    # the bridge checks every level by the held product tree, so neither the
+    # held levels (small and 100-digit vectors) nor a streamed one (2400
+    # digits) grow the vector sequence's column
+    rng = random.Random(sum(coeffs))
+    c = RecurrenceVector(coeffs)
+    vector_term(c, -3)
+    held = len(c.vector()._down)
+    for digits in (1, 2, 100, 2400):
+        v = _digits_vector(rng, c.k - 1, digits)
+        assert evaluate(c, decompose(c, v)) == v
+        assert len(c.vector()._down) == held, digits
 
 
 def test_4000_digit_round_trip_memory_is_linear():

@@ -8,8 +8,10 @@ from zeckvec import (InvalidRecurrenceError, RecurrenceVector, legal_decompose,
                      scalar_term, vector_term)
 from zeckvec.bridge import _check_cap
 from zeckvec.errors import CapExceededError
-from zeckvec.recurrence import (backward_column, column_value, column_weights, extend,
-                                string_value)
+from zeckvec.recurrence import (BLOCK, _Blocks, _held_bridge, backward_column, column_weights,
+                                extend, string_value)
+
+from column_oracle import column_value
 
 TRIBONACCI = RecurrenceVector((1, 1, 1))
 CUSTOM = RecurrenceVector((2, 1, 1))
@@ -321,24 +323,47 @@ def test_term_at_most_grows_the_terms_as_the_cap_check_did(coeffs, relaxed):
 
 @pytest.mark.parametrize("coeffs,relaxed", HELD_CASES)
 def test_vector_value_reads_the_column_grown_to_the_length(coeffs, relaxed):
+    # the bridge's held product tree gives the value of greedy-range digits
+    # as the column oracle does, with the column grown to the length, and as
+    # `string_value` does; it grows none of c's sequences
     rng = random.Random(sum(coeffs) + 10 * len(coeffs))
     k = len(coeffs)
     alpha = column_weights(coeffs)
-    for length in (1, 2, 7, 40):
-        for size in (0, 1, length - 1, length):
-            a = [rng.randint(-3, 4) for _ in range(size)]
-            c = RecurrenceVector(coeffs, relaxed=relaxed)
-            vec = c.vector()
-            got = vec.value(a, length)
-            assert got == string_value(coeffs, a), (coeffs, a)
-            assert got == column_value(alpha, backward_column(coeffs, size + k - 1), a)
-            # the column reaches index length + k - 2, which every string of
-            # at most length digits needs, and no further
-            assert len(vec._down) == length + k - 1
-            assert vec.value(a[:1], 1) == string_value(coeffs, a[:1])
-            assert len(vec._down) == length + k - 1
-        # a string longer than length grows the column as far as it reaches
-        a = [rng.randint(0, 4) for _ in range(length + 3)]
-        c = RecurrenceVector(coeffs, relaxed=relaxed)
-        assert c.vector().value(a, length) == string_value(coeffs, a)
-        assert len(c.vector()._down) == length + k + 2
+    c = RecurrenceVector(coeffs, relaxed=relaxed)
+    blocks = _held_bridge(c, 1, _Blocks)
+    for length in (0, 1, 2, 7, 40, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1, 2000):
+        a = [rng.randint(0, coeffs[0]) for _ in range(length)]
+        got = blocks.value(a)
+        assert got == column_value(alpha, backward_column(coeffs, length + k - 1), a), length
+        assert got == string_value(coeffs, a), length
+    assert (c._scalar, c._vector) == (None, None)
+
+
+def test_column_oracle_refuses_a_short_column():
+    # a column short of index len(a) + k - 2 once gave a wrong sum silently
+    alpha = column_weights((2, 1, 1))
+    with pytest.raises(AssertionError):
+        column_value(alpha, backward_column((2, 1, 1), 4), [1, 0, 1, 2, 1])
+    assert column_value(alpha, backward_column((2, 1, 1), 7), [1, 0, 1, 2, 1]) == (6, 1)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1, 1), (3, 2, 1), (4, 4, 4, 4, 1)])
+def test_held_tree_powers_only_lengthen(coeffs):
+    # long and short strings interleaved on one set of block constants: the
+    # held powers y^(BLOCK 2^l) mod Q are reused, only ever replaced by a
+    # longer tuple, and equal the fresh ones, (t_{1-p},) + X_{-p} at
+    # p = BLOCK 2^l, t the backward column
+    rng = random.Random(len(coeffs))
+    c = RecurrenceVector(coeffs)
+    blocks = _Blocks(coeffs)
+    t = backward_column(coeffs, 16 * BLOCK)
+    for length in (BLOCK, 5 * BLOCK, 1, 2 * BLOCK + 1, 17 * BLOCK, 3, 9 * BLOCK, 0):
+        before = blocks.powers
+        a = [rng.randint(0, coeffs[0]) for _ in range(length)]
+        assert blocks.value(a) == string_value(coeffs, a), length
+        assert blocks.powers[:len(before)] == before
+        assert len(blocks.powers) == max(len(before), (max(length - 1, 0) // BLOCK).bit_length())
+    assert len(blocks.powers) == 5
+    for level, power in enumerate(blocks.powers):
+        p = BLOCK << level
+        assert tuple(power) == (t[p - 1],) + vector_term(c, -p), level
