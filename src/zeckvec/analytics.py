@@ -2,8 +2,10 @@
 
 The number of summands of a vector in shell n equals the number of summands
 of its scalar image, so distributions are computed on the integer interval
-[X_n, X_{n+1}) directly: exactly by a digit DP over the greedy expansions
-(within the enumeration cap), or by seeded uniform sampling.  Moments use
+[X_n, X_{n+1}) directly: exactly from the digit-sum histograms of the
+prefixes [0, X_{m+1}), each built from smaller ones by a greedy walk that
+stops where its remainder repeats (O(k n^2) list additions up to window n,
+within the enumeration cap), or by seeded uniform sampling.  Moments use
 population (biased) estimators.
 
 The summand count of an integer is the digit sum of its legal decomposition,
@@ -94,24 +96,46 @@ def _prefix_histograms(c: RecurrenceVector):
     them, leading first) bound every smaller value: each agrees with g above
     some position i, has a digit d < g_i at i, and below i any greedy string
     of i - 1 digits.  Each such choice adds hists[i - 1] shifted by the
-    digit sum above i plus d; X_{m+1} - 1 itself adds one at sum(g).  The
-    list lives in the generator alone, so nothing is held on c.
+    digit sum above i plus d.
+
+    Step m walks g from X_m down and stops at the first position i whose
+    remainder is X_i - 1.  The rest of the walk and the final value are then
+    those of X_i - 1 itself, which hists[i - 1] already counts, so the step
+    adds hists[i - 1] once more, shifted by the digit sum down to i.  Every
+    walk stops by X_1, where the remainder is 0 = X_1 - 1 and hists[0] = [1]
+    counts X_{m+1} - 1 at sum(g).  The test is exact for every c.  For
+    weakly decreasing c the walk stops after the first chunk (at most k
+    digits), which gives the chunk recurrence
+    hists[m] = sum_j q^(s_j) [c_{j+1}]_q hists[m - 1 - j] of the generating
+    functions, so hists[0..n] take O(k n^2) list additions.  The lists live
+    in the generator alone, so nothing is held on c.
     """
     seq = c.scalar()
+    terms = [1, 1]   # terms[i] = X_i, from X_0 = X_1 = 1
     hists = [[1]]
     yield hists[0]
     for m in count(1):
-        g = legal_decompose(c, seq.term(m + 1) - 1)
-        out = [0] * (sum(g) + 1)
-        out[-1] = 1
+        terms.append(seq.term(m + 1))
+        z = terms[m + 1] - 1
+        out = []
         above = 0
-        for i, digit in zip(range(m, 0, -1), g):
+        for i in range(m, 0, -1):
+            x = terms[i]
+            digit = 0
+            while z >= x:
+                z -= x
+                digit += 1
+            # one shifted copy of hists[i - 1] per unit of the digit, and
+            # one more at the cut
+            stop = z == x - 1
             lower = hists[i - 1]
-            for base in range(above, above + digit):
+            for base in range(above, above + digit + stop):
                 end = base + len(lower)
                 if end > len(out):
                     out.extend([0] * (end - len(out)))
                 out[base:end] = map(add, out[base:end], lower)
+            if stop:
+                break
             above += digit
         hists.append(out)
         yield out
@@ -158,9 +182,12 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
 
     The summand count of a value is the digit sum of `legal_decompose`, with
     multiplicity, as in `bridge.summand_count`.  Exact mode counts every
-    integer in the window without visiting them, by a digit DP over the
-    greedy expansions of X_{m+1} - 1 for m <= n (requires X_{n+1} within the
-    cap; the cost is polynomial in n, not in the width).  Sampled mode
+    integer in the window without visiting them, from the digit-sum
+    histograms of [0, X_{m+1}) for m <= n, each built from smaller ones by
+    the greedy walk of X_{m+1} - 1 cut where its remainder repeats (see
+    `_prefix_histograms`).  It requires X_{n+1} within the cap; the cost is
+    O(k n^2) list additions for weakly decreasing c, not a power of the
+    width.  Sampled mode
     draws uniformly with an explicit seed; draws come from the bit length of
     the window width with rejection, so runs are exactly reproducible.  It
     counts each draw's summands by the greedy walk of `legal_decompose`

@@ -236,6 +236,16 @@ def test_grammar_dp_matches_exact_mode_on_large_windows():
                     (path.name, name)
 
 
+def test_exact_mode_matches_the_grammar_dp_at_window_300():
+    # windows of 80 to 196 digits, counted by the chunk recurrence of the cut
+    # walk: the grammar DP shares no code with it
+    for coeffs in ((1, 1, 1), (3, 2, 1), (4, 2, 1), (3, 3, 2, 1)):
+        c = RecurrenceVector(coeffs)
+        stats = summand_distribution(c, 300, mode="exact", cap=10 ** 300)
+        assert stats.histogram == grammar_histogram(coeffs, 300), coeffs
+        assert stats.size == scalar_term(c, 301) - scalar_term(c, 300)
+
+
 def test_criterion_08_gaussian_moments():
     start = time.perf_counter()
     c = RecurrenceVector((2, 1, 1))

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from itertools import product
+from operator import add
 
 import pytest
 
@@ -58,16 +59,19 @@ def test_exact_cap_message_names_the_term_and_the_cap():
 def test_exact_series_builds_each_prefix_histogram_once(monkeypatch, coeffs, n_min, n_max):
     c = RecurrenceVector(coeffs)
     want = [summand_distribution(c, n, cap=10 ** 30) for n in range(n_min, n_max + 1)]
-    calls = []
+    series, built = [], []
+    prefix_histograms = analytics._prefix_histograms
 
-    def counted(c, value):
-        calls.append(value)
-        return legal_decompose(c, value)
-    monkeypatch.setattr(analytics, "legal_decompose", counted)
+    def counted(c):
+        series.append(c)
+        for hist in prefix_histograms(c):
+            built.append(hist)
+            yield hist
+    monkeypatch.setattr(analytics, "_prefix_histograms", counted)
     got = list(exact_series(c, n_min, n_max, cap=10 ** 30))
     assert got == want and repr(got) == repr(want)
-    # one greedy expansion of X_{m+1} - 1 per prefix histogram G_1 .. G_{n_max}
-    assert calls == [scalar_term(c, m + 1) - 1 for m in range(1, n_max + 1)]
+    # one generator for the series, which builds hists[0] .. hists[n_max] once each
+    assert series == [c] and len(built) == n_max + 1
     assert c._bridge is None and c._vector is None
 
 
@@ -480,6 +484,52 @@ def test_exact_mode_matches_sweep(monkeypatch, coeffs):
         assert got == want and repr(got) == repr(want), (coeffs, n)
         assert fed == [want_keys], (coeffs, n)
         n += 1
+
+
+def uncut_prefix_histograms(c):
+    """Exact mode's prefix histograms by the uncut walk: step m expands
+    X_{m+1} - 1 in full and adds one shifted hists[i - 1] per unit of each
+    digit at position i, then one at the digit sum of X_{m+1} - 1."""
+    hists = [[1]]
+    yield hists[0]
+    for m in itertools.count(1):
+        g = legal_decompose(c, scalar_term(c, m + 1) - 1)
+        out = [0] * (sum(g) + 1)
+        out[-1] = 1
+        above = 0
+        for i, digit in zip(range(m, 0, -1), g):
+            lower = hists[i - 1]
+            for base in range(above, above + digit):
+                end = base + len(lower)
+                if end > len(out):
+                    out.extend([0] * (end - len(out)))
+                out[base:end] = map(add, out[base:end], lower)
+            above += digit
+        hists.append(out)
+        yield out
+
+
+def _nonzero(hist):
+    return {s: f for s, f in enumerate(hist) if f}
+
+
+# the benchmark's five c and the slowest c of the cubic walk
+BENCH_C = [(1, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 2, 1), (3, 3, 2, 1)]
+
+
+@pytest.mark.parametrize("coeffs,m_max",
+                         [(cs, 150 if cs in BENCH_C else 60)
+                          for cs in STRICT_SMALL + RELAXED_SMALL],
+                         ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else "m%d" % x)
+def test_cut_walk_matches_the_uncut_walk(coeffs, m_max):
+    c = RecurrenceVector(coeffs, relaxed=coeffs in RELAXED_SMALL)
+    want = list(itertools.islice(uncut_prefix_histograms(c), m_max + 1))
+    got = list(itertools.islice(analytics._prefix_histograms(c), m_max + 1))
+    assert [_nonzero(h) for h in got] == [_nonzero(h) for h in want], coeffs
+    series = exact_series(c, 1, m_max, cap=scalar_term(c, m_max + 1))
+    for n, stats in enumerate(series, 1):
+        # whole objects, so the floats agree bit for bit
+        assert repr(stats) == repr(analytics._window_stats(n, want[n - 1], want[n])), (coeffs, n)
 
 
 def digit_sum_sampled(c, n, size, seed):
