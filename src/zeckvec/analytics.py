@@ -28,7 +28,7 @@ from itertools import count, zip_longest
 from operator import add
 from typing import Optional
 
-from .bridge import DEFAULT_ENUMERATION_CAP, _check_cap, legal_decompose
+from .bridge import DEFAULT_ENUMERATION_CAP, _check_cap
 from .errors import OracleExhaustedError
 from .fileio import atomic_write_text
 from .normalize import decompose

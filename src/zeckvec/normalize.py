@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
                      NonTerminationError, NotEndCompleteError,
                      NotNearlySatisfyingError, NotSatisfyingError)
-from .recurrence import RecurrenceVector, _Blocks, _held_bridge, greedy_digits, scalar_window
+from .recurrence import RecurrenceVector, _held_blocks, greedy_digits, scalar_window
 from .representation import KIND_NEARLY_SATISFYING, _classify, _scan_from, canonical
 
 DEFAULT_BUDGET = 10_000
@@ -345,34 +345,6 @@ def _decompose_chain(c: RecurrenceVector, v: tuple, trace=None) -> tuple:
     return tuple(a)
 
 
-def _backward_log_growth(coeffs) -> float:
-    """log rho, the slowest growth rate among the expanding backward modes.
-
-    The terms X_{-i} are combinations of mu^i over the reciprocals mu of the
-    roots of x^k - c1 x^(k-1) - ... - ck.  A string of length m reaches only
-    about rho^m along the slowest mode with |mu| > 1, so rho bounds how short
-    the representation of v can be.  Roots by Durand-Kerner iteration.
-    """
-    poly = (1,) + tuple(-x for x in coeffs)
-    roots = [(0.4 + 0.9j) ** i for i in range(len(coeffs))]
-    for _ in range(500):
-        moved = 0.0
-        for i, r in enumerate(roots):
-            num = 0j
-            for a in poly:
-                num = num * r + a
-            den = 1
-            for j, s in enumerate(roots):
-                if j != i:
-                    den *= r - s
-            step = num / den
-            roots[i] = r - step
-            moved = max(moved, abs(step))
-        if moved < 1e-15:
-            break
-    return -math.log(max(abs(r) for r in roots if abs(r) < 1))
-
-
 # The terms a recurrence holds serve every bridge level up to this one, and
 # a higher level streams: the bridge never grows a held list past it.  Their
 # memory grows with the square of the level, the time they save only
@@ -391,21 +363,19 @@ def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
 
     |v| is the l1 norm: with the sup norm, vectors whose coordinates nearly
     cancel along the slow mode (tribonacci's (5, -8) has length 12) would
-    need a retry.  log rho is computed once and kept on c (`_held_bridge`).
+    need a retry.  log rho is held on c (`_held_blocks`).
     """
-    log_growth = _held_bridge(c, 0, _backward_log_growth)
-    return int(math.log(sum(map(abs, v))) / log_growth) + 2 * c.k
+    return int(math.log(sum(map(abs, v))) / _held_blocks(c).log_growth) + 2 * c.k
 
 
 def _held_digits(c: RecurrenceVector, v: tuple, n: int) -> list:
     """Level-n greedy digits of v, from the terms c's own scalar sequence
-    holds: X_n..X_1, which serve every level below n too."""
-    seq = c.scalar()
-    x_n = seq.term(n)
-    xs = seq.descending(n - 1)
+    holds: X_n..X_1, read by one call, which serve every level below n too."""
+    xs = c.scalar().descending(n)
     # v has k - 1 entries, so the dot reads X_{n-1}, ..., X_{n-k+1}
-    z = sum(map(mul, v, xs)) % x_n
+    z = sum(map(mul, v, xs[1:c.k])) % xs[0]
     arr = greedy_digits(z, xs)[0]
+    del arr[0]      # X_n's digit, 0 since z < X_n
     while arr and not arr[-1]:
         arr.pop()
     return arr
@@ -414,9 +384,9 @@ def _held_digits(c: RecurrenceVector, v: tuple, n: int) -> list:
 def _streamed_digits(c: RecurrenceVector, v: tuple, n: int) -> list:
     """Level-n greedy digits of v for n > k, with a few live terms: the top
     window from `scalar_window` and the digits from `block_greedy_digits`,
-    through the block constants held on c."""
+    through the block constants held on c (`_held_blocks`)."""
     coeffs, k = c.coefficients, c.k
-    blocks = _held_bridge(c, 1, _Blocks)
+    blocks = _held_blocks(c)
     window = scalar_window(coeffs, n - k, k + 1)   # X_{n-k} .. X_n
     z = sum(map(mul, v, window[-2::-1])) % window[-1]
     arr = blocks.greedy(z, window[:-1], n - 1)
@@ -430,17 +400,18 @@ def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
 
     Dot v with the level-n window (X_{n-1}, ..., X_{n-k+1}) mod X_n, take
     the greedy digits against X_{n-1}..X_1 and accept them when they
-    evaluate back to v.  The first level comes from |v|; a rejected level
-    doubles.  That terminates: both window maps satisfy the recurrence and
-    agree at i = 0..k-1, so z = S(a) mod X_n for the satisfying string a,
-    and S(a) < X_n once n > len(a).  Levels up to HELD_LEVEL_CAP take their
+    evaluate back to v.  The first level comes from |v| and rho
+    (`_bridge_level`); a rejected level doubles.  That terminates: both
+    window maps satisfy the recurrence and agree at i = 0..k-1, so
+    z = S(a) mod X_n for the satisfying string a, and S(a) < X_n once
+    n > len(a).  Levels up to HELD_LEVEL_CAP take their
     digits from the terms of c's own scalar sequence; higher ones stream,
     in memory linear in n, a block at a time from one exact window of terms
     (`block_greedy_digits`).  Every level's digits are checked by the one
     product tree (`string_value`) with the block constants held on c,
     greedy digits being at most c1, which the held leaf columns fit.
     """
-    blocks = _held_bridge(c, 1, _Blocks)
+    blocks = _held_blocks(c)
     n = _bridge_level(c, v)
     while True:
         digits = _held_digits if n <= HELD_LEVEL_CAP else _streamed_digits

@@ -18,8 +18,9 @@ with packed columns.  `greedy_digits` is the one greedy expansion against
 descending terms, and `greedy_count` the same walk counting its summands
 only; `block_greedy_digits` gives the same digits a block at a time from
 one window of k exact terms, the greedy itself summing each block's
-coefficients in the low bits of packed terms.  `_Blocks` holds the
-constants of both per recurrence for the bridge: its product tree is the
+coefficients in the low bits of packed terms.  `_Blocks`, the bridge's one
+held object (`_held_blocks`), holds the constants of both per recurrence
+and the growth rate that picks the first level: its product tree is the
 one check of every bridge level's digits, and its greedy the streamed
 levels' digits.
 `BasisSearch` is the breadth-first search over sums of X_{-1}, ..., X_{-b}
@@ -28,6 +29,7 @@ that the minimality and spanning oracles share, held per recurrence.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from operator import add, ge, mul
 
@@ -70,7 +72,7 @@ class RecurrenceVector:
         self.weakly_decreasing = weakly
         self._scalar = None
         self._vector = None
-        self._bridge = None   # (log growth rate, block constants), see `_held_bridge`
+        self._bridge = None   # the bridge's block constants, see `_held_blocks`
         self._search = None
 
     @property
@@ -260,9 +262,10 @@ def block_greedy_digits(coefficients, z: int, top, count: int) -> list:
 
 
 class _Blocks:
-    """The constants of the blocked greedy and of `string_value`'s leaves for
-    one weakly decreasing recurrence.  The bridge holds them on c
-    (`_held_bridge`); `block_greedy_digits` builds them per call.
+    """The constants of the blocked greedy and of `string_value`'s leaves, and
+    log_growth (`_backward_log_growth`), for one weakly decreasing recurrence.
+    The bridge holds them on c (`_held_blocks`); `block_greedy_digits` builds
+    them per call.
 
     columns[p-1] = y^p mod Q for 1 <= p < BLOCK + k, with Q as in
     `string_value`, packed in k signed width-bit slots, y^0 lowest.  The
@@ -275,12 +278,13 @@ class _Blocks:
     prefix of it.
     """
 
-    __slots__ = ("coefficients", "xs", "up", "span", "terms", "width", "columns", "step",
-                 "powers")
+    __slots__ = ("coefficients", "log_growth", "xs", "up", "span", "terms", "width",
+                 "columns", "step", "powers")
 
     def __init__(self, coefficients):
         k = len(coefficients)
         self.coefficients = coefficients
+        self.log_growth = _backward_log_growth(coefficients)
         self.xs = xs = scalar_terms(coefficients, BLOCK + k + 1)
         # The k unit-seed solutions (e_l at indices 1-k..0) travel in slots
         # of one integer per index, so one `extend` carries them all.  They
@@ -383,17 +387,39 @@ class _Blocks:
         return r
 
 
-def _held_bridge(c: RecurrenceVector, slot: int, build):
-    """Entry slot of c._bridge, the pair (the bridge's log growth rate, its
-    block constants), made by build(c.coefficients) on first use.  The pair
-    is None until either entry is needed, and is replaced, never changed in
-    place."""
-    held = c._bridge
-    if held is None or held[slot] is None:
-        held = list(held or (None, None))
-        held[slot] = build(c.coefficients)
-        held = c._bridge = tuple(held)
-    return held[slot]
+def _held_blocks(c: RecurrenceVector) -> _Blocks:
+    """The block constants held on c as c._bridge, built on first use."""
+    if c._bridge is None:
+        c._bridge = _Blocks(c.coefficients)
+    return c._bridge
+
+
+def _backward_log_growth(coefficients) -> float:
+    """log rho, the slowest growth rate among the expanding backward modes.
+
+    The terms X_{-i} are combinations of mu^i over the reciprocals mu of the
+    roots of x^k - c1 x^(k-1) - ... - ck.  A string of length m reaches only
+    about rho^m along the slowest mode with |mu| > 1, so rho bounds how short
+    the representation of v can be.  Roots by Durand-Kerner iteration.
+    """
+    poly = (1,) + tuple(-x for x in coefficients)
+    roots = [(0.4 + 0.9j) ** i for i in range(len(coefficients))]
+    for _ in range(500):
+        moved = 0.0
+        for i, r in enumerate(roots):
+            num = 0j
+            for a in poly:
+                num = num * r + a
+            den = 1
+            for j, s in enumerate(roots):
+                if j != i:
+                    den *= r - s
+            step = num / den
+            roots[i] = r - step
+            moved = max(moved, abs(step))
+        if moved < 1e-15:
+            break
+    return -math.log(max(abs(r) for r in roots if abs(r) < 1))
 
 
 def _packed_powers(coefficients, stop: int, width: int) -> list:

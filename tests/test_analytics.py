@@ -571,13 +571,16 @@ def test_sampled_counts_equal_the_digit_sums(coeffs):
 
 
 def test_sampled_mode_makes_no_greedy_expansion_per_draw(monkeypatch):
+    # each accepted draw is counted by one digit-free greedy walk, and a
+    # rejected draw by none
     calls = []
 
-    def counted(c, value):
-        calls.append(value)
-        return legal_decompose(c, value)
-    monkeypatch.setattr(analytics, "legal_decompose", counted)
+    def counted(z, terms):
+        calls.append(z)
+        return greedy_count(z, terms)
+    monkeypatch.setattr(analytics, "greedy_count", counted)
     for c, n in [(FIB, 30), (C211, 200), (RecurrenceVector((1, 3, 1), relaxed=True), 40)]:
+        calls.clear()
         stats = summand_distribution(c, n, mode="sampled", size=50, seed=7)
         assert stats.size == 50
-    assert calls == []
+        assert len(calls) == 50, (c, n)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -17,7 +18,7 @@ from zeckvec.normalize import (HELD_LEVEL_CAP, TRACE_FULL_STEPS, TRACE_THIN_EVER
                                IterationRecord, NormalizationTrace, ProbeReport, TraceStep,
                                _bridge_level, _decompose_chain, _held_digits, _reduce,
                                _streamed_digits)
-from zeckvec.recurrence import (BLOCK, _Blocks, _held_bridge, backward_column,
+from zeckvec.recurrence import (BLOCK, _Blocks, _held_blocks, backward_column,
                                 block_greedy_digits, column_weights, greedy_digits, scalar_terms,
                                 scalar_window, string_value)
 
@@ -735,7 +736,7 @@ def test_streamed_bridge_matches_tables_and_chain(coeffs, data):
     for n in bridge_levels(c, v, len(want)):
         assert _streamed_digits(c, v, n) == _held_digits(c, v, n)
     arr = _streamed_digits(c, v, n)
-    assert (tuple(arr), _held_bridge(c, 1, _Blocks).value(arr)) == (want, v)
+    assert (tuple(arr), _held_blocks(c).value(arr)) == (want, v)
 
 
 @pytest.mark.parametrize("coeffs", STRICT_SMALL, ids=lambda cs: ",".join(map(str, cs)))
@@ -798,6 +799,49 @@ def test_streamed_digits_match_held_digits_across_blocks(coeffs):
               HELD_LEVEL_CAP):
         v = _digits_vector(rng, k - 1, rng.randint(1, max(1, 3 * n // 10)))
         assert _streamed_digits(c, v, n) == _held_digits(c, v, n), n
+
+
+@pytest.mark.parametrize("coeffs", STRICT)
+def test_the_bridge_holds_one_block_object(coeffs):
+    # untraced decompose keeps one `_Blocks`, the growth rate with it, on c,
+    # and a later call, held level or streamed, reuses it
+    c = RecurrenceVector(coeffs)
+    rng = random.Random(len(coeffs) + 26)
+    decompose(c, _digits_vector(rng, c.k - 1, 5))
+    blocks = c._bridge
+    assert type(blocks) is _Blocks and blocks.log_growth > 0
+    assert _held_blocks(c) is blocks
+    decompose(c, _digits_vector(rng, c.k - 1, 2400))
+    assert c._bridge is blocks and _held_blocks(c) is blocks
+
+
+def test_only_the_untraced_bridge_holds_block_constants():
+    from zeckvec import support_shell
+    from zeckvec.analytics import exact_series
+    c = RecurrenceVector((2, 1, 1))
+    a = decompose(c, (12, -5), trace=NormalizationTrace())
+    assert evaluate(c, a) == (12, -5)
+    assert len(list(exact_series(c, 1, 12))) == 12
+    assert len(support_shell(c, 6)) > 0
+    assert c._bridge is None
+
+
+def test_bridge_levels_and_strings_are_the_pinned_ones():
+    # sha256 of repr((_bridge_level(c, v), decompose(c, v))) for 60 vectors
+    # per c of STRICT_SMALL, 4140 in all: 58 of 1-300 digits, then one of
+    # 1200 and one of 2400 digits (streamed levels), as the bridge gave them
+    # when the growth rate was held apart from the block constants
+    digest = hashlib.sha256()
+    for coeffs in STRICT_SMALL:
+        c = RecurrenceVector(coeffs)
+        rng = random.Random(",".join(map(str, coeffs)))
+        sizes = [rng.randint(1, 300) for _ in range(58)] + [1200, 2400]
+        for digits in sizes:
+            v = tuple(rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+                      for _ in range(c.k - 1))
+            digest.update(repr((_bridge_level(c, v), decompose(c, v))).encode())
+    assert digest.hexdigest() == \
+        "6a47c87f92b68f1909455c0151187c7d46ed11b443f4aca69f8175fb473d84c9"
 
 
 # lengths on both sides of the tree's leaf and node boundaries

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from zeckvec import (InvalidRecurrenceError, RecurrenceVector, legal_decompose,
                      scalar_term, vector_term)
 from zeckvec.bridge import _check_cap
 from zeckvec.errors import CapExceededError
-from zeckvec.recurrence import (BLOCK, _Blocks, _held_bridge, backward_column, column_weights,
+from zeckvec.recurrence import (BLOCK, _Blocks, _held_blocks, backward_column, column_weights,
                                 extend, string_value)
 
 from column_oracle import column_value
@@ -330,13 +331,21 @@ def test_vector_value_reads_the_column_grown_to_the_length(coeffs, relaxed):
     k = len(coeffs)
     alpha = column_weights(coeffs)
     c = RecurrenceVector(coeffs, relaxed=relaxed)
-    blocks = _held_bridge(c, 1, _Blocks)
+    blocks = _held_blocks(c)
     for length in (0, 1, 2, 7, 40, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1, 2000):
         a = [rng.randint(0, coeffs[0]) for _ in range(length)]
         got = blocks.value(a)
         assert got == column_value(alpha, backward_column(coeffs, length + k - 1), a), length
         assert got == string_value(coeffs, a), length
     assert (c._scalar, c._vector) == (None, None)
+
+
+@pytest.mark.parametrize("c1", range(1, 7))
+def test_blocks_hold_the_closed_form_growth_rate_for_k_2(c1):
+    # x^2 - c1 x - 1 has the root (c1 - sqrt(c1^2 + 4)) / 2 inside the unit
+    # circle; the backward terms grow like its reciprocal
+    want = math.log((c1 + math.sqrt(c1 * c1 + 4)) / 2)
+    assert abs(_Blocks((c1, 1)).log_growth - want) <= 1e-12
 
 
 def test_column_oracle_refuses_a_short_column():
