@@ -3,14 +3,14 @@
 Everything here is exact integer arithmetic.  Both sequences solve one
 recurrence, X_n = c1 X_{n-1} + ... + ck X_{n-k}, in both index directions;
 only their seeds differ.  `extend` is the one routine that steps it: it
-lengthens a plain list upward or downward.  A sequence keeps its terms in
-two such lists, one per direction, which only ever grow.  The vector
-sequence stores one integer column, the last coordinate of each term, and
-builds each vector term from k-1 consecutive entries of it on request.
-The two sequence classes own their lists: no other module reads them or
-grows them.  The rest of the package asks for what it needs by name (a
-term, the descending terms X_n..X_1, a term under a bound), and the
-sequences decide how far to grow.
+lengthens a plain list upward or downward.  `_TwoSided` holds one solution
+in two such lists, one per direction, which only ever grow, and its lookup
+`_at` is the one place that grows them.  The scalar sequence is one such
+solution; the vector sequence holds one integer column, the last
+coordinate of each term, and builds each vector term from k-1 consecutive
+entries of it on request.  No other module reads or grows the lists: the
+rest of the package asks for what it needs by name (a term, the
+descending terms X_n..X_1, a term under a bound).
 `scalar_window` and `string_value` reach far terms and long strings without
 the terms between: by powers of x modulo the characteristic polynomial, and
 by a product tree modulo its reciprocal whose leaves are each one dot product
@@ -272,14 +272,11 @@ class _Blocks:
     first BLOCK are the leaves' columns, for greedy digits, which are at
     most c1; read backward, they are also the rows that step the greedy's window
     down.  terms packs X_j above the unit-seed row A_j, for j = BLOCK down
-    to 1 (see `greedy`).  powers holds the y^(BLOCK 2^l) mod Q that `value`
-    has squared so far, as a tuple that a longer one replaces and that is
-    never changed in place, so calls that race can only store a correct
-    prefix of it.
+    to 1 (see `greedy`).  No call changes them once they are built.
     """
 
     __slots__ = ("coefficients", "log_growth", "xs", "up", "span", "terms", "width",
-                 "columns", "step", "powers")
+                 "columns", "step")
 
     def __init__(self, coefficients):
         k = len(coefficients)
@@ -302,7 +299,6 @@ class _Blocks:
         self.width = width = (coefficients[0] * BLOCK * big).bit_length() + 1
         self.columns = _packed_powers(coefficients, BLOCK + k, width)[1:]
         self.step = self.shift(BLOCK)
-        self.powers = ()
 
     def shift(self, s: int) -> list:
         """The rows taking (X_{u+1-k}, ..., X_u) to (X_{u-s+1-k}, ..., X_{u-s})."""
@@ -380,11 +376,8 @@ class _Blocks:
             window = [sum(map(mul, row, window)) for row in self.step]
 
     def value(self, a) -> tuple:
-        """`string_value` of a string of greedy digits, which lie in [0, c1],
-        keeping the powers of y that its tree squared."""
-        r, self.powers = _tree_value(self.coefficients, a, self.width, self.columns,
-                                     self.powers)
-        return r
+        """`string_value` of a string of greedy digits, which lie in [0, c1]."""
+        return _tree_value(self.coefficients, a, self.width, self.columns)
 
 
 def _held_blocks(c: RecurrenceVector) -> _Blocks:
@@ -448,7 +441,8 @@ def string_value(coefficients, a) -> tuple:
     sum_i r_i X_{-i} for r = (sum_p a[p-1] y^p) mod Q, which is
     (r_1, ..., r_{k-1}) because X_0 = 0 and X_{-i} = e_i.  The leaves'
     columns are built for this call only, as far as a reaches, with slots
-    wide enough for its largest digit (see `_tree_value`).
+    wide enough for its largest digit, and so are the tree's powers of y
+    (see `_tree_value`); nothing is held.
     """
     top = max(max(a), -min(a), 1) if len(a) else 1
     count = min(len(a), BLOCK)
@@ -457,33 +451,31 @@ def string_value(coefficients, a) -> tuple:
     # R^k - 1 >= (R - 1)(R^(k-1) + ... + R) >= c_{k-1} R^(k-1) + ... + c1 R.
     width = (top * count * (1 + max(coefficients)) ** count).bit_length() + 1
     return _tree_value(coefficients, a, width,
-                       _packed_powers(coefficients, count + 1, width)[1:])[0]
+                       _packed_powers(coefficients, count + 1, width)[1:])
 
 
-def _tree_value(coefficients, a, width: int, columns: list, powers: tuple = ()) -> tuple:
-    """(`string_value` of a, powers), from columns[p-1] = y^p mod Q packed in
-    width-bit slots, for p up to BLOCK and to len(a), with room for any
-    leaf's sum, and powers[l] = y^(BLOCK 2^l) mod Q for the first levels,
-    returned longer when the tree squared more of them.
+def _tree_value(coefficients, a, width: int, columns: list) -> tuple:
+    """`string_value` of a, from columns[p-1] = y^p mod Q packed in width-bit
+    slots, for p up to BLOCK and to len(a), with room for any leaf's sum.
 
     Each leaf of BLOCK digits takes r as one dot product of its digits with
     the columns; neighbours join as r_lo + (y^h mod Q) r_hi, h the digits
-    below, with y^h by squaring.  Each leaf is folded into a stack with one
-    node per tree level, as in a binary counter, so O(log len(a))
-    remainders are live at once; the remainder mod Q is unique, so the
-    grouping does not change it.  A string of one leaf is that leaf.
+    below, with y^h = y^(BLOCK 2^level) squared once per level and held for
+    this call only.  Each leaf is folded into a stack with one node per tree
+    level, as in a binary counter, so O(log len(a)) remainders are live at
+    once; the remainder mod Q is unique, so the grouping does not change it.
+    A string of one leaf is that leaf.
     """
     k = len(coefficients)
     if len(a) <= BLOCK:
-        return tuple(_slots(sum(map(mul, a, columns)), width, k)[1:]), powers
+        return tuple(_slots(sum(map(mul, a, columns)), width, k)[1:])
     low = [1] + [-w for w in coefficients[:-1]]     # y^k mod Q
+    powers = [_slots(columns[BLOCK - 1], width, k)]     # y^(BLOCK 2^level) mod Q
     stack = []      # (level, r): r for 2^level leaves, levels strictly decreasing
 
     def join(lo, hi, level):
-        nonlocal powers
-        while len(powers) <= level:
-            powers += (_times_mod(powers[-1], powers[-1], low) if powers
-                       else _slots(columns[BLOCK - 1], width, k),)
+        if len(powers) == level:
+            powers.append(_times_mod(powers[-1], powers[-1], low))
         return list(map(add, lo, _times_mod(powers[level], hi, low)))
 
     for i in range(0, len(a), BLOCK):
@@ -496,7 +488,7 @@ def _tree_value(coefficients, a, width: int, columns: list, powers: tuple = ()) 
     while stack:
         level, lo = stack.pop()
         r = join(lo, r, level)
-    return tuple(r[1:]), powers
+    return tuple(r[1:])
 
 
 def backward_column(coefficients, stop: int) -> list:
@@ -521,38 +513,55 @@ def column_weights(coefficients) -> tuple:
     return tuple(coefficients[d + 1:] + (0,) * d for d in range(len(coefficients) - 1))
 
 
-class ScalarSequence:
+class _TwoSided:
+    """One solution s of the recurrence in two lists that only grow: s_{base+m}
+    at _up[m] and s_{base+k-1-m} at _down[m], both starting with the seeds
+    s_base..s_{base+k-1}.  `_at` is the one lookup, and the one code that
+    grows either list."""
+
+    __slots__ = ("owner", "_base", "_up", "_down")
+
+    def __init__(self, owner: RecurrenceVector, base: int, seeds: list):
+        self.owner = owner
+        self._base = base
+        self._up = seeds
+        self._down = seeds[owner.k - 1::-1]
+
+    def _at(self, n: int) -> int:
+        m = n - self._base
+        if m >= 0:
+            seq, down = self._up, False
+        else:
+            seq, m, down = self._down, self.owner.k - 1 - m, True
+        if m >= len(seq):
+            extend(seq, self.owner.coefficients, m + 1, down)
+        return seq[m]
+
+
+class ScalarSequence(_TwoSided):
     """Two-sided scalar sequence X_n attached to a recurrence vector.
 
     X_1 = 1; for 2 <= n <= k, X_n = c1*X_{n-1} + ... + c_{n-1}*X_1 + 1; the
     full recurrence holds for n > k.  Indices n <= 0 are defined by running
     the recurrence backwards (well defined because ck = 1), which forces
-    X_0 = 1.  Terms live in two lists: X_n at index n, and X_{k-1-m} at
-    index m, whose first k entries X_{k-1}, ..., X_0 seed the descent.
+    X_0 = 1.  Held by `_TwoSided` with base 0 and seeds X_0..X_k.
     """
 
-    __slots__ = ("owner", "_up", "_down")
+    __slots__ = ()
 
     def __init__(self, owner: RecurrenceVector):
-        self.owner = owner
-        self._up = scalar_terms(owner.coefficients, 0)
-        self._down = self._up[owner.k - 1::-1]
+        super().__init__(owner, 0, scalar_terms(owner.coefficients, 0))
 
-    def term(self, n: int) -> int:
-        if n >= 0:
-            seq, m, down = self._up, n, False
-        else:
-            seq, m, down = self._down, self.owner.k - 1 - n, True
-        if m >= len(seq):
-            extend(seq, self.owner.coefficients, m + 1, down)
-        return seq[m]
+    term = _TwoSided._at
 
     def max_index_at_most(self, value: int) -> int:
         """Largest n >= 0 with X_n <= value (value >= 1)."""
+        if value < 1:
+            raise ValueError("no term is at most %d: X_0 = X_1 = 1" % value)
         # X_m >= m for m >= 1, so X_{value+1} is above value: the held terms
         # grow until the first one above value, and no further
         self.term_at_most(value + 1, value)
-        # X_0 = X_1 = 1: searching from index 2 answers 1 for value 1 (and below)
+        # X_0 = X_1 = 1: searching from index 2 answers 1 for value 1
         return bisect_right(self._up, value, 2) - 1
 
     def term_at_most(self, n: int, bound: int):
@@ -562,50 +571,40 @@ class ScalarSequence:
         they reach index n or pass the bound, whichever comes first: none
         past the first term above the bound, and none past X_n.
         """
+        if n < 0:
+            raise ValueError("term_at_most needs n >= 0")
         up = self._up
         while len(up) <= n and up[-1] <= bound:
-            extend(up, self.owner.coefficients, len(up) + 1)
+            self._at(len(up))
         x = up[min(n, len(up) - 1)]
         return x if x <= bound else None
 
     def descending(self, n: int) -> list:
         """A new list [X_n, ..., X_1] for n >= 0, growing the held terms to X_n."""
-        up = self._up
-        if n >= len(up):
-            extend(up, self.owner.coefficients, n + 1)
-        elif n < 0:
+        if n < 0:
             raise ValueError("descending terms need n >= 0")
-        return up[n:0:-1]
+        self._at(n)
+        return self._up[n:0:-1]
 
 
-class VectorSequence:
+class VectorSequence(_TwoSided):
     """Two-sided lattice-vector sequence seeded by 0 and the standard basis.
 
     X_0 = 0, X_{-i} = e_i for 1 <= i <= k-1, forward recurrence for n >= 1,
     backward recurrence for n <= -k.  All entries stay integral because
-    ck = 1.  Only the last coordinate t_n of each term is stored: t_{-p} at
-    index p of one list, t_{m-k+1} at index m of the other.  A term is
-    built on request as X_n[d] = sum_j alpha[d][j] * t_{n-j}.
+    ck = 1.  Only the last coordinate t_n of each term is held, with base
+    1-k and seeds t_{1-k}..t_0 = 1, 0, ..., 0, and a term is built on
+    request as X_n[d] = sum_j alpha[d][j] * t_{n-j}.
     """
 
-    __slots__ = ("owner", "_alpha", "_up", "_down")
+    __slots__ = ("_alpha",)
 
     def __init__(self, owner: RecurrenceVector):
-        self.owner = owner
+        super().__init__(owner, 1 - owner.k, [1] + [0] * (owner.k - 1))
         self._alpha = column_weights(owner.coefficients)
-        self._down = backward_column(owner.coefficients, 0)
-        self._up = self._down[::-1]
 
     def term(self, n: int) -> tuple:
-        k = self.owner.k
-        if n >= 0:
-            seq, m, down = self._up, n + k - 1, False
-        else:
-            seq, m, down = self._down, k - 2 - n, True
-        if m >= len(seq):
-            extend(seq, self.owner.coefficients, m + 1, down)
-        # t_n, t_{n-1}, ..., t_{n-k+2}
-        window = seq[m:m - k + 1:-1] if n >= 0 else seq[m - k + 2:m + 1]
+        window = [self._at(j) for j in range(n, n - self.owner.k + 1, -1)]  # t_n..t_{n-k+2}
         return tuple([sum(map(mul, row, window)) for row in self._alpha])
 
     def basis(self, depth: int) -> list:

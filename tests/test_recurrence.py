@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -204,6 +205,14 @@ def test_terms_match_tuple_oracle(coeffs, relaxed):
     for n in sorted(range(-40, 41), key=lambda n: (abs(n), n)):
         assert vector_term(c, n) == vectors[n], (coeffs, n)
         assert scalar_term(c, n) == scalars[n], (coeffs, n)
+    # a seeded shuffle on a fresh c: both lists grow in interleaved steps
+    # of every size through the one lookup
+    c = RecurrenceVector(coeffs, relaxed=relaxed)
+    order = list(range(-40, 41))
+    random.Random(len(coeffs) + 10 * sum(coeffs)).shuffle(order)
+    for n in order:
+        assert vector_term(c, n) == vectors[n], (coeffs, n)
+        assert scalar_term(c, n) == scalars[n], (coeffs, n)
 
 
 def greedy_oracle(xs, value):
@@ -218,6 +227,16 @@ def greedy_oracle(xs, value):
         q, value = divmod(value, xs[idx])
         digits.append(q)
     return top, tuple(digits)
+
+
+def assert_max_index(c, value, top):
+    """max_index_at_most(value) is the oracle's top for value >= 1; no term
+    is at most 0 (X_0 = X_1 = 1), so value 0 is refused."""
+    if value:
+        assert c.scalar().max_index_at_most(value) == top, (c, value)
+    else:
+        with pytest.raises(ValueError):
+            c.scalar().max_index_at_most(value)
 
 
 def test_legal_decompose_matches_linear_scan():
@@ -235,13 +254,13 @@ def test_legal_decompose_matches_linear_scan():
         for value in sorted(values):
             top, digits = greedy_oracle(xs, value)
             assert legal_decompose(c, value) == digits, (coeffs, value)
-            assert c.scalar().max_index_at_most(value) == top, (coeffs, value)
+            assert_max_index(c, value, top)
     for _ in range(2000):
         c, xs = tables[rng.choice(cases)[0]]
         value = rng.randrange(xs[rng.randint(1, 60)])
         top, digits = greedy_oracle(xs, value)
         assert legal_decompose(c, value) == digits, (c, value)
-        assert c.scalar().max_index_at_most(value) == top, (c, value)
+        assert_max_index(c, value, top)
 
 
 # the benchmark's five strict c, and relaxed c whose greedy digits can exceed c1
@@ -322,6 +341,34 @@ def test_term_at_most_grows_the_terms_as_the_cap_check_did(coeffs, relaxed):
             assert len(seq.scalar()._up) == held == len(checked.scalar()._up), (n, cap)
 
 
+REFUSAL_CASES = [((1, 1), False), ((2, 1, 1), False), ((3, 3, 2, 1), False), ((1, 3, 1), True)]
+
+
+@pytest.mark.parametrize("coeffs,relaxed", REFUSAL_CASES)
+def test_term_at_most_refuses_negative_indices(coeffs, relaxed):
+    # a negative n once read the held list from its end: for (2,1,1),
+    # term_at_most(-1, 10**9) gave 8 where X_{-1} = 0
+    seq = RecurrenceVector(coeffs, relaxed=relaxed).scalar()
+    held = list(seq._up), list(seq._down)
+    for n in (-1, -3, -40):
+        with pytest.raises(ValueError):
+            seq.term_at_most(n, 10 ** 9)
+    assert (seq._up, seq._down) == held
+    assert seq.term_at_most(0, 10 ** 9) == 1
+
+
+@pytest.mark.parametrize("coeffs,relaxed", REFUSAL_CASES)
+def test_max_index_at_most_refuses_values_below_one(coeffs, relaxed):
+    # X_0 = X_1 = 1, so no term is at most 0; the lookup once answered 1
+    seq = RecurrenceVector(coeffs, relaxed=relaxed).scalar()
+    held = list(seq._up), list(seq._down)
+    for value in (0, -1, -10 ** 9):
+        with pytest.raises(ValueError):
+            seq.max_index_at_most(value)
+    assert (seq._up, seq._down) == held
+    assert seq.max_index_at_most(1) == 1
+
+
 @pytest.mark.parametrize("coeffs,relaxed", HELD_CASES)
 def test_vector_value_reads_the_column_grown_to_the_length(coeffs, relaxed):
     # the bridge's held product tree gives the value of greedy-range digits
@@ -357,22 +404,20 @@ def test_column_oracle_refuses_a_short_column():
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1), (2, 1, 1), (3, 2, 1), (4, 4, 4, 4, 1)])
-def test_held_tree_powers_only_lengthen(coeffs):
-    # long and short strings interleaved on one set of block constants: the
-    # held powers y^(BLOCK 2^l) mod Q are reused, only ever replaced by a
-    # longer tuple, and equal the fresh ones, (t_{1-p},) + X_{-p} at
-    # p = BLOCK 2^l, t the backward column
+def test_block_value_leaves_the_constants_unchanged(coeffs):
+    # long and short strings interleaved on one set of block constants give
+    # the column oracle's value, and leave every slot the same object with
+    # the same contents; the 17-leaf string joins at 5 tree levels, so every
+    # power y^(BLOCK 2^l) mod Q it squares up to l = 4 is checked through it
     rng = random.Random(len(coeffs))
-    c = RecurrenceVector(coeffs)
+    alpha = column_weights(coeffs)
     blocks = _Blocks(coeffs)
-    t = backward_column(coeffs, 16 * BLOCK)
+    slots = [getattr(blocks, name) for name in _Blocks.__slots__]
+    copies = [copy.deepcopy(value) for value in slots]
     for length in (BLOCK, 5 * BLOCK, 1, 2 * BLOCK + 1, 17 * BLOCK, 3, 9 * BLOCK, 0):
-        before = blocks.powers
         a = [rng.randint(0, coeffs[0]) for _ in range(length)]
-        assert blocks.value(a) == string_value(coeffs, a), length
-        assert blocks.powers[:len(before)] == before
-        assert len(blocks.powers) == max(len(before), (max(length - 1, 0) // BLOCK).bit_length())
-    assert len(blocks.powers) == 5
-    for level, power in enumerate(blocks.powers):
-        p = BLOCK << level
-        assert tuple(power) == (t[p - 1],) + vector_term(c, -p), level
+        t = backward_column(coeffs, length + len(coeffs) - 1)
+        assert blocks.value(a) == column_value(alpha, t, a), length
+        assert all(getattr(blocks, name) is value
+                   for name, value in zip(_Blocks.__slots__, slots)), length
+        assert slots == copies, length
