@@ -30,7 +30,6 @@ from typing import Optional
 
 from .bridge import DEFAULT_ENUMERATION_CAP, _check_cap
 from .errors import OracleExhaustedError
-from .fileio import atomic_write_text
 from .normalize import decompose
 from .recurrence import RecurrenceVector, greedy_count
 
@@ -185,15 +184,15 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
     integer in the window without visiting them, from the digit-sum
     histograms of [0, X_{m+1}) for m <= n, each built from smaller ones by
     the greedy walk of X_{m+1} - 1 cut where its remainder repeats (see
-    `_prefix_histograms`).  It requires X_{n+1} within the cap; the cost is
-    O(k n^2) list additions for weakly decreasing c, not a power of the
-    width.  Sampled mode
-    draws uniformly with an explicit seed; draws come from the bit length of
-    the window width with rejection, so runs are exactly reproducible.  It
-    counts each draw's summands by the greedy walk of `legal_decompose`
-    without building the digits: every draw lies in [X_n, X_{n+1}), so
-    every walk runs over the same terms X_n, ..., X_1.  The
-    distribution is Gaussian only as a limit in n: skewness and excess
+    `_prefix_histograms`).  It requires X_{n+1} within the cap, which binds
+    exact mode only; the cost is O(k n^2) list additions for weakly
+    decreasing c, not a power of the width.  Sampled mode never reads the
+    cap.  It draws uniformly with an explicit seed; draws come from the bit
+    length of the window width with rejection, so runs are exactly
+    reproducible.  It counts each draw's summands by the greedy walk of
+    `legal_decompose` without building the digits: every draw lies in
+    [X_n, X_{n+1}), so every walk runs over the same terms X_n, ..., X_1.
+    The distribution is Gaussian only as a limit in n: skewness and excess
     kurtosis shrink toward 0 as the window grows, but need not be small at
     any fixed n.
     """
@@ -318,16 +317,6 @@ def check_minimality(c: RecurrenceVector, v, support_bound: Optional[int] = None
     return MinimalityResult(sr_count, depth, depth == sr_count, search.index[v])
 
 
-def oracle_minima(c: RecurrenceVector, vectors, support_bound: int,
-                  node_cap: int = 1_000_000):
-    """Yield (sr_count, oracle_min) for each vector by `check_minimality`,
-    which shares c's held search among them; an OracleExhaustedError is
-    raised at its vector, after the vectors before it were yielded."""
-    for v in vectors:
-        res = check_minimality(c, v, support_bound, node_cap)
-        yield res.sr_count, res.oracle_min
-
-
 # -- reproducible exports -----------------------------------------------------
 
 def stats_json_text(c: RecurrenceVector, stats: list) -> str:
@@ -347,16 +336,8 @@ def stats_json_text(c: RecurrenceVector, stats: list) -> str:
     return json.dumps(records, indent=2, sort_keys=True) + "\n"
 
 
-def export_stats_json(c: RecurrenceVector, stats: list, path: str):
-    atomic_write_text(path, stats_json_text(c, stats))
-
-
 def series_csv_text(stats: list) -> str:
     lines = ["n,mean,variance"]
     for s in stats:
         lines.append("%d,%.6g,%.6g" % (s.n, s.mean, s.variance))
     return "\n".join(lines) + "\n"
-
-
-def export_series_csv(stats: list, path: str):
-    atomic_write_text(path, series_csv_text(stats))

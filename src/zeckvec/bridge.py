@@ -67,7 +67,8 @@ def summand_count(digits) -> int:
 
 
 def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False):
-    """Yield every satisfying string with support in [1, n], lexicographically.
+    """Yield every satisfying string with support at most n, the empty string
+    included, lexicographically.
 
     With values enabled, each yield is (string, vector).  The strings come
     from `_batches`, one batch per prefix of the split walk, and with values
@@ -85,7 +86,8 @@ def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False)
 
 
 def _batches(c: RecurrenceVector, n: int, exact: bool = False):
-    """Yield the satisfying strings with support in [1, n] in lazy batches.
+    """Yield the satisfying strings with support at most n, the empty string
+    included, in lazy batches.
 
     Each batch is (strings, vectors), two parallel iterables, and the
     batches in order give the strings lexicographically.  With exact, only
@@ -208,7 +210,8 @@ def _int_text(x: int) -> str:
 
 def enumerate_representations(c: RecurrenceVector, n: int,
                               cap: int = DEFAULT_ENUMERATION_CAP) -> list:
-    """All satisfying strings with support in [1, n]; count equals X_{n+1}."""
+    """All satisfying strings with support at most n, the empty string
+    included; count equals X_{n+1}."""
     if n < 0:
         raise ValueError("support bound must be >= 0")
     _check_cap(c, n, cap, "enumeration of {x} strings exceeds cap {cap}")
@@ -239,8 +242,8 @@ def region_size(c: RecurrenceVector, n: int, cap: int = DEFAULT_ENUMERATION_CAP)
     """|D_n| = X_{n+1}, with `support_region`'s refusals and no region built.
 
     By uniqueness each vector of D_n has one satisfying string, and the
-    strings supported in [1, n] number X_{n+1}, the term `_check_cap`
-    returns when it lets n through.
+    strings of support at most n, the empty one included, number X_{n+1},
+    the term `_check_cap` returns when it lets n through.
     """
     if n < 0:
         raise ValueError("support bound must be >= 0")
@@ -249,7 +252,8 @@ def region_size(c: RecurrenceVector, n: int, cap: int = DEFAULT_ENUMERATION_CAP)
 
 def support_region(c: RecurrenceVector, n: int,
                    cap: int = DEFAULT_ENUMERATION_CAP) -> RegionSet:
-    """D_n: every vector with a satisfying string supported in [1, n]."""
+    """D_n: every vector with a satisfying string of support at most n
+    (the zero vector's is empty)."""
     region_size(c, n, cap)
     pairs = iter_representations(c, n, with_values=True)
     return RegionSet(n, {v: (len(a), a) for a, v in pairs})

@@ -175,10 +175,10 @@ def _cmd_stats(args) -> int:
                   % (report.lekkerkerker["slope"], report.lekkerkerker["target"],
                      report.lekkerkerker["deviation"]))
     if args.json:
-        analytics.export_stats_json(c, stats, args.json)
+        atomic_write_text(args.json, analytics.stats_json_text(c, stats))
         print("wrote %s" % args.json)
     if args.csv:
-        analytics.export_series_csv(stats, args.csv)
+        atomic_write_text(args.csv, analytics.series_csv_text(stats))
         print("wrote %s" % args.csv)
     return 0
 
@@ -189,14 +189,12 @@ def _cmd_minimality(args) -> int:
     region = bridge.support_region(c, args.n, cap=cap)
     bound = args.n + c.k if args.bound is None else args.bound
     failures = 0
-    vectors = region.vectors()
-    for v, (sr_count, oracle_min) in zip(vectors, analytics.oracle_minima(c, vectors, bound)):
-        minimal = oracle_min == sr_count
-        if not minimal:
-            failures += 1
+    for v in region.vectors():
+        res = analytics.check_minimality(c, v, bound)
+        failures += not res.minimal
         print("v=(%s) sr_count=%d oracle_min=%d minimal=%s"
-              % (representation.format_vector(v), sr_count, oracle_min,
-                 "true" if minimal else "false"))
+              % (representation.format_vector(v), res.sr_count, res.oracle_min,
+                 "true" if res.minimal else "false"))
     print("summary: %d/%d minimal" % (len(region) - failures, len(region)))
     return 0
 

@@ -117,7 +117,7 @@ class ProbeReport:
     result: Optional[tuple]          # final satisfying string when terminated
     last: tuple                      # state when the loop stopped
     steps: int
-    budget: Optional[int]
+    budget: int                      # the one applied (`_step_budget`)
     reason: Optional[str]            # "step_budget" | "support_growth"
     max_support: int
     g_history: list
@@ -259,12 +259,21 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
         del starts[-2:]
 
 
+def _step_budget(c: RecurrenceVector, budget) -> int:
+    """The step budget of a rewriting run: budget when given, else a guard
+    for weakly decreasing c, whose loop provably terminates, and
+    DEFAULT_BUDGET for other c, whose loop may diverge."""
+    if budget is not None:
+        return budget
+    return _HARD_STEP_CAP if c.weakly_decreasing else DEFAULT_BUDGET
+
+
 def _reduce(c: RecurrenceVector, a: tuple, budget=None, support_cap=None,
             starts=()) -> ProbeReport:
     cur = list(a)
     trace, history, iterations = NormalizationTrace(), [sum(a)], []
-    limit = _HARD_STEP_CAP if budget is None else budget
-    steps, max_support, reason = _rewrite(c, cur, limit, trace, history, iterations,
+    budget = _step_budget(c, budget)
+    steps, max_support, reason = _rewrite(c, cur, budget, trace, history, iterations,
                                           support_cap, starts=starts)
     cur = tuple(cur)
     return ProbeReport("budget_exceeded" if reason else "terminated",
@@ -305,9 +314,9 @@ def _bump_and_rewrite(c: RecurrenceVector, a: list, bumps, budget, trace,
                       starts=()) -> None:
     """Add 1 at each position of bumps in turn to the satisfying list a,
     whose chunk starts are starts when given, and rewrite it in place after
-    each; budget bounds the steps after each bump."""
-    limit = _HARD_STEP_CAP if budget is None else budget
-    if _rewrite(c, a, limit, trace, bumps=bumps, starts=starts)[2] is not None:
+    each; `_step_budget` bounds the steps after each bump."""
+    budget = _step_budget(c, budget)
+    if _rewrite(c, a, budget, trace, bumps=bumps, starts=starts)[2] is not None:
         raise NonTerminationError("normalization did not terminate within %r steps" % budget)
 
 
@@ -316,8 +325,8 @@ def increment(c: RecurrenceVector, a, i: int, budget=None, trace=None) -> tuple:
 
     The bumped string is satisfying or nearly satisfying by construction, so
     normalization applies directly.  For weakly decreasing coefficients the
-    result is guaranteed; otherwise the default budget bounds the attempt and
-    NonTerminationError reports failure.
+    result is guaranteed; otherwise the budget, DEFAULT_BUDGET unless given,
+    bounds the attempt and NonTerminationError reports failure.
     """
     a = canonical(a)
     starts = []
@@ -325,8 +334,6 @@ def increment(c: RecurrenceVector, a, i: int, budget=None, trace=None) -> tuple:
         raise NotSatisfyingError("increment requires a satisfying representation: %r" % (a,))
     if i < 1:
         raise ValueError("index must be >= 1")
-    if budget is None and not c.weakly_decreasing:
-        budget = DEFAULT_BUDGET
     out = list(a)
     _bump_and_rewrite(c, out, (i,), budget, trace, starts)
     return tuple(out)
@@ -383,8 +390,8 @@ def _held_digits(c: RecurrenceVector, v: tuple, n: int) -> list:
 
 def _streamed_digits(c: RecurrenceVector, v: tuple, n: int) -> list:
     """Level-n greedy digits of v for n > k, with a few live terms: the top
-    window from `scalar_window` and the digits from `block_greedy_digits`,
-    through the block constants held on c (`_held_blocks`)."""
+    window from `scalar_window` and the digits from `_Blocks.greedy`, with
+    the block constants held on c (`_held_blocks`)."""
     coeffs, k = c.coefficients, c.k
     blocks = _held_blocks(c)
     window = scalar_window(coeffs, n - k, k + 1)   # X_{n-k} .. X_n
@@ -407,7 +414,7 @@ def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
     n > len(a).  Levels up to HELD_LEVEL_CAP take their
     digits from the terms of c's own scalar sequence; higher ones stream,
     in memory linear in n, a block at a time from one exact window of terms
-    (`block_greedy_digits`).  Every level's digits are checked by the one
+    (`_Blocks.greedy`).  Every level's digits are checked by the one
     product tree (`string_value`) with the block constants held on c,
     greedy digits being at most c1, which the held leaf columns fit.
     """

@@ -16,13 +16,13 @@ the terms between: by powers of x modulo the characteristic polynomial, and
 by a product tree modulo its reciprocal whose leaves are each one dot product
 with packed columns.  `greedy_digits` is the one greedy expansion against
 descending terms, and `greedy_count` the same walk counting its summands
-only; `block_greedy_digits` gives the same digits a block at a time from
-one window of k exact terms, the greedy itself summing each block's
-coefficients in the low bits of packed terms.  `_Blocks`, the bridge's one
-held object (`_held_blocks`), holds the constants of both per recurrence
-and the growth rate that picks the first level: its product tree is the
-one check of every bridge level's digits, and its greedy the streamed
-levels' digits.
+only.  `_Blocks`, the bridge's one held object (`_held_blocks`), holds
+per recurrence the constants of the product tree and of its greedy, and
+the growth rate that picks the first level: the tree is the one check of
+every bridge level's digits, and `_Blocks.greedy` gives the streamed
+levels' digits, the same as `greedy_digits` but a block at a time from one
+window of k exact terms, summing each block's coefficients in the low bits
+of packed terms.
 `BasisSearch` is the breadth-first search over sums of X_{-1}, ..., X_{-b}
 that the minimality and spanning oracles share, held per recurrence.
 """
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from operator import add, ge, mul
+from operator import add, mul
 
 from .errors import InvalidRecurrenceError
 
@@ -199,7 +199,7 @@ def greedy_digits(z: int, terms) -> tuple:
     the last term.
 
     `legal_decompose`, the held bridge and, a block at a time,
-    `block_greedy_digits` expand through this loop.  Greedy digits are
+    `_Blocks.greedy` expand through this loop.  Greedy digits are
     small (at most c1 for weakly decreasing coefficients), so subtracting
     beats bisect and divmod.
     """
@@ -238,7 +238,7 @@ def greedy_count(z: int, terms) -> int:
     return count
 
 
-# Digits per step of `block_greedy_digits` and per leaf of `string_value`.
+# Digits per step of `_Blocks.greedy` and per leaf of `string_value`.
 # Measured on 15 vectors of 1200, 2400 and 4000 digits, three per strict c
 # of the benchmark, with the block constants held (2 cores, Python 3.11.7,
 # sizes interleaved in one process, best of 7-9, three runs): `decompose`
@@ -249,23 +249,10 @@ def greedy_count(z: int, terms) -> int:
 BLOCK = 128
 
 
-def block_greedy_digits(coefficients, z: int, top, count: int) -> list:
-    """`greedy_digits` of 0 <= z < X_{count+1} against X_count, ..., X_1,
-    BLOCK digits per step, from top = [X_{count+1-k}, ..., X_count], for
-    weakly decreasing coefficients (see `_Blocks.greedy`); others are refused,
-    since their greedy digits may exceed c1 and break the chunk grammar."""
-    if not all(map(ge, coefficients, coefficients[1:])):
-        raise InvalidRecurrenceError(
-            "the blocked greedy requires weakly decreasing coefficients: %r"
-            % (tuple(coefficients),))
-    return _Blocks(coefficients).greedy(z, top, count)
-
-
 class _Blocks:
     """The constants of the blocked greedy and of `string_value`'s leaves, and
-    log_growth (`_backward_log_growth`), for one weakly decreasing recurrence.
-    The bridge holds them on c (`_held_blocks`); `block_greedy_digits` builds
-    them per call.
+    log_growth (`_backward_log_growth`), for one weakly decreasing recurrence,
+    held on c by the bridge (`_held_blocks`).
 
     columns[p-1] = y^p mod Q for 1 <= p < BLOCK + k, with Q as in
     `string_value`, packed in k signed width-bit slots, y^0 lowest.  The
@@ -604,12 +591,20 @@ class VectorSequence(_TwoSided):
         self._alpha = column_weights(owner.coefficients)
 
     def term(self, n: int) -> tuple:
-        window = [self._at(j) for j in range(n, n - self.owner.k + 1, -1)]  # t_n..t_{n-k+2}
-        return tuple([sum(map(mul, row, window)) for row in self._alpha])
+        return self._terms(n, 1)[0]
 
     def basis(self, depth: int) -> list:
         """[X_{-1}, ..., X_{-depth}] as a list indexed by i-1."""
-        return [self.term(-i) for i in range(1, depth + 1)]
+        return self._terms(-1, depth)
+
+    def _terms(self, n: int, count: int) -> list:
+        """[X_n, X_{n-1}, ..., X_{n-count+1}], from the count+k-2 column
+        entries t_n..t_{n-count-k+3}, each looked up once: X_{n-i} reads the
+        k-1 of them from t_{n-i} down."""
+        k, alpha = self.owner.k, self._alpha
+        column = [self._at(j) for j in range(n, n - count - k + 2, -1)]
+        return [tuple([sum(map(mul, row, window)) for row in alpha])
+                for window in zip(*[column[j:] for j in range(k - 1)])]
 
 
 class BasisSearch:

@@ -13,7 +13,7 @@ from zeckvec import (CapExceededError, MinimalityResult, OracleExhaustedError,
                      vector_term)
 from zeckvec import analytics
 from zeckvec.analytics import (FIBONACCI_MEAN_SLOPE, SummandStats, _moments,
-                               exact_series, oracle_minima, stats_json_text)
+                               exact_series, stats_json_text)
 from zeckvec.recurrence import greedy_count, greedy_digits
 
 FIB = RecurrenceVector((1, 1))
@@ -200,10 +200,12 @@ def test_bfs_explored_counts_match_the_indexed_loop(coeffs):
 
 
 def _per_vector_minima(c, vectors, bound, node_cap):
+    # a new recurrence per vector, so each call grows a search of its own
     out = []
     for v in vectors:
         try:
-            res = check_minimality(c, v, support_bound=bound, node_cap=node_cap)
+            res = check_minimality(RecurrenceVector(c.coefficients), v,
+                                   support_bound=bound, node_cap=node_cap)
         except OracleExhaustedError as exc:
             return out, str(exc)
         out.append((res.sr_count, res.oracle_min))
@@ -226,8 +228,9 @@ def test_shared_search_matches_one_search_per_vector(coeffs):
                 want, error = _per_vector_minima(c, vectors, bound, node_cap)
                 got = []
                 try:
-                    for pair in oracle_minima(c, vectors, bound, node_cap):
-                        got.append(pair)
+                    for v in vectors:
+                        res = check_minimality(c, v, bound, node_cap)
+                        got.append((res.sr_count, res.oracle_min))
                 except OracleExhaustedError as exc:
                     assert str(exc) == error, (n, bound, node_cap)
                 else:
@@ -307,8 +310,8 @@ NODE_CAPS = (0, 1, 5, 20, 60, 300, 1_000_000)
                                              ((1, 1, 1, 1), (1, 2, 2, 1))],
                          ids=lambda cs: ",".join(map(str, cs)))
 def test_held_search_matches_the_per_call_search_when_calls_interleave(coeffs, relaxed):
-    # check_minimality, oracle_minima and spanning_probe take turns on one c
-    # (spanning also on a relaxed c), with bounds that change back and forth
+    # check_minimality, alone or over a batch, and spanning_probe take turns
+    # on one c (spanning also on a relaxed c), with bounds that change back and forth
     # and every node cap, so each call finds the search some other call grew.
     # A call that searches leaves c with no search or one for its bound
     # within its cap.
@@ -334,7 +337,9 @@ def test_held_search_matches_the_per_call_search_when_calls_interleave(coeffs, r
                 batch = rng.sample(vectors, 5)
                 got, want = [], []
                 try:
-                    got.extend(oracle_minima(c, batch, bound, node_cap))
+                    for v in batch:
+                        res = check_minimality(c, v, bound, node_cap)
+                        got.append((res.sr_count, res.oracle_min))
                 except OracleExhaustedError as exc:
                     got.append("error: " + str(exc))
                 for v in batch:

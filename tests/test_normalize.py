@@ -20,7 +20,7 @@ from zeckvec.normalize import (HELD_LEVEL_CAP, TRACE_FULL_STEPS, TRACE_THIN_EVER
                                _bridge_level, _decompose_chain, _held_digits, _reduce,
                                _streamed_digits)
 from zeckvec.recurrence import (BLOCK, _Blocks, _held_blocks, backward_column,
-                                block_greedy_digits, column_weights, greedy_digits, scalar_terms,
+                                column_weights, greedy_digits, scalar_terms,
                                 scalar_window, string_value)
 
 from column_oracle import column_value
@@ -425,6 +425,26 @@ def test_negative_budget_is_invalid():
     assert increment(FIB, (), 1, budget=0) == (1,)
 
 
+def test_no_budget_gives_coefficients_that_are_not_weakly_decreasing_the_default(monkeypatch):
+    # (1,3,1) diverges from (2,), a digit per step, and each step of the loop
+    # costs time and memory that grow with the string: with no budget named
+    # both entries stop after DEFAULT_BUDGET steps, whatever the guard that
+    # weakly decreasing c keep.  The guard is lowered so that a loop that
+    # runs to it ends in seconds.
+    monkeypatch.setattr(normalize, "_HARD_STEP_CAP", 2 * normalize.DEFAULT_BUDGET)
+    report = normalize_nsr(BAD131, (2,), budget=None)
+    assert (report.outcome, report.reason, report.steps, report.budget) == (
+        "budget_exceeded", "step_budget", normalize.DEFAULT_BUDGET, normalize.DEFAULT_BUDGET)
+    trace = NormalizationTrace()
+    with pytest.raises(NonTerminationError, match="within %d steps" % normalize.DEFAULT_BUDGET):
+        increment(BAD131, (1,), 1, budget=None, trace=trace)
+    assert trace.step_count == normalize.DEFAULT_BUDGET
+    # the probe stops on support growth first, and names the budget it had
+    assert probe_termination(BAD131, (2,), budget=None).budget == normalize.DEFAULT_BUDGET
+    # weakly decreasing c keep the guard, and their report names it
+    assert normalize_nsr(C211, (0, 2, 2), budget=None).budget == 2 * normalize.DEFAULT_BUDGET
+
+
 # -- differential oracles for the in-place rewriting loop ----------------------
 
 RELAXED = [(1, 3, 1), (1, 4, 2, 1), (1, 2, 1), (2, 3, 1), (1, 2, 2, 1), (2, 2, 3, 1)]
@@ -443,10 +463,12 @@ def _oracle_carry_legal(c, a, i):
 def full_rescan_reduce(c, a, budget=None, support_cap=None, trace=None):
     """The reduction loop as a full rescan: every round scans from position 1,
     and every step goes through the public carry/borrow, which validate and
-    copy the whole string."""
+    copy the whole string.  With no budget, weakly decreasing c get the
+    10^7-step guard and other c the default budget."""
     k = c.k
     total = c.coefficient_total
-    limit = 10_000_000 if budget is None else budget
+    if budget is None:
+        budget = 10_000_000 if c.weakly_decreasing else normalize.DEFAULT_BUDGET
     if trace is None:
         trace = NormalizationTrace()
     cur = tuple(a)
@@ -464,7 +486,7 @@ def full_rescan_reduce(c, a, budget=None, support_cap=None, trace=None):
         if support_cap is not None and len(cur) > support_cap:
             return ProbeReport("budget_exceeded", None, cur, steps, budget, "support_growth",
                                max_support, g_history, trace, iterations)
-        if steps >= limit:
+        if steps >= budget:
             return ProbeReport("budget_exceeded", None, cur, steps, budget, "step_budget",
                                max_support, g_history, trace, iterations)
         fail_pos, np_, matched = result.fail_pos, result.chunk_start, result.matched
@@ -485,7 +507,7 @@ def full_rescan_reduce(c, a, budget=None, support_cap=None, trace=None):
             g_history.append(g)
             max_support = max(max_support, len(cur))
             case = "borrow_only"
-            if steps < limit and _oracle_carry_legal(c, cur, np_ - 1):
+            if steps < budget and _oracle_carry_legal(c, cur, np_ - 1):
                 cur = carry(c, cur, np_ - 1)
                 steps += 1
                 g += (1 - total) if np_ - 1 >= 1 else -total
@@ -759,34 +781,35 @@ def test_block_greedy_matches_the_term_by_term_greedy(coeffs):
     k = len(coeffs)
     rng = random.Random(k * 100 + coeffs[0])
     seq = RecurrenceVector(coeffs).scalar()
+    blocks = _Blocks(coeffs)
     xs = scalar_terms(coeffs, 20 * BLOCK + k + 2)
     for count in [*range(1, 2 * k + 2), BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + k,
                   2 * BLOCK + 1, 3 * BLOCK + k, 8 * BLOCK + 1, 20 * BLOCK + k]:
         top = [seq.term(i) for i in range(count + 1 - k, count + 1)]
         edges = {0, 1, xs[count] - 1, xs[count], xs[count + 1] - 2, xs[count + 1] - 1}
         for z in sorted(edges) + [rng.randrange(xs[count + 1]) for _ in range(3)]:
-            assert (block_greedy_digits(coeffs, z, top, count)
+            assert (blocks.greedy(z, top, count)
                     == greedy_digits(z, xs[count:0:-1])[0]), (count, z)
 
 
 @pytest.mark.parametrize("coeffs", [(1, 3, 1), (1, 4, 2, 1)])
-def test_block_greedy_refuses_coefficients_that_are_not_weakly_decreasing(coeffs):
-    # their greedy digits can exceed c1, which the blocks assume; the
-    # refusal comes before any work, for z inside the range
-    k = len(coeffs)
-    xs = scalar_terms(coeffs, 302)
-    for count in (50, 300):
-        for z in (0, xs[count], xs[count + 1] - 1):
-            with pytest.raises(InvalidRecurrenceError):
-                block_greedy_digits(coeffs, z, xs[count + 1 - k:count + 1], count)
+def test_decompose_refuses_relaxed_coefficients_before_the_blocks(coeffs):
+    # their greedy digits can exceed c1, which the blocked greedy and the
+    # leaf columns assume; the refusal comes before the blocks are built
+    c = RecurrenceVector(coeffs, relaxed=True)
+    for trace in (None, NormalizationTrace()):
+        with pytest.raises(InvalidRecurrenceError, match="weakly decreasing"):
+            decompose(c, (1,) * (c.k - 1), trace=trace)
+    assert c._bridge is None
 
 
 @pytest.mark.parametrize("count", [5, 3 * BLOCK + 1])
 def test_block_greedy_refuses_z_outside_the_range(count):
+    blocks = _Blocks((2, 1, 1))
     xs = scalar_terms((2, 1, 1), count + 2)
     for z in (-1, xs[count + 1], 10 * xs[count + 1]):
         with pytest.raises(ValueError):
-            block_greedy_digits((2, 1, 1), z, xs[count - 2:count + 1], count)
+            blocks.greedy(z, xs[count - 2:count + 1], count)
 
 
 @pytest.mark.parametrize("coeffs", STRICT_SMALL, ids=lambda cs: ",".join(map(str, cs)))

@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zeckvec import (InvalidRecurrenceError, RecurrenceVector, legal_decompose,
-                     scalar_term, vector_term)
+from zeckvec import (InvalidRecurrenceError, RecurrenceVector, VectorSequence,
+                     legal_decompose, scalar_term, vector_term)
 from zeckvec.bridge import _check_cap
 from zeckvec.errors import CapExceededError
 from zeckvec.recurrence import (BLOCK, _Blocks, _held_blocks, backward_column, column_weights,
@@ -367,6 +367,25 @@ def test_max_index_at_most_refuses_values_below_one(coeffs, relaxed):
             seq.max_index_at_most(value)
     assert (seq._up, seq._down) == held
     assert seq.max_index_at_most(1) == 1
+
+
+@pytest.mark.parametrize("coeffs,relaxed", HELD_CASES + [((1, 4, 2, 1), True)])
+def test_basis_looks_up_each_column_entry_once(monkeypatch, coeffs, relaxed):
+    # X_{-1}..X_{-d} read the d + k - 2 entries t_{-1}..t_{2-d-k} of the
+    # column, k - 1 each from their own index down: one lookup per entry,
+    # where a lookup per term and coordinate took (k - 1) d
+    k = len(coeffs)
+    calls = []
+    at = VectorSequence._at
+    monkeypatch.setattr(VectorSequence, "_at", lambda seq, n: calls.append(n) or at(seq, n))
+    vectors = oracle_vectors(coeffs, -40, 0)
+    for d in (1, 2, k, 12, 40):
+        seq = RecurrenceVector(coeffs, relaxed=relaxed).vector()
+        calls.clear()
+        got = seq.basis(d)
+        assert sorted(calls, reverse=True) == list(range(-1, 1 - d - k, -1)), (coeffs, d)
+        assert got == [seq.term(-i) for i in range(1, d + 1)]
+        assert got == [vectors[-i] for i in range(1, d + 1)]
 
 
 @pytest.mark.parametrize("coeffs,relaxed", HELD_CASES)
