@@ -260,9 +260,10 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
 
 
 def _step_budget(c: RecurrenceVector, budget) -> int:
-    """The step budget of a rewriting run: budget when given, else a guard
-    for weakly decreasing c, whose loop provably terminates, and
-    DEFAULT_BUDGET for other c, whose loop may diverge."""
+    """The step budget of a rewriting run: budget when given, else
+    _HARD_STEP_CAP, only a guard, for weakly decreasing c, whose loop
+    provably terminates, and DEFAULT_BUDGET for other c, whose loop may
+    diverge."""
     if budget is not None:
         return budget
     return _HARD_STEP_CAP if c.weakly_decreasing else DEFAULT_BUDGET
