@@ -415,9 +415,11 @@ def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
     n > len(a).  Levels up to HELD_LEVEL_CAP take their
     digits from the terms of c's own scalar sequence; higher ones stream,
     in memory linear in n, a block at a time from one exact window of terms
-    (`_Blocks.greedy`).  Every level's digits are checked by the one
-    product tree (`string_value`) with the block constants held on c,
-    greedy digits being at most c1, which the held leaf columns fit.
+    (`_Blocks.greedy`).  Every level's digits are re-evaluated exactly,
+    every digit of them, and compared with v by `_Blocks.value`, with the
+    block constants held on c: plain dots with held coordinates for a
+    string of one leaf, else the product tree with leaf sums that read the
+    held columns or their multiples, greedy digits being in [0, c1].
     """
     blocks = _held_blocks(c)
     n = _bridge_level(c, v)

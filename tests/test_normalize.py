@@ -866,6 +866,22 @@ def test_bridge_levels_and_strings_are_the_pinned_ones():
         "6a47c87f92b68f1909455c0151187c7d46ed11b443f4aca69f8175fb473d84c9"
 
 
+@pytest.mark.parametrize("coeffs", STRICT)
+def test_decompose_strings_evaluate_back_by_the_public_tree(coeffs):
+    # the held check, whose leaves take no products, accepted these strings
+    # (a held level at 100 digits, a streamed one at 1200); public
+    # `string_value`, with its own per-call columns and dot-product leaves,
+    # must give v back from them too
+    c = RecurrenceVector(coeffs)
+    rng = random.Random(",".join(map(str, coeffs)) + " public")
+    for digits in (100, 1200):
+        v = tuple(rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+                  for _ in range(c.k - 1))
+        a = decompose(c, v)
+        assert len(a) > BLOCK and is_satisfying(c, a), digits
+        assert string_value(coeffs, a) == v == _held_blocks(c).value(a), digits
+
+
 # lengths on both sides of the tree's leaf and node boundaries
 _TREE_LENGTHS = st.one_of(st.integers(0, 3 * BLOCK + 1),
                           st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK,

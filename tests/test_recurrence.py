@@ -388,10 +388,10 @@ def test_basis_looks_up_each_column_entry_once(monkeypatch, coeffs, relaxed):
         assert got == [vectors[-i] for i in range(1, d + 1)]
 
 
-@pytest.mark.parametrize("coeffs,relaxed", HELD_CASES)
+@pytest.mark.parametrize("coeffs,relaxed", [case for case in HELD_CASES if not case[1]])
 def test_vector_value_reads_the_column_grown_to_the_length(coeffs, relaxed):
-    # the bridge's held product tree gives the value of greedy-range digits
-    # as the column oracle does, with the column grown to the length, and as
+    # the bridge's held check gives the value of greedy-range digits as the
+    # column oracle does, with the column grown to the length, and as
     # `string_value` does; it grows none of c's sequences
     rng = random.Random(sum(coeffs) + 10 * len(coeffs))
     k = len(coeffs)
@@ -404,6 +404,53 @@ def test_vector_value_reads_the_column_grown_to_the_length(coeffs, relaxed):
         assert got == column_value(alpha, backward_column(coeffs, length + k - 1), a), length
         assert got == string_value(coeffs, a), length
     assert (c._scalar, c._vector) == (None, None)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 3, 1), (1, 0, 1)])
+def test_blocks_refuse_coefficients_that_are_not_weakly_decreasing(coeffs):
+    # the leaves and the blocked greedy assume greedy digits in [0, c1],
+    # which only weakly decreasing coefficients guarantee
+    with pytest.raises(InvalidRecurrenceError, match="weakly decreasing"):
+        _Blocks(coeffs)
+
+
+def _leaf_edge_digits(rng, c1, length, edge):
+    """length digits drawn from [0, c1], with edge at the first and last
+    position of every leaf."""
+    a = [rng.randint(0, c1) for _ in range(length)]
+    for i in range(0, length, BLOCK):
+        a[i] = a[min(i + BLOCK, length) - 1] = edge
+    return a
+
+
+@pytest.mark.parametrize("coeffs", STRICT_ALL, ids=lambda cs: ",".join(map(str, cs)))
+def test_block_value_matches_the_column_oracle(coeffs):
+    # one leaf (plain dots with the coordinate rows) and several (packed
+    # leaf sums without products, joined by the tree), each with both ends
+    # of the greedy digit range at the leaves' edges
+    rng = random.Random(",".join(map(str, coeffs)))
+    alpha = column_weights(coeffs)
+    blocks = _Blocks(coeffs)
+    for length in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+        t = backward_column(coeffs, length + len(coeffs) - 1)
+        for edge in (0, coeffs[0]):
+            a = _leaf_edge_digits(rng, coeffs[0], length, edge)
+            assert blocks.value(a) == column_value(alpha, t, a), (length, edge)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(STRICT_ALL),
+       st.one_of(st.integers(0, 3 * BLOCK + 1),
+                 st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])),
+       st.data())
+def test_block_value_matches_the_column_oracle_on_drawn_strings(coeffs, length, data):
+    c1 = coeffs[0]
+    a = data.draw(st.lists(st.integers(0, c1), min_size=length, max_size=length))
+    for i in range(0, length, BLOCK):
+        a[i] = data.draw(st.sampled_from([0, c1]))
+        a[min(i + BLOCK, length) - 1] = data.draw(st.sampled_from([0, c1]))
+    t = backward_column(coeffs, length + len(coeffs) - 1)
+    assert _Blocks(coeffs).value(a) == column_value(column_weights(coeffs), t, a)
 
 
 @pytest.mark.parametrize("c1", range(1, 7))
@@ -426,11 +473,15 @@ def test_column_oracle_refuses_a_short_column():
 def test_block_value_leaves_the_constants_unchanged(coeffs):
     # long and short strings interleaved on one set of block constants give
     # the column oracle's value, and leave every slot the same object with
-    # the same contents; the 17-leaf string joins at 5 tree levels, so every
-    # power y^(BLOCK 2^l) mod Q it squares up to l = 4 is checked through it
+    # the same contents: the one-leaf strings read the coordinate rows, the
+    # longer ones the columns and, for c1 >= 2, their multiples.  The
+    # 17-leaf string joins at 5 tree levels, so every power y^(BLOCK 2^l)
+    # mod Q it squares up to l = 4 is checked through it
     rng = random.Random(len(coeffs))
     alpha = column_weights(coeffs)
     blocks = _Blocks(coeffs)
+    assert {"columns", "coordinates", "multiples"} <= set(_Blocks.__slots__)
+    assert (blocks.multiples is None) == (coeffs[0] == 1)
     slots = [getattr(blocks, name) for name in _Blocks.__slots__]
     copies = [copy.deepcopy(value) for value in slots]
     for length in (BLOCK, 5 * BLOCK, 1, 2 * BLOCK + 1, 17 * BLOCK, 3, 9 * BLOCK, 0):
