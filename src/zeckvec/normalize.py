@@ -418,8 +418,8 @@ def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
     (`_Blocks.greedy`).  Every level's digits are re-evaluated exactly,
     every digit of them, and compared with v by `_Blocks.value`, with the
     block constants held on c: plain dots with held coordinates for a
-    string of one leaf, else the product tree with leaf sums that read the
-    held columns or their multiples, greedy digits being in [0, c1].
+    string of one leaf, else the product tree with the held columns, whose
+    slots fit greedy digits, which lie in [0, c1].
     """
     blocks = _held_blocks(c)
     n = _bridge_level(c, v)

@@ -13,8 +13,8 @@ rest of the package asks for what it needs by name (a term, the
 descending terms X_n..X_1, a term under a bound).
 `scalar_window` and `string_value` reach far terms and long strings without
 the terms between: by powers of x modulo the characteristic polynomial, and
-by a product tree modulo its reciprocal whose leaves are each one sum over
-packed columns.  `greedy_digits` is the one greedy expansion against
+by a product tree modulo its reciprocal whose leaves are each one dot product
+with packed columns.  `greedy_digits` is the one greedy expansion against
 descending terms, and `greedy_count` the same walk counting its summands
 only.  `_Blocks`, the bridge's one held object (`_held_blocks`), holds
 per recurrence, for weakly decreasing c only, the constants of the
@@ -22,10 +22,10 @@ product tree and of its greedy, and the growth rate that picks the first
 level.  `_Blocks.value` is the one exact check of every bridge level's
 digits: a string of one leaf is k-1 plain dot products with held
 coordinates of X_{-1}..X_{-BLOCK}, and a longer one goes through the
-tree, with leaf sums that take no products because greedy digits lie in
-[0, c1].  `_Blocks.greedy` gives the streamed levels' digits, the same as
-`greedy_digits` but a block at a time from one window of k exact terms,
-summing each block's coefficients in the low bits of packed terms.
+tree with the held packed columns.  `_Blocks.greedy` gives the streamed
+levels' digits, the same as `greedy_digits` but a block at a time from one
+window of k exact terms, summing each block's coefficients in the low bits
+of packed terms.
 `BasisSearch` is the breadth-first search over sums of X_{-1}, ..., X_{-b}
 that the minimality and spanning oracles share, held per recurrence.
 """
@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import compress
-from operator import add, getitem, lt, mul
+from operator import add, lt, mul
 
 from .errors import InvalidRecurrenceError
 
@@ -250,30 +249,30 @@ def greedy_count(z: int, terms) -> int:
 # or 256, in no steady order; a streamed call at level 2049 took
 # 0.5-1.1 ms at every size from 128 up.  The held constants took 22-41 KB
 # per recurrence at 128, 38-79 KB at 192 and 57-129 KB at 256; with the
-# one-leaf coordinates and the digit multiples they take 26-100 KB at 128
-# for the benchmark's recurrences.
+# one-leaf coordinates they take 27-52 KB at 128 for the benchmark's
+# recurrences.
 BLOCK = 128
 
 
 class _Blocks:
-    """The constants of the blocked greedy and of `_Blocks.value`'s leaves,
-    and log_growth (`_backward_log_growth`), for one weakly decreasing
+    """The constants of the blocked greedy and of `_Blocks.value`, and
+    log_growth (`_backward_log_growth`), for one weakly decreasing
     recurrence, held on c by the bridge (`_held_blocks`).
 
     columns[p-1] = y^p mod Q for 1 <= p < BLOCK + k, with Q as in
     `string_value`, packed in k signed width-bit slots, y^0 lowest; read
     backward, they are also the rows that step the greedy's window down.
-    coordinates[d-1][p-1] is coordinate d of X_{-p}, for p up to BLOCK, as a
-    plain int.  multiples[p-1][d] = d * columns[p-1] for the greedy digits
-    d in [0, c1], or None when c1 = 1, where the digits are 0 and 1.  terms
-    packs X_j above the unit-seed row A_j, for j = BLOCK down to 1 (see
-    `greedy`).  No call changes them once they are built.  The leaves and
-    the greedy assume digits in [0, c1], so coefficients that are not
+    The first BLOCK are the tree's leaf columns, with slots wide enough for
+    greedy digits, which lie in [0, c1].  coordinates[d-1][p-1] is
+    coordinate d of X_{-p}, for p up to BLOCK, as a plain int.  terms packs
+    X_j above the unit-seed row A_j, for j = BLOCK down to 1 (see
+    `greedy`).  No call changes them once they are built.  The slot widths
+    and the greedy assume digits in [0, c1], so coefficients that are not
     weakly decreasing are refused.
     """
 
     __slots__ = ("coefficients", "log_growth", "xs", "up", "span", "terms", "width",
-                 "columns", "coordinates", "multiples", "step")
+                 "columns", "coordinates", "step")
 
     def __init__(self, coefficients):
         k = len(coefficients)
@@ -298,11 +297,8 @@ class _Blocks:
         big = sum(coefficients) * max(map(abs, backward_column(coefficients, BLOCK + 2 * k)))
         self.width = width = (coefficients[0] * BLOCK * big).bit_length() + 1
         self.columns = columns = _packed_powers(coefficients, BLOCK + k, width)[1:]
-        leaf = columns[:BLOCK]
         self.coordinates = [list(row) for row in
-                            zip(*[_slots(x, width, k)[1:] for x in leaf])]
-        self.multiples = None if coefficients[0] == 1 else [
-            tuple([d * x for d in range(coefficients[0] + 1)]) for x in leaf]
+                            zip(*[_slots(x, width, k)[1:] for x in columns[:BLOCK]])]
         self.step = self.shift(BLOCK)
 
     def shift(self, s: int) -> list:
@@ -381,25 +377,15 @@ class _Blocks:
             window = [sum(map(mul, row, window)) for row in self.step]
 
     def value(self, a) -> tuple:
-        """`string_value` of a string of greedy digits, which lie in [0, c1],
-        with no product of packed integers at the leaves.
+        """`string_value` of a string of greedy digits, which lie in [0, c1].
 
         A string of at most BLOCK digits is k-1 plain dot products with
-        `coordinates`.  A longer one goes through `_tree_value`, whose
-        leaves are `_leaf` sums.
+        `coordinates`, with no packed column and no slot decode; a longer
+        one goes through `_tree_value` with the held columns.
         """
         if len(a) <= BLOCK:
             return tuple([sum(map(mul, a, row)) for row in self.coordinates])
-        return _tree_value(self.coefficients, a, self.width, self.columns[BLOCK - 1],
-                           self._leaf)
-
-    def _leaf(self, part) -> int:
-        """sum_p part[p-1] y^p mod Q, packed, for at most BLOCK greedy
-        digits: the columns of the digits 1 when c1 = 1, else the held
-        multiples d * column, summed with no product."""
-        if self.multiples is None:
-            return sum(compress(self.columns, part))
-        return sum(map(getitem, self.multiples, part))
+        return _tree_value(self.coefficients, a, self.width, self.columns)
 
 
 def _held_blocks(c: RecurrenceVector) -> _Blocks:
@@ -472,18 +458,16 @@ def string_value(coefficients, a) -> tuple:
     # the columns start at 1 and step downward by the recurrence, and
     # R^k - 1 >= (R - 1)(R^(k-1) + ... + R) >= c_{k-1} R^(k-1) + ... + c1 R.
     width = (top * count * (1 + max(coefficients)) ** count).bit_length() + 1
-    columns = _packed_powers(coefficients, count + 1, width)[1:]
-    return _tree_value(coefficients, a, width, columns[-1],
-                       lambda part: sum(map(mul, part, columns)))
+    return _tree_value(coefficients, a, width,
+                       _packed_powers(coefficients, count + 1, width)[1:])
 
 
-def _tree_value(coefficients, a, width: int, top: int, leaf) -> tuple:
-    """`string_value` of a, from leaf(part) = sum_p part[p-1] y^p mod Q for a
-    part of at most BLOCK digits, packed in width-bit slots with room for
-    any leaf's sum, and top = y^BLOCK mod Q packed alike when a is longer
-    than BLOCK.
+def _tree_value(coefficients, a, width: int, columns: list) -> tuple:
+    """`string_value` of a, from columns[p-1] = y^p mod Q packed in width-bit
+    slots, for p up to BLOCK and to len(a), with room for any leaf's sum.
 
-    Neighbouring leaves join as r_lo + (y^h mod Q) r_hi, h the digits
+    Each leaf of BLOCK digits takes r as one dot product of its digits with
+    the columns; neighbours join as r_lo + (y^h mod Q) r_hi, h the digits
     below, with y^h = y^(BLOCK 2^level) squared once per level and held for
     this call only.  Each leaf is folded into a stack with one node per tree
     level, as in a binary counter, so O(log len(a)) remainders are live at
@@ -492,9 +476,9 @@ def _tree_value(coefficients, a, width: int, top: int, leaf) -> tuple:
     """
     k = len(coefficients)
     if len(a) <= BLOCK:
-        return tuple(_slots(leaf(a), width, k)[1:])
+        return tuple(_slots(sum(map(mul, a, columns)), width, k)[1:])
     low = [1] + [-w for w in coefficients[:-1]]     # y^k mod Q
-    powers = [_slots(top, width, k)]     # y^(BLOCK 2^level) mod Q
+    powers = [_slots(columns[BLOCK - 1], width, k)]     # y^(BLOCK 2^level) mod Q
     stack = []      # (level, r): r for 2^level leaves, levels strictly decreasing
 
     def join(lo, hi, level):
@@ -503,7 +487,7 @@ def _tree_value(coefficients, a, width: int, top: int, leaf) -> tuple:
         return list(map(add, lo, _times_mod(powers[level], hi, low)))
 
     for i in range(0, len(a), BLOCK):
-        level, r = 0, _slots(leaf(a[i:i + BLOCK]), width, k)
+        level, r = 0, _slots(sum(map(mul, a[i:i + BLOCK], columns)), width, k)
         while stack and stack[-1][0] == level:
             r = join(stack.pop()[1], r, level)
             level += 1

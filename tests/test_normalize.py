@@ -868,10 +868,10 @@ def test_bridge_levels_and_strings_are_the_pinned_ones():
 
 @pytest.mark.parametrize("coeffs", STRICT)
 def test_decompose_strings_evaluate_back_by_the_public_tree(coeffs):
-    # the held check, whose leaves take no products, accepted these strings
-    # (a held level at 100 digits, a streamed one at 1200); public
-    # `string_value`, with its own per-call columns and dot-product leaves,
-    # must give v back from them too
+    # the held check, with the held columns, accepted these strings (a held
+    # level at 100 digits, a streamed one at 1200); public `string_value`,
+    # with its own per-call columns and slot widths, must give v back from
+    # them too
     c = RecurrenceVector(coeffs)
     rng = random.Random(",".join(map(str, coeffs)) + " public")
     for digits in (100, 1200):

@@ -408,8 +408,8 @@ def test_vector_value_reads_the_column_grown_to_the_length(coeffs, relaxed):
 
 @pytest.mark.parametrize("coeffs", [(1, 3, 1), (1, 0, 1)])
 def test_blocks_refuse_coefficients_that_are_not_weakly_decreasing(coeffs):
-    # the leaves and the blocked greedy assume greedy digits in [0, c1],
-    # which only weakly decreasing coefficients guarantee
+    # the held slot widths and the blocked greedy assume greedy digits in
+    # [0, c1], which only weakly decreasing coefficients guarantee
     with pytest.raises(InvalidRecurrenceError, match="weakly decreasing"):
         _Blocks(coeffs)
 
@@ -425,9 +425,9 @@ def _leaf_edge_digits(rng, c1, length, edge):
 
 @pytest.mark.parametrize("coeffs", STRICT_ALL, ids=lambda cs: ",".join(map(str, cs)))
 def test_block_value_matches_the_column_oracle(coeffs):
-    # one leaf (plain dots with the coordinate rows) and several (packed
-    # leaf sums without products, joined by the tree), each with both ends
-    # of the greedy digit range at the leaves' edges
+    # one leaf (plain dots with the coordinate rows) and several (dot
+    # products with the held packed columns, joined by the tree), each with
+    # both ends of the greedy digit range at the leaves' edges
     rng = random.Random(",".join(map(str, coeffs)))
     alpha = column_weights(coeffs)
     blocks = _Blocks(coeffs)
@@ -474,14 +474,13 @@ def test_block_value_leaves_the_constants_unchanged(coeffs):
     # long and short strings interleaved on one set of block constants give
     # the column oracle's value, and leave every slot the same object with
     # the same contents: the one-leaf strings read the coordinate rows, the
-    # longer ones the columns and, for c1 >= 2, their multiples.  The
-    # 17-leaf string joins at 5 tree levels, so every power y^(BLOCK 2^l)
-    # mod Q it squares up to l = 4 is checked through it
+    # longer ones the packed columns.  The 17-leaf string joins at 5 tree
+    # levels, so every power y^(BLOCK 2^l) mod Q it squares up to l = 4 is
+    # checked through it
     rng = random.Random(len(coeffs))
     alpha = column_weights(coeffs)
     blocks = _Blocks(coeffs)
-    assert {"columns", "coordinates", "multiples"} <= set(_Blocks.__slots__)
-    assert (blocks.multiples is None) == (coeffs[0] == 1)
+    assert {"columns", "coordinates"} <= set(_Blocks.__slots__)
     slots = [getattr(blocks, name) for name in _Blocks.__slots__]
     copies = [copy.deepcopy(value) for value in slots]
     for length in (BLOCK, 5 * BLOCK, 1, 2 * BLOCK + 1, 17 * BLOCK, 3, 9 * BLOCK, 0):
