@@ -19,9 +19,11 @@ applies:
     terminates; otherwise the carry may be blocked and the step budget guards
     against divergence.
 
-A round touches only positions >= n_p - 1, so the next round's scan resumes at
-the chunk start before n_p and keeps the chunk starts found before that.
-Each round's `IterationRecord`, like each `TraceStep`, is a named tuple.
+A round touches only positions n_p - 1 .. I + k, so the next round's scan
+resumes at the chunk start before n_p and keeps the chunk starts found before
+that.  Each round's `IterationRecord`, like each `TraceStep`, is a named
+tuple; its prefix mass is still a sum over the prefix, once per round, so a
+probe on a long string keeps that cost.
 
 Every public entry validates its string once, by `canonical`, and scans it
 from position 1 once: the probes and `resolve_end_complete` classify it
@@ -34,7 +36,14 @@ Increments are bumps in the same loop: once the list satisfies, the next bump
 adds 1 at its position and the rounds go on, with the mass and chunk starts
 kept, so `increment` is one pass with one bump and traced `decompose` one pass
 over its whole chain.  A bump at i changes nothing before the last chunk start
-at or before i, so the scan after it resumes there.
+at or before i, so the scan after it resumes there.  Nor does it change
+anything after i, so the loop also keeps the chunk starts that the last
+passing scan found after that resume point, and each round drops those at or
+below its I + k.  A scan that lands on a kept start re-syncs with the last
+passing scan: the scanner's state at a chunk start is fixed and nothing from
+there on has changed, so the string satisfies and the rest of its chunk
+starts are the kept ones (`representation._scan_from`).  So a bump and its
+rounds cost what they change, not the length of the string.
 """
 
 from __future__ import annotations
@@ -86,16 +95,23 @@ class NormalizationTrace:
         self.terminated = False
         self._tail_step = 0
 
-    def record(self, op: str, pos: int, string: tuple, mass: int):
+    def record(self, op: str, pos: int, string, mass: int):
+        """Count one unit step and keep it, or merge it into the borrow run
+        it extends, as the class docstring says.  string is the state after
+        the step, a tuple or the rewriting loop's live list: it is copied
+        only for a step that is kept (`tuple` of a tuple is that tuple), and
+        the step is built by `tuple.__new__`, past the named tuple's
+        argument handling."""
         self.step_count += 1
         if op == "borrow" and self.steps and self._tail_step == self.step_count - 1:
             last = self.steps[-1]
             if last.op == "borrow" and last.pos == pos:
-                self.steps[-1] = TraceStep(op, pos, string, mass, last.count + 1)
+                self.steps[-1] = tuple.__new__(TraceStep, (op, pos, tuple(string), mass,
+                                                           last.count + 1))
                 self._tail_step = self.step_count
                 return
         if self.step_count <= TRACE_FULL_STEPS or self.step_count % TRACE_THIN_EVERY == 0:
-            self.steps.append(TraceStep(op, pos, string, mass))
+            self.steps.append(tuple.__new__(TraceStep, (op, pos, tuple(string), mass, 1)))
             self._tail_step = self.step_count
 
     def strings(self) -> list:
@@ -177,6 +193,10 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
     are the chunk starts that the caller's scan of a from position 1 found,
     up to its failure if there was one, and the first scan resumes at the
     last of them (at 1 when there are none).
+    A bump keeps, highest first, the chunk starts that the last passing scan
+    found after the one its scan resumes at; each round drops those at or
+    below fail_pos + k, the highest position a borrow or carry can write,
+    and a scan that lands on one that is left stops there (`_scan_from`).
     limit counts the steps since the last bump.  history and iterations,
     when given, get the mass after each step and one IterationRecord per
     round; carry_only raises NotEndCompleteError on a round that is not
@@ -192,9 +212,10 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
     max_support = len(a)
     bumps = iter(bumps)
     starts = list(starts)
+    kept = []
     p = starts.pop() if starts else 1
     while True:
-        fail = _scan_from(coeffs, k, a, starts, p)
+        fail = _scan_from(coeffs, k, a, starts, p, kept)
         if fail is None:
             b = next(bumps, None)
             if b is None:
@@ -204,6 +225,7 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
             # resume at the last chunk start at or before b (starts[0] is 1)
             j = max(bisect_right(starts, b) - 1, 0)
             p = starts[j] if starts else 1
+            kept = starts[:j:-1]
             del starts[j:]
             if b > len(a):
                 a.extend([0] * (b - len(a)))
@@ -225,19 +247,22 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
         case = "carry_only"
         if matched != k - 1:
             # borrow from I = fail_pos; a_I > c_j >= 0, so it is legal
-            a.extend([0] * (fail_pos + k - len(a)))
+            if fail_pos + k > len(a):
+                a.extend([0] * (fail_pos + k - len(a)))
+                max_support = max(max_support, len(a))
             a[fail_pos - 1] -= 1
             for l in range(k):
                 a[fail_pos + l] += coeffs[l]
             steps += 1
             g += total - 1
             if trace is not None:
-                trace.record("borrow", fail_pos, tuple(a), g)
+                trace.record("borrow", fail_pos, a, g)
             if history is not None:
                 history.append(g)
-            max_support = max(max_support, len(a))
-            legal = steps < stop_at and len(a) >= i + k and all(map(ge, a[i:i + k], coeffs))
-            case = "borrow_carry" if legal else "borrow_only"
+            if steps < stop_at and len(a) >= i + k and all(map(ge, a[i:i + k], coeffs)):
+                case = "borrow_carry"
+            else:
+                case = "borrow_only"
         if case != "borrow_only":
             # carry into n_p - 1 (0 is the virtual position)
             for l in range(k):
@@ -249,12 +274,14 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
             steps += 1
             g += (1 - total) if i else -total
             if trace is not None:
-                trace.record("carry", i, tuple(a), g)
+                trace.record("carry", i, a, g)
             if history is not None:
                 history.append(g)
         if iterations is not None:
             iterations.append(IterationRecord(fail_pos, i + 1, matched, case,
                                               g_before, prefix_mass))
+        while kept and kept[-1] <= fail_pos + k:
+            kept.pop()
         p = starts[-2] if len(starts) > 1 else 1
         del starts[-2:]
 
@@ -474,25 +501,27 @@ def probe_termination(c: RecurrenceVector, a, budget: int = DEFAULT_BUDGET) -> P
 
 
 def _repeated_block(s: tuple):
-    """Most repeated contiguous block (block, repeats), preferring short blocks."""
+    """Most repeated contiguous block (block, repeats), preferring short blocks.
+
+    For each width w up to 12, one backward pass counts run, the positions
+    i, i + 1, ... with s[i] == s[i + w] in a row: the block at i then
+    repeats 1 + run // w times.  The first width, then the first start, to
+    reach a strictly higher count wins; None when no block repeats.
+    """
     m = len(s)
-    best = None
+    best, most = None, 1
     for width in range(1, min(12, m // 2) + 1):
-        run_best = 1
-        for start in range(0, m - 2 * width + 1):
-            block = s[start:start + width]
-            reps = 1
-            pos = start + width
-            while pos + width <= m and s[pos:pos + width] == block:
-                reps += 1
-                pos += width
-            if reps > run_best:
-                run_best = reps
-                if best is None or reps > best[1]:
-                    best = (block, reps)
-    if best is not None and best[1] >= 2:
-        return best
-    return None
+        # more[i]: the copies of s[i:i + width] that follow it in a row
+        run, more = 0, []
+        for x, y in zip(s[m - width - 1::-1], s[:width - 1:-1]):
+            run = run + 1 if x == y else 0
+            more.append(run // width)
+        more.reverse()
+        top = max(more)
+        if top + 1 > most:
+            start = more.index(top)
+            best, most = (s[start:start + width], top + 1), top + 1
+    return best
 
 
 @dataclass(frozen=True)

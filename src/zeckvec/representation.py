@@ -50,14 +50,30 @@ class ScanResult:
     matched: Optional[int]        # j: positions n_p..n_p+j-1 equal c1..cj exactly
 
 
-def _scan_from(coeffs: tuple, k: int, a, starts: list, p: int):
+def _scan_from(coeffs: tuple, k: int, a, starts: list, p: int, kept=()):
     """Run the chunk grammar over a from chunk start p, appending each chunk
     start to starts.  Returns None when the rest of a satisfies, otherwise
     (fail_pos, matched) for the chunk at starts[-1].  Resuming at a chunk
     start of an earlier scan is exact while no position before it changed.
+
+    kept, when given, is a list of chunk starts, highest first, that a
+    passing scan of a found and from which on no position has changed
+    since.  The scanner's state at a chunk start is fixed, so a scan that
+    lands on one of them would go on as that scan did: it stops there,
+    appends the kept starts from there on and returns None.  It pops the
+    kept starts it passes over: they lie below its failure, if it fails,
+    so the caller's round would drop them anyway.
     """
     m = len(a)
+    nxt = kept[-1] if kept else m + 1
     while p <= m:
+        if p >= nxt:
+            while kept and kept[-1] < p:
+                kept.pop()
+            if kept and kept[-1] == p:
+                starts.extend(reversed(kept))
+                return None
+            nxt = kept[-1] if kept else m + 1
         starts.append(p)
         j = 0
         while j < k:

@@ -147,10 +147,10 @@ def test_an_entry_scans_its_string_from_position_1_once(monkeypatch, entry, args
     a, scans = zeckvec.canonical(args[1]), []
     scan_from = representation._scan_from
 
-    def counted(coeffs, k, b, starts, p):
+    def counted(coeffs, k, b, starts, p, *kept):
         if p == 1 and tuple(b) == a:
             scans.append(p)
-        return scan_from(coeffs, k, b, starts, p)
+        return scan_from(coeffs, k, b, starts, p, *kept)
 
     monkeypatch.setattr(representation, "_scan_from", counted)
     monkeypatch.setattr(normalize, "_scan_from", counted)
@@ -198,6 +198,45 @@ def test_divergent_probe_matches_worked_steps():
     for s in report.trace.steps:
         assert evaluate(BAD131, s.string) == target
     assert report.suffix_period is not None
+
+
+def block_by_block_search(s):
+    """`_repeated_block` as a search that compares whole blocks: every width
+    up to 12, every start, each copy after it in turn."""
+    m = len(s)
+    best = None
+    for width in range(1, min(12, m // 2) + 1):
+        run_best = 1
+        for start in range(0, m - 2 * width + 1):
+            block = s[start:start + width]
+            reps = 1
+            pos = start + width
+            while pos + width <= m and s[pos:pos + width] == block:
+                reps += 1
+                pos += width
+            if reps > run_best:
+                run_best = reps
+                if best is None or reps > best[1]:
+                    best = (block, reps)
+    if best is not None and best[1] >= 2:
+        return best
+    return None
+
+
+def test_repeated_block_matches_the_block_by_block_search():
+    # every string of length <= 8 over 0..2, then seeded near-periodic ones
+    # of up to 300 digits: a block of width 1..14 with a few digits changed
+    for m in range(9):
+        for s in itertools.product(range(3), repeat=m):
+            assert normalize._repeated_block(s) == block_by_block_search(s), s
+    rng = random.Random(300)
+    for _ in range(600):
+        block = [rng.randrange(3) for _ in range(rng.randint(1, 14))]
+        s = [block[i % len(block)] for i in range(rng.randint(1, 300))]
+        for _ in range(rng.randint(0, 6)):
+            s[rng.randrange(len(s))] = rng.randrange(3)
+        s = tuple(s)
+        assert normalize._repeated_block(s) == block_by_block_search(s), s
 
 
 def test_probe_conjectured_terminating_neighbor():
@@ -672,9 +711,9 @@ def test_a_bump_resumes_the_scan_at_the_last_chunk_start_before_it(monkeypatch, 
     scans = []
     original = normalize._scan_from
 
-    def recorded(coeffs, k, a, starts, p):
+    def recorded(coeffs, k, a, starts, p, *kept):
         reads = []
-        fail = original(coeffs, k, _CountedReads(a, reads), starts, p)
+        fail = original(coeffs, k, _CountedReads(a, reads), starts, p, *kept)
         scans.append((p, fail, reads))
         return fail
 
@@ -698,6 +737,84 @@ def test_a_bump_resumes_the_scan_at_the_last_chunk_start_before_it(monkeypatch, 
                 p, _, reads = scans[n]
                 assert p == q, (a, bumps)
                 assert min(reads, default=p - 1) >= p - 1, (a, bumps)
+
+
+@pytest.mark.parametrize("coeffs", STRICT, ids=lambda cs: ",".join(map(str, cs)))
+def test_a_passing_scan_stops_where_it_rejoins_the_last_one(monkeypatch, coeffs):
+    # after a bump at b, the rounds write nothing past W, the larger of b
+    # and each failing scan's fail_pos + k.  From the first chunk start q
+    # past W that the strings before and after the bump share, the passing
+    # scan would go on as the last one did, so it reads nothing past q,
+    # however long the string
+    c = RecurrenceVector(coeffs)
+    k = c.k
+    rng = random.Random(4000)
+    scans = []
+    original = normalize._scan_from
+
+    def recorded(coeffs, k, a, starts, p, *kept):
+        reads = []
+        fail = original(coeffs, k, _CountedReads(a, reads), starts, p, *kept)
+        scans.append((fail, reads))
+        return fail
+
+    monkeypatch.setattr(normalize, "_scan_from", recorded)
+    for length in (400, 4000):
+        out = list(satisfying_string(coeffs, length, rng))
+        for n in range(30):
+            b = 1 + n % k
+            before = scan(c, tuple(out)).starts
+            del scans[:]
+            normalize._bump_and_rewrite(c, out, (b,), None, None, before)
+            after = set(scan(c, tuple(out)).starts)
+            # the seeded scan of the last chunk, the rounds' failing scans,
+            # then the one that passes
+            *failing, (fail, reads) = scans[1:]
+            assert fail is None
+            w = max([b] + [f[0] + k for f, _ in failing])
+            q = min(s for s in before if s > w and s in after)
+            assert max(reads) <= q - 1, (b, w, q, max(reads))
+
+
+@pytest.mark.parametrize("coeffs, budget", [(cs, None) for cs in STRICT]
+                         + [(cs, 300) for cs in RELAXED[:3]],
+                         ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple)
+                         else "budget=%s" % x)
+def test_rewrites_of_many_chunks_match_full_rescan(coeffs, budget):
+    # strings of 40 or more chunks, so a bump's scan can rejoin the last
+    # passing one well before the end: bumps at 1..k, where traced decompose
+    # makes them, and mid-string, each by `increment` and all of them by one
+    # `_bump_and_rewrite`, against the full-rescan loop
+    c = RecurrenceVector(coeffs, relaxed=budget is not None)
+    rng = random.Random(40)
+    for _ in range(6):
+        a = satisfying_string(coeffs, 300, rng)
+        assert len(scan(c, a).starts) >= 40
+        bumps = ([rng.randint(1, c.k) for _ in range(12)]
+                 + [rng.randint(len(a) // 4, 3 * len(a) // 4) for _ in range(12)])
+        rng.shuffle(bumps)
+        want, got = NormalizationTrace(), NormalizationTrace()
+        cur, done = a, []
+        for b in bumps:
+            expected = oracle_increment(c, cur, b, want, budget)
+            if expected is None:
+                with pytest.raises(NonTerminationError):
+                    increment(c, cur, b, budget=budget, trace=got)
+                break
+            assert increment(c, cur, b, budget=budget, trace=got) == expected
+            cur = expected
+            done.append(b)
+        assert vars(got) == vars(want)
+        if not done:
+            continue
+        one_pass, out = NormalizationTrace(), list(a)
+        normalize._bump_and_rewrite(c, out, done, budget, one_pass, scan(c, a).starts)
+        assert tuple(out) == cur
+        oracle = NormalizationTrace()
+        cur = a
+        for b in done:
+            cur = oracle_increment(c, cur, b, oracle, budget)
+        assert vars(one_pass) == vars(oracle)
 
 
 def test_trace_steps_are_named_tuples():
