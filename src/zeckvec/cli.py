@@ -6,9 +6,11 @@ writes files atomically.  Identical argv and seed produce byte-identical
 output files.  Exit codes: 0 success (a budget-exceeded probe is a valid
 result), 1 invalid input, 2 enumeration cap or search budget exceeded.
 
-A call builds the argument parser of its own subcommand only; the usage,
-help and errors of the top level, which list every subcommand, build all
-of them.  Nothing is built at import or kept between calls.
+The command table holds each command's recurrence mode, and `main`
+parses --c by it once, before the handler runs.  A call builds the
+argument parser of its own subcommand only; the usage, help and errors of
+the top level, which list every subcommand, build all of them.  Nothing
+is built at import or kept between calls.
 """
 
 from __future__ import annotations
@@ -73,26 +75,20 @@ def _write_trace(path: str, trace: normalize.NormalizationTrace):
     atomic_write_text(path, "".join(lines))
 
 
-def _cmd_seq(args) -> int:
-    c = _recurrence(args.c, relaxed=args.relaxed)
-    if args.stop < args.start:
-        raise _CliError("--to must be >= --from")
-    for n in range(args.start, args.stop + 1):
-        print(scalar_term(c, n))
-    return 0
+def _print_range(term):
+    """The handler of a command that prints term(c, n), one a line, for n
+    from --from to --to.  The table passes lambdas, which look the term
+    functions up at each call, so a patched module attribute applies."""
+    def handler(c, args) -> int:
+        if args.stop < args.start:
+            raise _CliError("--to must be >= --from")
+        for n in range(args.start, args.stop + 1):
+            print(term(c, n))
+        return 0
+    return handler
 
 
-def _cmd_vec(args) -> int:
-    c = _recurrence(args.c, relaxed=args.relaxed)
-    if args.stop < args.start:
-        raise _CliError("--to must be >= --from")
-    for n in range(args.start, args.stop + 1):
-        print("(%s)" % representation.format_vector(vector_term(c, n)))
-    return 0
-
-
-def _cmd_decompose(args) -> int:
-    c = _recurrence(args.c, relaxed=False)
+def _cmd_decompose(c, args) -> int:
     v = representation.parse_vector(args.v)
     trace = normalize.NormalizationTrace() if args.trace else None
     result = normalize.decompose(c, v, trace=trace)
@@ -102,8 +98,7 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    c = _recurrence(args.c, relaxed=args.relaxed)
+def _cmd_verify(c, args) -> int:
     # parse_coefficients returns a canonical tuple: classify and evaluate it
     # through the cores that take one, so the string is validated once
     a = representation.parse_coefficients(args.a)
@@ -129,8 +124,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_regions(args) -> int:
-    c = _recurrence(args.c, relaxed=False)
+def _cmd_regions(c, args) -> int:
     if args.csv:
         bridge.export_regions_csv(c, args.n, args.csv, cap=_enumeration_cap())
         print("wrote %s" % args.csv)
@@ -146,8 +140,7 @@ def _cmd_regions(args) -> int:
     return 0
 
 
-def _cmd_stats(args) -> int:
-    c = _recurrence(args.c, relaxed=False)
+def _cmd_stats(c, args) -> int:
     cap = _enumeration_cap()
     if args.n_max < args.n_min:
         raise _CliError("--n-max must be >= --n-min")
@@ -183,8 +176,7 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_minimality(args) -> int:
-    c = _recurrence(args.c, relaxed=False)
+def _cmd_minimality(c, args) -> int:
     cap = _enumeration_cap()
     region = bridge.support_region(c, args.n, cap=cap)
     bound = args.n + c.k if args.bound is None else args.bound
@@ -199,8 +191,7 @@ def _cmd_minimality(args) -> int:
     return 0
 
 
-def _cmd_probe(args) -> int:
-    c = _recurrence(args.c, relaxed=True)
+def _cmd_probe(c, args) -> int:
     a = representation.parse_coefficients(args.a)
     report = normalize.probe_termination(c, a, budget=args.budget)
     print("outcome: %s" % report.outcome)
@@ -222,8 +213,7 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def _cmd_cover(args) -> int:
-    c = _recurrence(args.c, relaxed=False)
+def _cmd_cover(c, args) -> int:
     print(bridge.ball_coverage(c, args.r, cap=_enumeration_cap()))
     return 0
 
@@ -232,14 +222,18 @@ _RANGE = (("--from", dict(dest="start", type=int, required=True)),
           ("--to", dict(dest="stop", type=int, required=True)))
 _TRACE = ("--trace", dict(help="write the rewriting steps as JSON lines"))
 
-# name: (help, handler, whether --relaxed applies, the arguments after --c)
+# name: (help, handler, recurrence mode, the arguments after --c); the mode
+# is relaxed (True) or strict (False), or None to offer --relaxed and take it
 _COMMANDS = {
-    "seq": ("scalar terms, one per line", _cmd_seq, True, _RANGE),
-    "vec": ("vector terms as tuples", _cmd_vec, True, _RANGE),
+    "seq": ("scalar terms, one per line",
+            _print_range(lambda c, n: scalar_term(c, n)), None, _RANGE),
+    "vec": ("vector terms as tuples",
+            _print_range(lambda c, n: "(%s)" % representation.format_vector(vector_term(c, n))),
+            None, _RANGE),
     "decompose": ("unique satisfying representation of a vector", _cmd_decompose, False, (
         ("--v", dict(required=True, help="target vector, e.g. -4,0")),
         _TRACE)),
-    "verify": ("classify a coefficient string", _cmd_verify, True, (
+    "verify": ("classify a coefficient string", _cmd_verify, None, (
         ("--a", dict(required=True, help="coefficient string, e.g. 2,4,2,0,1")),)),
     "regions": ("export representable regions", _cmd_regions, False, (
         ("--n", dict(type=int, required=True)),
@@ -255,7 +249,7 @@ _COMMANDS = {
     "minimality": ("compare string mass against the search oracle", _cmd_minimality, False, (
         ("--n", dict(type=int, required=True)),
         ("--bound", dict(type=int)))),
-    "probe": ("run the rewriting loop under a budget", _cmd_probe, False, (
+    "probe": ("run the rewriting loop under a budget", _cmd_probe, True, (
         ("--a", dict(required=True)),
         ("--budget", dict(type=int, default=normalize.DEFAULT_BUDGET)),
         _TRACE)),
@@ -274,17 +268,16 @@ def _build_parser(command=None) -> _Parser:
     parser = _Parser(prog="zeckvec", description=__doc__ and __doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     named = command in _COMMANDS
-    for name, (help_text, func, relaxed, extra) in _COMMANDS.items():
+    for name, (help_text, _, mode, extra) in _COMMANDS.items():
         if named and name != command:
             continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--c", required=True, help="recurrence coefficients, e.g. 2,1,1")
-        if relaxed:
+        if mode is None:
             p.add_argument("--relaxed", action="store_true",
                            help="permit non weakly decreasing coefficients")
         for flag, options in extra:
             p.add_argument(flag, **options)
-        p.set_defaults(func=func)
     return parser
 
 
@@ -299,7 +292,9 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        _, handler, mode, _ = _COMMANDS[args.command]
+        c = _recurrence(args.c, args.relaxed if mode is None else mode)
+        return handler(c, args)
     except (_CliError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -403,28 +403,24 @@ def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
     return int(math.log(sum(map(abs, v))) / _held_blocks(c).log_growth) + 2 * c.k
 
 
-def _held_digits(c: RecurrenceVector, v: tuple, n: int) -> list:
-    """Level-n greedy digits of v, from the terms c's own scalar sequence
-    holds: X_n..X_1, read by one call, which serve every level below n too."""
-    xs = c.scalar().descending(n)
-    # v has k - 1 entries, so the dot reads X_{n-1}, ..., X_{n-k+1}
-    z = sum(map(mul, v, xs[1:c.k])) % xs[0]
-    arr = greedy_digits(z, xs)[0]
-    del arr[0]      # X_n's digit, 0 since z < X_n
-    while arr and not arr[-1]:
-        arr.pop()
-    return arr
-
-
-def _streamed_digits(c: RecurrenceVector, v: tuple, n: int) -> list:
-    """Level-n greedy digits of v for n > k, with a few live terms: the top
+def _level_digits(c: RecurrenceVector, v: tuple, n: int) -> list:
+    """Level-n greedy digits of v for n > k, by `_decompose_bridge`'s map,
+    with trailing zeros trimmed.  Up to HELD_LEVEL_CAP the terms are those
+    c's own scalar sequence holds, X_n..X_1 read by one call, which serve
+    every level below n too.  Above it a few live terms stream: the top
     window from `scalar_window` and the digits from `_Blocks.greedy`, with
     the block constants held on c (`_held_blocks`)."""
-    coeffs, k = c.coefficients, c.k
-    blocks = _held_blocks(c)
-    window = scalar_window(coeffs, n - k, k + 1)   # X_{n-k} .. X_n
-    z = sum(map(mul, v, window[-2::-1])) % window[-1]
-    arr = blocks.greedy(z, window[:-1], n - 1)
+    held = n <= HELD_LEVEL_CAP
+    # X_n, X_{n-1}, ...: down to X_1 when held, to X_{n-k} when streamed
+    xs = (c.scalar().descending(n) if held
+          else scalar_window(c.coefficients, n - c.k, c.k + 1)[::-1])
+    # v has k - 1 entries, so the dot reads X_{n-1}, ..., X_{n-k+1}
+    z = sum(map(mul, v, xs[1:c.k])) % xs[0]
+    if held:
+        arr = greedy_digits(z, xs)[0]
+        del arr[0]      # X_n's digit, 0 since z < X_n
+    else:
+        arr = _held_blocks(c).greedy(z, xs[:0:-1], n - 1)   # top X_{n-k} .. X_{n-1}
     while arr and not arr[-1]:
         arr.pop()
     return arr
@@ -439,20 +435,19 @@ def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
     (`_bridge_level`); a rejected level doubles.  That terminates: both
     window maps satisfy the recurrence and agree at i = 0..k-1, so
     z = S(a) mod X_n for the satisfying string a, and S(a) < X_n once
-    n > len(a).  Levels up to HELD_LEVEL_CAP take their
-    digits from the terms of c's own scalar sequence; higher ones stream,
-    in memory linear in n, a block at a time from one exact window of terms
-    (`_Blocks.greedy`).  Every level's digits are re-evaluated exactly,
-    every digit of them, and compared with v by `_Blocks.value`, with the
-    block constants held on c: plain dots with held coordinates for a
-    string of one leaf, else the product tree with the held columns, whose
-    slots fit greedy digits, which lie in [0, c1].
+    n > len(a).  `_level_digits` takes a level's digits: up to
+    HELD_LEVEL_CAP from the terms of c's own scalar sequence, above it
+    streamed, in memory linear in n, a block at a time from one exact
+    window of terms (`_Blocks.greedy`).  Every level's digits are
+    re-evaluated exactly, every digit of them, and compared with v by
+    `_Blocks.value`, with the block constants held on c: plain dots with
+    held coordinates for a string of one leaf, else the product tree with
+    the held columns, whose slots fit greedy digits, which lie in [0, c1].
     """
     blocks = _held_blocks(c)
     n = _bridge_level(c, v)
     while True:
-        digits = _held_digits if n <= HELD_LEVEL_CAP else _streamed_digits
-        arr = digits(c, v, n)
+        arr = _level_digits(c, v, n)
         if blocks.value(arr) == v:
             return tuple(arr)
         n *= 2

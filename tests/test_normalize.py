@@ -17,8 +17,7 @@ from zeckvec import normalize
 from zeckvec.analytics import exact_series
 from zeckvec.normalize import (HELD_LEVEL_CAP, TRACE_FULL_STEPS, TRACE_THIN_EVERY,
                                IterationRecord, NormalizationTrace, ProbeReport, TraceStep,
-                               _bridge_level, _decompose_chain, _held_digits, _reduce,
-                               _streamed_digits)
+                               _bridge_level, _decompose_chain, _level_digits, _reduce)
 from zeckvec.recurrence import (BLOCK, _Blocks, _held_blocks, backward_column,
                                 column_weights, greedy_digits, scalar_terms,
                                 scalar_window, string_value)
@@ -325,7 +324,7 @@ def test_bridge_tables_match_the_sequences():
         for head in itertools.combinations_with_replacement(range(4, 0, -1), k - 1):
             coeffs = head + (1,)
             c = RecurrenceVector(coeffs)
-            _held_digits(c, (1,) * (k - 1), 4 * k)
+            _level_digits(c, (1,) * (k - 1), 4 * k)
             xs, t, alpha = c.scalar()._up, c.vector()._down, c.vector()._alpha
             assert xs == scalar_terms(coeffs, 4 * k + 1)
             assert t == backward_column(coeffs, 0)
@@ -854,6 +853,13 @@ def test_string_value_matches_the_backward_column(coeffs):
         assert string_value(coeffs, a) == column_value(alpha, t, a)
 
 
+def streamed_digits(c, v, n):
+    """`_level_digits` from its streamed source, at a level of any size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(normalize, "HELD_LEVEL_CAP", 0)
+        return _level_digits(c, v, n)
+
+
 def bridge_levels(c, v, length):
     """Levels the bridge tries for v, whose satisfying string has this length:
     a level is accepted exactly when it exceeds the length."""
@@ -874,9 +880,36 @@ def test_streamed_bridge_matches_tables_and_chain(coeffs, data):
     assert decompose(c, v) == want
     # every level tried, rejected ones included, far below the cap
     for n in bridge_levels(c, v, len(want)):
-        assert _streamed_digits(c, v, n) == _held_digits(c, v, n)
-    arr = _streamed_digits(c, v, n)
+        assert streamed_digits(c, v, n) == _level_digits(c, v, n)
+    arr = streamed_digits(c, v, n)
     assert (tuple(arr), _held_blocks(c).value(arr)) == (want, v)
+
+
+@pytest.mark.parametrize("coeffs", STRICT, ids=lambda cs: ",".join(map(str, cs)))
+def test_bridge_retries_a_level_too_low(coeffs, monkeypatch):
+    # a first level of k + 1 is rejected for most strings, so the level
+    # doubles until one exceeds the string; a 1200-digit vector's doublings
+    # pass HELD_LEVEL_CAP into streamed levels
+    c = RecurrenceVector(coeffs)
+    rng = random.Random(len(coeffs) + 31)
+    small = [tuple(rng.randint(-60, 60) for _ in range(c.k - 1)) for _ in range(30)]
+    large = _digits_vector(rng, c.k - 1, 1200)
+    want = decompose(c, large)
+    levels = []
+
+    def level_digits(c, v, n):
+        levels.append(n)
+        return _level_digits(c, v, n)
+
+    monkeypatch.setattr(normalize, "_bridge_level", lambda c, v: c.k + 1)
+    monkeypatch.setattr(normalize, "_level_digits", level_digits)
+    for v in small:
+        assert decompose(c, v) == _decompose_chain(c, v), v
+    assert max(levels) > c.k + 1
+    del levels[:]
+    assert decompose(c, large) == want
+    assert levels == [(c.k + 1) << i for i in range(len(levels))]
+    assert levels[0] <= HELD_LEVEL_CAP < levels[-1]
 
 
 @pytest.mark.parametrize("coeffs", STRICT_SMALL, ids=lambda cs: ",".join(map(str, cs)))
@@ -888,7 +921,7 @@ def test_streamed_digits_match_held_digits_at_any_level(coeffs):
     k = c.k
     for n in (k + 1, 63 + k, 64 + k, 65 + k, 129 + k, 700, HELD_LEVEL_CAP):
         v = _digits_vector(rng, k - 1, rng.randint(1, max(1, 3 * n // 10)))
-        assert _streamed_digits(c, v, n) == _held_digits(c, v, n), n
+        assert streamed_digits(c, v, n) == _level_digits(c, v, n), n
 
 
 @pytest.mark.parametrize("coeffs", STRICT_SMALL, ids=lambda cs: ",".join(map(str, cs)))
@@ -939,7 +972,7 @@ def test_streamed_digits_match_held_digits_across_blocks(coeffs):
     for n in (k + 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 3 * BLOCK + k, 1000,
               HELD_LEVEL_CAP):
         v = _digits_vector(rng, k - 1, rng.randint(1, max(1, 3 * n // 10)))
-        assert _streamed_digits(c, v, n) == _held_digits(c, v, n), n
+        assert streamed_digits(c, v, n) == _level_digits(c, v, n), n
 
 
 @pytest.mark.parametrize("coeffs", STRICT)
