@@ -29,7 +29,7 @@ from operator import add
 from typing import Optional
 
 from .bridge import DEFAULT_ENUMERATION_CAP, _check_cap
-from .errors import OracleExhaustedError
+from .errors import OracleExhaustedError, _at_least
 from .normalize import decompose
 from .recurrence import RecurrenceVector, greedy_count
 
@@ -160,8 +160,7 @@ def exact_series(c: RecurrenceVector, n_min: int, n_max: int,
     Each window's cap is checked when the window is reached, so the windows
     before the first one beyond the cap are yielded first.
     """
-    if n_min < 1:
-        raise ValueError("window index must be >= 1")
+    _at_least(n_min, 1, "window index")
     hists = _prefix_histograms(c)
     below = upto = next(hists)
     built = 0
@@ -196,8 +195,7 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
     kurtosis shrink toward 0 as the window grows, but need not be small at
     any fixed n.
     """
-    if n < 1:
-        raise ValueError("window index must be >= 1")
+    _at_least(n, 1, "window index")
     if mode == "exact":
         return next(exact_series(c, n, n, cap))
     if mode != "sampled":
@@ -297,8 +295,8 @@ def check_minimality(c: RecurrenceVector, v, support_bound: Optional[int] = None
     a level from the first up to the one before v's ends past node_cap
     nodes, or when no string of sr_count summands reaches v.
     """
-    if support_bound is not None and support_bound < 1:
-        raise ValueError("support bound must be >= 1")
+    if support_bound is not None:
+        _at_least(support_bound, 1, "support bound")
     v = tuple(map(int, v))
     sr = decompose(c, v)
     sr_count = sum(sr)   # decompose returns a canonical string

@@ -3,10 +3,11 @@
 The bridge maps a lattice vector to a scalar by dotting with a window of
 scalar terms (reduced mod X_n); on a string with support below the window it
 reproduces the digit-for-digit scalar value, which transports uniqueness and
-summand statistics to the scalar side.  The greedy decomposition here never
-touches the vector rewriting machinery, but its loop, `greedy_digits` in
-`recurrence`, is the one the untraced `decompose` runs too; the independent
-checks are the tests' linear-scan oracle and the increment chain.
+summand statistics to the scalar side.  Untraced `decompose` is this map
+read backwards (`_decompose_bridge`): greedy digits by `legal_decompose`'s
+loop, no vector rewriting, held terms up to HELD_LEVEL_CAP and streamed ones
+above it; the independent checks are the tests' linear-scan oracle and the
+increment chain.
 
 The enumerator behind the regions splits the positions at their midpoint:
 suffix lists over the upper half, built once per call, are appended to each
@@ -20,29 +21,104 @@ single recursive walk over all positions, string by string and in order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product, repeat
-from operator import add
+from operator import add, mul
 
-from .errors import BridgeDomainError, CapExceededError
+from .errors import BridgeDomainError, CapExceededError, _at_least
 from .fileio import atomic_write_text
-from .recurrence import RecurrenceVector, greedy_digits, scalar_window
+from .recurrence import RecurrenceVector, _held_blocks, greedy_digits, scalar_window
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
+# The terms a recurrence holds serve every bridge level up to this one, and
+# a higher level streams: the bridge never grows a held list past it.  Their
+# memory grows with the square of the level, the time they save only
+# linearly.  Measured on the five strict c of the benchmark (2 cores,
+# Python 3.11, best of 5, a vector as large as the level allows, the digits
+# checked by the held product tree either way): a held level took
+# 0.18-0.42 ms at 700, 0.28-0.70 ms at 1024 and 0.38-1.05 ms at 2048, a
+# streamed one 0.33-0.72, 0.50-1.01 and 0.58-1.49 ms, so the held terms
+# still win below the cap.  The scalar terms X_0..X_L take 0.3 to 0.7 MB
+# per recurrence at L = 2048, 0.9-2.6 MB at 4096 and 3.4-10 MB at 8192.
+HELD_LEVEL_CAP = 2048
+
 
 def scalar_bridge(c: RecurrenceVector, n: int, v) -> int:
-    """Dot v with (X_{n-1}, ..., X_{n-k+1}) and reduce mod X_n (in [0, X_n))."""
+    """Dot v with (X_{n-1}, ..., X_{n-k+1}) and reduce mod X_n (in [0, X_n)),
+    from streamed terms past HELD_LEVEL_CAP, as `_level_digits` does."""
     if n < c.k - 2:
         raise BridgeDomainError("bridge index must be >= k-2 = %d" % (c.k - 2))
     v = tuple(map(int, v))
     if len(v) != c.k - 1:
         raise ValueError("vector dimension must be k-1 = %d" % (c.k - 1))
-    seq = c.scalar()
-    dot = 0
-    for i in range(1, c.k):
-        dot += v[i - 1] * seq.term(n - i)
-    return dot % seq.term(n)
+    if n > HELD_LEVEL_CAP:
+        xs = scalar_window(c.coefficients, n - c.k + 1, c.k)[::-1]   # X_n .. X_{n-k+1}
+    else:
+        seq = c.scalar()
+        xs = [seq.term(n - i) for i in range(c.k)]
+    return sum(map(mul, v, xs[1:])) % xs[0]
+
+
+def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
+    """First bridge level tried for a nonzero v: floor(log|v| / log rho) + 2k.
+
+    |v| is the l1 norm: with the sup norm, vectors whose coordinates nearly
+    cancel along the slow mode (tribonacci's (5, -8) has length 12) would
+    need a retry.  log rho is held on c (`_held_blocks`).
+    """
+    return int(math.log(sum(map(abs, v))) / _held_blocks(c).log_growth) + 2 * c.k
+
+
+def _level_digits(c: RecurrenceVector, v: tuple, n: int) -> list:
+    """Level-n greedy digits of v for n > k, by `_decompose_bridge`'s map,
+    with trailing zeros trimmed.  Up to HELD_LEVEL_CAP the terms are those
+    c's own scalar sequence holds, X_n..X_1 read by one call, which serve
+    every level below n too.  Above it a few live terms stream: the top
+    window from `scalar_window` and the digits from `_Blocks.greedy`, with
+    the block constants held on c (`_held_blocks`)."""
+    held = n <= HELD_LEVEL_CAP
+    # X_n, X_{n-1}, ...: down to X_1 when held, to X_{n-k} when streamed
+    xs = (c.scalar().descending(n) if held
+          else scalar_window(c.coefficients, n - c.k, c.k + 1)[::-1])
+    # v has k - 1 entries, so the dot reads X_{n-1}, ..., X_{n-k+1}
+    z = sum(map(mul, v, xs[1:c.k])) % xs[0]
+    if held:
+        arr = greedy_digits(z, xs)[0]
+        del arr[0]      # X_n's digit, 0 since z < X_n
+    else:
+        arr = _held_blocks(c).greedy(z, xs[:0:-1], n - 1)   # top X_{n-k} .. X_{n-1}
+    while arr and not arr[-1]:
+        arr.pop()
+    return arr
+
+
+def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
+    """The satisfying string of v via the scalar bridge, verified exactly.
+
+    Dot v with the level-n window (X_{n-1}, ..., X_{n-k+1}) mod X_n, take
+    the greedy digits against X_{n-1}..X_1 and accept them when they
+    evaluate back to v.  The first level comes from |v| and rho
+    (`_bridge_level`); a rejected level doubles.  That terminates: both
+    window maps satisfy the recurrence and agree at i = 0..k-1, so
+    z = S(a) mod X_n for the satisfying string a, and S(a) < X_n once
+    n > len(a).  `_level_digits` takes a level's digits: up to
+    HELD_LEVEL_CAP from the terms of c's own scalar sequence, above it
+    streamed, in memory linear in n, a block at a time from one exact
+    window of terms (`_Blocks.greedy`).  Every level's digits are
+    re-evaluated exactly, every digit of them, and compared with v by
+    `_Blocks.value`, with the block constants held on c: plain dots with
+    held coordinates for a string of one leaf, else the product tree with
+    the held columns, whose slots fit greedy digits, which lie in [0, c1].
+    """
+    blocks = _held_blocks(c)
+    n = _bridge_level(c, v)
+    while True:
+        arr = _level_digits(c, v, n)
+        if blocks.value(arr) == v:
+            return tuple(arr)
+        n *= 2
 
 
 def legal_decompose(c: RecurrenceVector, n: int) -> tuple:
@@ -76,8 +152,7 @@ def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False)
     `support_region` reads its strings from here, so a tracer that wraps
     this generator sees every string of a region.
     """
-    if n < 0:
-        raise ValueError("support bound must be >= 0")
+    _at_least(n, 0, "support bound")
     for strings, vectors in _batches(c, n):
         if with_values:
             yield from zip(list(strings), vectors)
@@ -212,8 +287,7 @@ def enumerate_representations(c: RecurrenceVector, n: int,
                               cap: int = DEFAULT_ENUMERATION_CAP) -> list:
     """All satisfying strings with support at most n, the empty string
     included; count equals X_{n+1}."""
-    if n < 0:
-        raise ValueError("support bound must be >= 0")
+    _at_least(n, 0, "support bound")
     _check_cap(c, n, cap, "enumeration of {x} strings exceeds cap {cap}")
     out = []
     for strings, _ in _batches(c, n):
@@ -245,8 +319,7 @@ def region_size(c: RecurrenceVector, n: int, cap: int = DEFAULT_ENUMERATION_CAP)
     strings of support at most n, the empty one included, number X_{n+1},
     the term `_check_cap` returns when it lets n through.
     """
-    if n < 0:
-        raise ValueError("support bound must be >= 0")
+    _at_least(n, 0, "support bound")
     return _check_cap(c, n, cap, "region of {x} points exceeds cap")
 
 
@@ -265,8 +338,7 @@ def support_shell(c: RecurrenceVector, n: int,
 
     Only the X_{n+1} - X_n strings of support n are built, in lex order.
     """
-    if n < 1:
-        raise ValueError("shell index must be >= 1")
+    _at_least(n, 1, "shell index")
     _check_cap(c, n, cap, "region of {x} points exceeds cap")
     members = {}
     for strings, vectors in _batches(c, n, exact=True):
@@ -283,8 +355,7 @@ def ball_coverage(c: RecurrenceVector, radius: int,
     points is refused before it is built: it lies in D_N, of at most
     X_{N+1} points (one per satisfying string).
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    _at_least(radius, 0, "radius")
     if (2 * radius + 1) ** (c.k - 1) > cap:
         raise CapExceededError("ball not covered below the enumeration cap")
     remaining = set(product(range(-radius, radius + 1), repeat=c.k - 1))

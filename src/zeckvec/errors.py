@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one range refusal."""
 
 
 class ZeckvecError(Exception):
@@ -51,3 +51,8 @@ class NonTerminationError(ZeckvecError):
     """Normalization exhausted its step budget (possible only in relaxed mode)."""
 
     exit_code = 2
+
+
+def _at_least(x, least: int, what: str) -> None:
+    if x < least:   # every "<what> must be >= <least>" refusal has this text
+        raise ValueError("%s must be >= %d" % (what, least))

@@ -44,6 +44,9 @@ passing scan: the scanner's state at a chunk start is fixed and nothing from
 there on has changed, so the string satisfies and the rest of its chunk
 starts are the kept ones (`representation._scan_from`).  So a bump and its
 rounds cost what they change, not the length of the string.
+
+Untraced `decompose` takes the scalar bridge, `bridge._decompose_bridge`;
+only a traced one rewrites, as one chain of bumps.
 """
 
 from __future__ import annotations
@@ -52,13 +55,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, product, repeat
-from operator import ge, mul
+from operator import ge
 from typing import NamedTuple, Optional
 
+from .bridge import _decompose_bridge
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
                      NonTerminationError, NotEndCompleteError,
-                     NotNearlySatisfyingError, NotSatisfyingError)
-from .recurrence import RecurrenceVector, _held_blocks, greedy_digits, scalar_window
+                     NotNearlySatisfyingError, NotSatisfyingError, _at_least)
+from .recurrence import RecurrenceVector
 from .representation import KIND_NEARLY_SATISFYING, _classify, _scan_from, canonical
 
 DEFAULT_BUDGET = 10_000
@@ -148,8 +152,7 @@ class ProbeReport:
 
 def carry(c: RecurrenceVector, a, i: int) -> tuple:
     """Carry into position i >= 0; requires a_{i+l} >= c_l for l = 1..k."""
-    if i < 0:
-        raise ValueError("carry position must be >= 0")
+    _at_least(i, 0, "carry position")
     a = canonical(a)
     coeffs = c.coefficients
     k = c.k
@@ -170,8 +173,7 @@ def carry(c: RecurrenceVector, a, i: int) -> tuple:
 
 def borrow(c: RecurrenceVector, a, i: int) -> tuple:
     """Borrow from position i >= 1; requires a_i >= 1."""
-    if i < 1:
-        raise ValueError("borrow position must be >= 1")
+    _at_least(i, 1, "borrow position")
     a = canonical(a)
     coeffs = c.coefficients
     k = c.k
@@ -203,8 +205,7 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
     end-complete.  Returns (steps, max_support, reason): reason is None once
     a satisfies after the last bump, else "support_growth" or "step_budget".
     """
-    if limit < 0:
-        raise ValueError("budget must be >= 0")
+    _at_least(limit, 0, "budget")
     coeffs, k, total = c.coefficients, c.k, c.coefficient_total
     g = sum(a)
     steps = 0
@@ -360,8 +361,7 @@ def increment(c: RecurrenceVector, a, i: int, budget=None, trace=None) -> tuple:
     starts = []
     if _scan_from(c.coefficients, c.k, a, starts, 1) is not None:
         raise NotSatisfyingError("increment requires a satisfying representation: %r" % (a,))
-    if i < 1:
-        raise ValueError("index must be >= 1")
+    _at_least(i, 1, "index")
     out = list(a)
     _bump_and_rewrite(c, out, (i,), budget, trace, starts)
     return tuple(out)
@@ -378,79 +378,6 @@ def _decompose_chain(c: RecurrenceVector, v: tuple, trace=None) -> tuple:
     _bump_and_rewrite(c, a, chain.from_iterable(map(repeat, (k, *range(1, k)), counts)),
                       None, trace)
     return tuple(a)
-
-
-# The terms a recurrence holds serve every bridge level up to this one, and
-# a higher level streams: the bridge never grows a held list past it.  Their
-# memory grows with the square of the level, the time they save only
-# linearly.  Measured on the five strict c of the benchmark (2 cores,
-# Python 3.11, best of 5, a vector as large as the level allows, the digits
-# checked by the held product tree either way): a held level took
-# 0.18-0.42 ms at 700, 0.28-0.70 ms at 1024 and 0.38-1.05 ms at 2048, a
-# streamed one 0.33-0.72, 0.50-1.01 and 0.58-1.49 ms, so the held terms
-# still win below the cap.  The scalar terms X_0..X_L take 0.3 to 0.7 MB
-# per recurrence at L = 2048, 0.9-2.6 MB at 4096 and 3.4-10 MB at 8192.
-HELD_LEVEL_CAP = 2048
-
-
-def _bridge_level(c: RecurrenceVector, v: tuple) -> int:
-    """First bridge level tried for a nonzero v: floor(log|v| / log rho) + 2k.
-
-    |v| is the l1 norm: with the sup norm, vectors whose coordinates nearly
-    cancel along the slow mode (tribonacci's (5, -8) has length 12) would
-    need a retry.  log rho is held on c (`_held_blocks`).
-    """
-    return int(math.log(sum(map(abs, v))) / _held_blocks(c).log_growth) + 2 * c.k
-
-
-def _level_digits(c: RecurrenceVector, v: tuple, n: int) -> list:
-    """Level-n greedy digits of v for n > k, by `_decompose_bridge`'s map,
-    with trailing zeros trimmed.  Up to HELD_LEVEL_CAP the terms are those
-    c's own scalar sequence holds, X_n..X_1 read by one call, which serve
-    every level below n too.  Above it a few live terms stream: the top
-    window from `scalar_window` and the digits from `_Blocks.greedy`, with
-    the block constants held on c (`_held_blocks`)."""
-    held = n <= HELD_LEVEL_CAP
-    # X_n, X_{n-1}, ...: down to X_1 when held, to X_{n-k} when streamed
-    xs = (c.scalar().descending(n) if held
-          else scalar_window(c.coefficients, n - c.k, c.k + 1)[::-1])
-    # v has k - 1 entries, so the dot reads X_{n-1}, ..., X_{n-k+1}
-    z = sum(map(mul, v, xs[1:c.k])) % xs[0]
-    if held:
-        arr = greedy_digits(z, xs)[0]
-        del arr[0]      # X_n's digit, 0 since z < X_n
-    else:
-        arr = _held_blocks(c).greedy(z, xs[:0:-1], n - 1)   # top X_{n-k} .. X_{n-1}
-    while arr and not arr[-1]:
-        arr.pop()
-    return arr
-
-
-def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
-    """The satisfying string of v via the scalar bridge, verified exactly.
-
-    Dot v with the level-n window (X_{n-1}, ..., X_{n-k+1}) mod X_n, take
-    the greedy digits against X_{n-1}..X_1 and accept them when they
-    evaluate back to v.  The first level comes from |v| and rho
-    (`_bridge_level`); a rejected level doubles.  That terminates: both
-    window maps satisfy the recurrence and agree at i = 0..k-1, so
-    z = S(a) mod X_n for the satisfying string a, and S(a) < X_n once
-    n > len(a).  `_level_digits` takes a level's digits: up to
-    HELD_LEVEL_CAP from the terms of c's own scalar sequence, above it
-    streamed, in memory linear in n, a block at a time from one exact
-    window of terms (`_Blocks.greedy`).  Every level's digits are
-    re-evaluated exactly, every digit of them, and compared with v by
-    `_Blocks.value`, with the block constants held on c: plain dots with
-    held coordinates for a string of one leaf, else the product tree with
-    the held columns, whose slots fit greedy digits, which lie in [0, c1].
-    """
-    blocks = _held_blocks(c)
-    n = _bridge_level(c, v)
-    while True:
-        arr = _level_digits(c, v, n)
-        if blocks.value(arr) == v:
-            return tuple(arr)
-        n *= 2
 
 
 def decompose(c: RecurrenceVector, v, trace=None) -> tuple:
@@ -538,8 +465,7 @@ def spanning_probe(c: RecurrenceVector, radius: int, support_bound: int,
     bound (`RecurrenceVector.search`); reports which ball points remain
     unrepresented when the node cap is reached.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    _at_least(radius, 0, "radius")
     coeffs = c.coefficients
     k = c.k
     # longest run of consecutive zeros among the defining coefficients

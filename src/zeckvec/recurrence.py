@@ -36,7 +36,7 @@ import math
 from bisect import bisect_right
 from operator import add, lt, mul
 
-from .errors import InvalidRecurrenceError
+from .errors import InvalidRecurrenceError, _at_least
 
 
 class RecurrenceVector:
@@ -649,8 +649,7 @@ class BasisSearch:
     __slots__ = ("owner", "bound", "index", "starts", "_steps")
 
     def __init__(self, owner: RecurrenceVector, bound: int):
-        if bound < 1:
-            raise ValueError("support bound must be >= 1")
+        _at_least(bound, 1, "support bound")
         zero = (0,) * owner.dimension
         self.owner = owner
         self.bound = bound

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotSatisfyingError
+from .errors import NotSatisfyingError, _at_least
 from .recurrence import RecurrenceVector, string_value
 
 KIND_SATISFYING = "satisfying"
@@ -210,8 +210,7 @@ def coefficient_sum(a) -> int:
 
 def prefix_sum(a, n: int) -> int:
     """Mass of the entries with index strictly below n."""
-    if n < 1:
-        raise ValueError("prefix index must be >= 1")
+    _at_least(n, 1, "prefix index")
     a = canonical(a)
     return sum(a[:n - 1])
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 from itertools import product
 from operator import add
 
@@ -442,6 +443,18 @@ def test_moments_of_big_int_counts_do_not_overflow():
     assert big[0] == 4 * 10 ** 400
     assert big[1:] == small[1:]
     assert small[1:] == pytest.approx((1.75, 0.1875, -2 / math.sqrt(3), -2 / 3))
+    # 10^305 * 100.0^2 is a float inf, not an OverflowError: the float
+    # moments come out non-finite and the exact power sums take over
+    big = 10 ** 305
+    histogram = {0: big, 200: big}
+    assert not math.isfinite(big * 100.0 ** 2)
+    size, mean, var, skew, kurt = _moments(histogram)
+    assert (size, mean, var, skew, kurt) == (2 * big, 100.0, 10000.0, 0.0, -2.0)
+    exact_mean = Fraction(sum(k * f for k, f in histogram.items()), size)
+    m2, m3, m4 = (Fraction(sum(f * (k - exact_mean) ** r for k, f in histogram.items()), size)
+                  for r in (2, 3, 4))
+    assert (mean, var, skew, kurt) == (float(exact_mean), float(m2), float(m3) / float(m2) ** 1.5,
+                                       float(m4 / m2 ** 2 - 3))
 
 
 def sweep_stats(c, n):

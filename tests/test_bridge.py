@@ -133,6 +133,32 @@ def test_bridge_converts_the_vector_before_the_terms(n):
     assert scalar_bridge(c, n, ["1", 0]) == scalar_bridge(c, n, (1, 0))
 
 
+@pytest.mark.parametrize("coeffs", STRICT_VECTORS, ids=lambda cs: ",".join(map(str, cs)))
+def test_bridge_streams_past_the_held_level_cap(coeffs):
+    # past HELD_LEVEL_CAP the k terms come from scalar_window and no held
+    # list grows: a climb to X_40000 would hold 40,001 terms, 145 MB for (2,1,1)
+    c = RecurrenceVector(coeffs)
+    k = c.k
+    seq = c.scalar()
+    seq.term(10)
+    held = (len(seq._up), len(seq._down))
+    v = tuple(range(3, 3 + k - 1))
+    tracemalloc.start()
+    try:
+        z = scalar_bridge(c, 40000, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert (len(seq._up), len(seq._down)) == held
+    xs = scalar_window(coeffs, 40000 - k + 1, k)
+    assert z == sum(x * y for x, y in zip(v, xs[-2::-1])) % xs[-1]
+    # either side of the cap, against the held terms
+    for n in (bridge.HELD_LEVEL_CAP, bridge.HELD_LEVEL_CAP + 1):
+        want = sum(x * scalar_term(c, n - i) for i, x in enumerate(v, 1)) % scalar_term(c, n)
+        assert scalar_bridge(c, n, v) == want, n
+
+
 def test_bridge_maps_basis_to_shifted_terms():
     for n in range(3, 10):
         for i in range(1, n):

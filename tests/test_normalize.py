@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -13,11 +14,12 @@ from zeckvec import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceErr
                      evaluate, increment, is_satisfying, normalize_nsr, prefix_sum,
                      probe_termination, resolve_end_complete, scalar_term, scan,
                      spanning_probe, support_shell, vector_term)
-from zeckvec import normalize
+from zeckvec import bridge, normalize
 from zeckvec.analytics import exact_series
-from zeckvec.normalize import (HELD_LEVEL_CAP, TRACE_FULL_STEPS, TRACE_THIN_EVERY,
-                               IterationRecord, NormalizationTrace, ProbeReport, TraceStep,
-                               _bridge_level, _decompose_chain, _level_digits, _reduce)
+from zeckvec.bridge import HELD_LEVEL_CAP, _bridge_level, _level_digits
+from zeckvec.normalize import (TRACE_FULL_STEPS, TRACE_THIN_EVERY, IterationRecord,
+                               NormalizationTrace, ProbeReport, TraceStep, _decompose_chain,
+                               _reduce)
 from zeckvec.recurrence import (BLOCK, _Blocks, _held_blocks, backward_column,
                                 column_weights, greedy_digits, scalar_terms,
                                 scalar_window, string_value)
@@ -86,6 +88,15 @@ def test_resolve_end_complete_rejects_others():
         resolve_end_complete(C211, (2, 2))
     with pytest.raises(NotEndCompleteError):
         resolve_end_complete(C211, (0, 2, 1))  # already satisfying
+
+
+def test_carry_only_rewrite_refuses_a_round_that_is_not_end_complete():
+    # (0, 2, 2) fails at its last position with only c1 matched, which no
+    # carry resolves; resolve_end_complete refuses such strings first, so
+    # only a direct call reaches this check
+    with pytest.raises(NotEndCompleteError) as info:
+        normalize._rewrite(C211, [0, 2, 2], math.inf, carry_only=True)
+    assert str(info.value) == "carry cascade produced a non-end-complete state"
 
 
 def test_resolve_end_complete_only_carries_and_reduces_mass():
@@ -856,7 +867,7 @@ def test_string_value_matches_the_backward_column(coeffs):
 def streamed_digits(c, v, n):
     """`_level_digits` from its streamed source, at a level of any size."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(normalize, "HELD_LEVEL_CAP", 0)
+        patch.setattr(bridge, "HELD_LEVEL_CAP", 0)
         return _level_digits(c, v, n)
 
 
@@ -901,8 +912,8 @@ def test_bridge_retries_a_level_too_low(coeffs, monkeypatch):
         levels.append(n)
         return _level_digits(c, v, n)
 
-    monkeypatch.setattr(normalize, "_bridge_level", lambda c, v: c.k + 1)
-    monkeypatch.setattr(normalize, "_level_digits", level_digits)
+    monkeypatch.setattr(bridge, "_bridge_level", lambda c, v: c.k + 1)
+    monkeypatch.setattr(bridge, "_level_digits", level_digits)
     for v in small:
         assert decompose(c, v) == _decompose_chain(c, v), v
     assert max(levels) > c.k + 1

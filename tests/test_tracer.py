@@ -49,3 +49,21 @@ def test_tracer_counts_enumerator_yields(monkeypatch):
         assert len(region) == scalar_term(c, 5)
     finally:
         tracer.uninstall()
+
+
+def test_tracer_sees_the_untraced_bridge_in_its_own_layer(monkeypatch):
+    # untraced decompose reaches the scalar bridge across modules, so a
+    # traced run books the bridge's time to the bridge layer
+    monkeypatch.syspath_prepend(BENCHMARKS)
+    from tracer import Tracer
+
+    tracer = Tracer(zeckvec)
+    tracer.install()
+    try:
+        c = RecurrenceVector((2, 1, 1))
+        assert zeckvec.decompose(c, (0, 0)) == ()
+        assert tracer.calls("bridge._decompose_bridge") == 0
+        assert zeckvec.decompose(c, (12, -5)) == (2, 1, 0, 0, 0, 0, 1)
+        assert tracer.calls("bridge._decompose_bridge") == 1
+    finally:
+        tracer.uninstall()
