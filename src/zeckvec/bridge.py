@@ -29,6 +29,7 @@ from operator import add, mul
 from .errors import BridgeDomainError, CapExceededError, _at_least
 from .fileio import atomic_write_text
 from .recurrence import RecurrenceVector, _held_blocks, greedy_digits, scalar_window
+from .representation import _int_or_bound
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -273,14 +274,7 @@ def _check_cap(c: RecurrenceVector, n: int, cap: int, message: str) -> int:
     if x is not None:
         return x
     raise CapExceededError(message.format(
-        x=_int_text(scalar_window(c.coefficients, n + 1, 1)[0]), cap=_int_text(cap)))
-
-
-def _int_text(x: int) -> str:
-    try:
-        return str(x)
-    except ValueError:
-        return "at least 2^%d" % (x.bit_length() - 1)
+        x=_int_or_bound(scalar_window(c.coefficients, n + 1, 1)[0]), cap=_int_or_bound(cap)))
 
 
 def enumerate_representations(c: RecurrenceVector, n: int,

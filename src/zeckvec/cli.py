@@ -10,7 +10,10 @@ The command table holds each command's recurrence mode, and `main`
 parses --c by it once, before the handler runs.  A call builds the
 argument parser of its own subcommand only; the usage, help and errors of
 the top level, which list every subcommand, build all of them.  Nothing
-is built at import or kept between calls.
+is built at import or kept between calls.  Integers of any length are
+read and printed by `representation`'s `_parse_int` and `_int_text`, so
+`main` leaves the interpreter's state alone: the int <-> str digit limit
+stays what the caller set, during and after every command.
 """
 
 from __future__ import annotations
@@ -68,9 +71,9 @@ def _write_trace(path: str, trace: normalize.NormalizationTrace):
     # one JSON object per step, keys in sorted order.  op is carry or borrow
     # and the steps' strings are trimmed tuples of nonnegative ints, written
     # as digits and commas, so nothing needs escaping
-    lines = ['{"G": %d, "count": %d, "op": "%s", "pos": %d, "string": "%s"}\n'
-             % (step.mass, step.count, step.op, step.pos,
-                ",".join(map(str, step.string)))
+    lines = ['{"G": %s, "count": %d, "op": "%s", "pos": %d, "string": "%s"}\n'
+             % (representation._int_text(step.mass), step.count, step.op, step.pos,
+                representation._ints_text(step.string))
              for step in trace.steps]
     atomic_write_text(path, "".join(lines))
 
@@ -112,8 +115,9 @@ def _cmd_verify(c, args) -> int:
         fail_pos, matched = representation._scan_from(c.coefficients, c.k, a, [], starts[-1])
         have, limit = a[fail_pos - 1], c.coefficients[matched]
         if have > limit:
-            print("reason: element %d at position %d is too large (limit %d)"
-                  % (have, fail_pos, limit))
+            print("reason: element %s at position %d is too large (limit %s)"
+                  % (representation._int_text(have), fail_pos,
+                     representation._int_text(limit)))
         else:
             print("reason: full copy of the coefficients ending at position %d"
                   % fail_pos)
@@ -136,7 +140,8 @@ def _cmd_regions(c, args) -> int:
             bridge.export_regions_svg(c, args.n, args.svg, cap=_enumeration_cap())
             print("wrote %s" % args.svg)
     if not args.csv and not args.svg:
-        print("points: %d" % bridge.region_size(c, args.n, cap=_enumeration_cap()))
+        print("points: %s" % representation._int_text(
+            bridge.region_size(c, args.n, cap=_enumeration_cap())))
     return 0
 
 
@@ -226,7 +231,8 @@ _TRACE = ("--trace", dict(help="write the rewriting steps as JSON lines"))
 # is relaxed (True) or strict (False), or None to offer --relaxed and take it
 _COMMANDS = {
     "seq": ("scalar terms, one per line",
-            _print_range(lambda c, n: scalar_term(c, n)), None, _RANGE),
+            _print_range(lambda c, n: representation._int_text(scalar_term(c, n))),
+            None, _RANGE),
     "vec": ("vector terms as tuples",
             _print_range(lambda c, n: "(%s)" % representation.format_vector(vector_term(c, n))),
             None, _RANGE),
@@ -284,12 +290,6 @@ def _build_parser(command=None) -> _Parser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser(argv[0] if argv else None)
-    # The integers are the run's own input and output: lift the interpreter's
-    # limit on int <-> str conversion (Python 3.10.7 and later) for the run.
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit:
-        saved = get_limit()
-        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         _, handler, mode, _ = _COMMANDS[args.command]
@@ -301,9 +301,6 @@ def main(argv=None) -> int:
     except ZeckvecError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code
-    finally:
-        if get_limit:
-            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ that the minimality and spanning oracles share, held per recurrence.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
 from operator import add, lt, mul
 
@@ -48,10 +49,15 @@ class RecurrenceVector:
     has a unique satisfying representation and normalization provably
     terminates.  Relaxed mode lifts the ordering requirement and exists for
     the termination/spanning probes only.
+
+    One object may be shared by threads.  What it holds only grows, and one
+    lock on it guards each growth: of a held term list (`_TwoSided._at`)
+    and of the held search (`BasisSearch._grow`).  A lookup of a held term
+    takes no lock.
     """
 
     __slots__ = ("coefficients", "k", "relaxed", "weakly_decreasing",
-                 "_scalar", "_vector", "_bridge", "_search")
+                 "_scalar", "_vector", "_bridge", "_search", "_lock")
 
     def __init__(self, coefficients, relaxed: bool = False):
         coeffs = tuple(int(x) for x in coefficients)
@@ -77,6 +83,7 @@ class RecurrenceVector:
         self._vector = None
         self._bridge = None   # the bridge's block constants, see `_held_blocks`
         self._search = None
+        self._lock = threading.Lock()
 
     @property
     def dimension(self) -> int:
@@ -104,6 +111,10 @@ class RecurrenceVector:
         if self._search is None or self._search.bound != bound:
             self._search = BasisSearch(self, bound)
         return self._search
+
+    def __reduce__(self):
+        # a copy or a pickle is built anew, without the lock or the held terms
+        return RecurrenceVector, (self.coefficients, self.relaxed)
 
     def __eq__(self, other):
         return (isinstance(other, RecurrenceVector)
@@ -542,7 +553,12 @@ class _TwoSided:
         else:
             seq, m, down = self._down, self.owner.k - 1 - m, True
         if m >= len(seq):
-            extend(seq, self.owner.coefficients, m + 1, down)
+            # a thread switch inside `extend` would let another thread's
+            # `extend` start from the same length: grow under the owner's
+            # lock, from the length found there
+            with self.owner._lock:
+                if m >= len(seq):
+                    extend(seq, self.owner.coefficients, m + 1, down)
         return seq[m]
 
 
@@ -682,19 +698,21 @@ class BasisSearch:
 
     def _grow(self, v, most: int, node_cap: int) -> None:
         # add nodes until v is found, level most is complete, or a complete
-        # level from 1 on ends past node_cap nodes
+        # level from 1 on ends past node_cap nodes; one thread at a time
+        # steps the generator, under the owner's lock
         index, starts, steps = self.index, self.starts, self._steps
-        try:
-            while v not in index:
-                done = len(starts) - 2
-                if done >= most or done and starts[-1] > node_cap:
-                    break
-                next(steps)
-        except BaseException:
-            self._drop()
-            raise
-        if len(index) > node_cap:
-            self._drop()
+        with self.owner._lock:
+            try:
+                while v not in index:
+                    done = len(starts) - 2
+                    if done >= most or done and starts[-1] > node_cap:
+                        break
+                    next(steps)
+            except BaseException:
+                self._drop()
+                raise
+            if len(index) > node_cap:
+                self._drop()
 
     def _drop(self) -> None:
         if self.owner._search is self:

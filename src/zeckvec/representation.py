@@ -19,7 +19,9 @@ check.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Optional
 
 from .errors import NotSatisfyingError, _at_least
@@ -216,21 +218,68 @@ def prefix_sum(a, n: int) -> int:
 
 
 # -- serialization used by every CLI command ---------------------------------
+#
+# CPython (3.10.7 and later) refuses `str` of an int, and `int` of a string,
+# past a process-wide digit limit (4300 digits by default).  `_int_text` and
+# `_parse_int` convert at any length without touching it: they try `str` and
+# `int` and fall back to `decimal.Decimal`, which has no such limit.  Short
+# numbers take the builtins' own path, and a refusal carries the text `int`
+# gives when no limit applies.  A refusal's message names a number by
+# `_int_or_bound`, which costs little at any length.
+
+# what `int` reads at any length: a sign, digits with single underscores
+_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _int_text(x: int) -> str:
+    """str(x), at any length."""
+    try:
+        return str(x)
+    except ValueError:
+        return str(Decimal(x))
+
+
+def _parse_int(text: str) -> int:
+    """int(text), at any length."""
+    try:
+        return int(text)
+    except ValueError:
+        if _INT_LITERAL.fullmatch(text):
+            return int(Decimal(text.replace("_", "")))
+        # past the limit `int` names the limit, though no length would help
+        raise ValueError("invalid literal for int() with base 10: %.200r" % (text,)) from None
+
+
+def _int_or_bound(x: int) -> str:
+    """x in decimal within the interpreter's digit limit, "at least 2^N" past it."""
+    try:
+        return str(x)
+    except ValueError:
+        return "at least 2^%d" % (x.bit_length() - 1)
+
+
+def _ints_text(xs: tuple) -> str:
+    """The ints of a tuple, joined by commas, at any length."""
+    try:
+        return ",".join(map(str, xs))
+    except ValueError:
+        return ",".join(map(_int_text, xs))
+
 
 def format_coefficients(a) -> str:
-    return ",".join(map(str, canonical(a)))
+    return _ints_text(canonical(a))
 
 
 def parse_coefficients(text: str) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    return canonical(text.split(","))   # canonical takes int of each part
+    return canonical(map(_parse_int, text.split(",")))
 
 
 def format_vector(v) -> str:
-    return ",".join(str(x) for x in v)
+    return _ints_text(tuple(v))
 
 
 def parse_vector(text: str) -> tuple:
-    return tuple(int(part) for part in text.strip().split(","))
+    return tuple(map(_parse_int, text.strip().split(",")))

@@ -101,6 +101,60 @@ def test_main_leaves_the_digit_limit_as_it_was(capsys, argv, expected):
     assert digit_limit() == before
 
 
+@pytest.mark.parametrize("entry", [None, 640, 5000, 0])
+def test_a_command_runs_under_the_digit_limit_main_was_called_with(capsys, monkeypatch, entry):
+    # a handler in place of seq's reads the limit while the command runs
+    seen = []
+
+    def handler(c, args):
+        seen.append(digit_limit())
+        return 0
+
+    help_text, _, mode, extra = cli._COMMANDS["seq"]
+    monkeypatch.setitem(cli._COMMANDS, "seq", (help_text, handler, mode, extra))
+    saved = digit_limit()
+    if entry is not None and saved is not None:
+        sys.set_int_max_str_digits(entry)
+    try:
+        before = digit_limit()
+        code, _, _ = run(capsys, "seq", "--c", "1,1", "--from", "1", "--to", "1")
+        assert (code, seen, digit_limit()) == (0, [before], before)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def test_a_refusal_names_a_number_past_the_digit_limit_by_its_bits(capsys):
+    # |D_80000| = X_80001 of (1,1,1) has 21,173 digits; the refusal names it
+    # by its bit length instead of writing them all
+    code, out, err = run(capsys, "regions", "--c", "1,1,1", "--n", "80000")
+    assert (code, out, err) == (2, "", "error: region of at least 2^70331 points exceeds cap\n")
+
+
+def test_verify_prints_an_element_past_the_digit_limit(capsys):
+    # the string 7...7 of 5000 digits is X_{-1} = e_1 taken 7...7 times
+    text = "7" * 5000
+    code, out, _ = run(capsys, "verify", "--c", "2,1,1", "--a", text)
+    assert (code, out) == (0, "kind: Other\nvalue: %s,0\n"
+                              "reason: element %s at position 1 is too large (limit 2)\n"
+                           % (text, text))
+
+
+def test_probe_writes_a_trace_past_the_digit_limit(tmp_path, capsys):
+    # with c1 = 10^4400 - 1, resolving the string (c1 + 1) writes masses
+    # and digits of 4400 digits to the trace
+    c1, path = "9" * 4400, tmp_path / "t.jsonl"
+    code, out, _ = run(capsys, "probe", "--c", c1 + ",1", "--a", "1" + "0" * 4400,
+                       "--trace", str(path))
+    assert (code, out.splitlines()[:2]) == (0, ["outcome: terminated", "steps: 2"])
+    with no_digit_limit():
+        steps = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [step["G"] for step in steps] == \
+            [sum(map(int, step["string"].split(","))) for step in steps]
+    assert [(step["op"], step["G"] > 10 ** 4399) for step in steps] == \
+        [("borrow", True), ("carry", True)]
+
+
 def test_decompose_zero_prints_empty(capsys):
     code, out, _ = run(capsys, "decompose", "--c", "2,1,1", "--v", "0,0")
     assert code == 0

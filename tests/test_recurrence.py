@@ -1,17 +1,22 @@
 import copy
 import itertools
 import math
+import pickle
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zeckvec import (InvalidRecurrenceError, RecurrenceVector, VectorSequence,
-                     legal_decompose, scalar_term, vector_term)
+                     check_minimality, legal_decompose, scalar_term, support_region,
+                     vector_term)
 from zeckvec.bridge import _check_cap
 from zeckvec.errors import CapExceededError
 from zeckvec.recurrence import (BLOCK, _Blocks, _held_blocks, backward_column, column_weights,
-                                extend, string_value)
+                                extend, scalar_terms, string_value)
 
 from column_oracle import column_value
 
@@ -490,3 +495,68 @@ def test_block_value_leaves_the_constants_unchanged(coeffs):
         assert all(getattr(blocks, name) is value
                    for name, value in zip(_Blocks.__slots__, slots)), length
         assert slots == copies, length
+
+
+def test_threads_share_one_recurrence():
+    # Four threads ask one shared (2,1,1), each in its own order, for far
+    # scalar and vector terms, greedy decompositions of X_n - 1 and the
+    # minimality checks of D_6, with a thread switch due every microsecond.
+    # Every answer, and every term held afterwards, must be that of
+    # `scalar_terms` or of an object no thread touched.  The checks share
+    # one support bound, so one held search serves them all.  Unguarded
+    # growth gave wrong terms, hung decompositions and "generator already
+    # executing" errors; a hang fails the join's deadline
+    coeffs, far = (2, 1, 1), 4000
+    xs = scalar_terms(coeffs, far + 1)
+    alone = RecurrenceVector(coeffs)
+    calls = {"scalar": scalar_term, "vector": vector_term,
+             "legal": lambda c, n: legal_decompose(c, xs[n] - 1),
+             "minimality": lambda c, v: check_minimality(c, v, 9)}
+    tasks = ([("scalar", n) for n in range(far // 2, far + 1, far // 8)]
+             + [("vector", n) for n in range(-far, far + 1, far // 4)]
+             + [("legal", n) for n in range(500, 1501, 250)]
+             + [("minimality", v) for v in sorted(support_region(alone, 6).vectors())])
+    want = {task: calls[task[0]](alone, task[1]) for task in tasks}
+    assert all(want[task] == xs[task[1]] for task in tasks if task[0] == "scalar")
+    shared = RecurrenceVector(coeffs)
+    got = [{} for _ in range(4)]
+
+    def work(i):
+        order = tasks[:]
+        random.Random(i).shuffle(order)
+        for task in order:
+            try:
+                got[i][task] = calls[task[0]](shared, task[1])
+            except Exception as exc:
+                got[i][task] = exc
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(4)]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 10
+        for t in threads:
+            t.join(max(0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    wrong = [(task, answers[task]) for answers in got for task in tasks
+             if answers[task] != want[task]]
+    assert not wrong, wrong[:3]
+    assert [scalar_term(shared, n) for n in range(-far, far + 1)] == \
+        [scalar_term(alone, n) for n in range(-far, far + 1)]
+    assert [vector_term(shared, n) for n in range(-far, far + 1)] == \
+        [vector_term(alone, n) for n in range(-far, far + 1)]
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda c: pickle.loads(pickle.dumps(c))])
+def test_a_recurrence_copies_and_pickles_without_its_lock(clone):
+    # the lock cannot be pickled; a copy is built anew from the coefficients
+    c = RecurrenceVector((1, 3, 1), relaxed=True)
+    scalar_term(c, 50)
+    d = clone(c)
+    assert d == c and d._lock is not c._lock
+    assert [scalar_term(d, n) for n in range(-9, 60)] == [scalar_term(c, n) for n in range(-9, 60)]

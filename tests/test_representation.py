@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -363,3 +364,86 @@ def test_scanner_matches_chunk_reconstruction(a):
     for start, length in chunk_decomposition(c, a).spans:
         rebuilt.extend(a[start - 1:start - 1 + length])
     assert tuple(rebuilt) == a
+
+
+def unlimited(fn, arg):
+    """fn(arg) with the interpreter's int <-> str digit limit lifted for the
+    call, and its refusal's text when it refuses."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    saved = get() if get else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return fn(arg)
+    except ValueError as exc:
+        return "refused: %s" % exc
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def limited(fn, arg):
+    """fn(arg) under the interpreter's limit as it stands, and its refusal's
+    text when it refuses."""
+    try:
+        return fn(arg)
+    except ValueError as exc:
+        return "refused: %s" % exc
+
+
+def spellings(text):
+    """Forms `int` reads as the same number as text, a decimal literal."""
+    sign, digits = ("-", text[1:]) if text[0] == "-" else ("", text)
+    grouped = "_".join(digits[max(0, i - 3):i] for i in range(len(digits), 0, -3)[::-1])
+    arabic = digits.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                          "\u0665\u0666\u0667\u0668\u0669"))
+    return [text, sign + "000" + digits, (sign or "+") + digits, sign + grouped,
+            " \t%s\n " % text, sign + arabic, "\u2003" + sign + "0_" + grouped + "\u3000"]
+
+
+@pytest.mark.parametrize("digits", [1, 2, 19, 20, 640, 4299, 4300, 4301, 6000, 20000])
+def test_the_limit_free_pair_matches_str_and_int(digits):
+    # numbers of the given length, both signs, at and next to powers of 10:
+    # `_int_text` must print what `str` prints with no limit, and
+    # `_parse_int` read it, and every spelling of a drawn number, as `int`
+    # reads it with no limit
+    rng = random.Random(digits)
+    low = 10 ** (digits - 1)
+    drawn = rng.randrange(low, 10 * low)
+    for x in (0, low - 1, low, low + 1, 10 * low - 1, drawn):
+        for y in {x, -x}:
+            text = unlimited(str, y)
+            assert representation._int_text(y) == text
+            assert representation._parse_int(text) == unlimited(int, text) == y
+            for spelled in spellings(text) if abs(y) == drawn else ():
+                got = representation._parse_int(spelled)
+                assert got == unlimited(int, spelled) == y, spelled[:30]
+
+
+# each refused literal, then the same refusal at n more characters
+REFUSED = {"1e5": lambda n: "1" * n + "1e5", "1.0": lambda n: "1" * n + "1.0",
+           "0x10": lambda n: "0x10" + "0" * n, "_1": lambda n: "_1" + "1" * n,
+           "1_": lambda n: "1" * n + "1_", "1__0": lambda n: "1" * n + "1__0",
+           "": lambda n: " " * n, "+": lambda n: " " * n + "+"}
+
+
+@pytest.mark.parametrize("n", [0, 4300, 6000])
+@pytest.mark.parametrize("literal", list(REFUSED))
+def test_the_limit_free_parse_refuses_with_the_text_of_int(literal, n):
+    # past the limit `int` refuses some of these by naming the limit; the
+    # pair must give the refusal `int` gives with no limit, at every length
+    text = REFUSED[literal](n)
+    want = unlimited(int, text)
+    assert want.startswith("refused: invalid literal for int() with base 10: ")
+    assert limited(representation._parse_int, text) == want
+    assert limited(representation.parse_vector, text) == unlimited(
+        lambda t: tuple(int(part) for part in t.strip().split(",")), text)
+
+
+def test_the_serializers_convert_past_the_digit_limit():
+    big = 7 * 10 ** 4999 + 1
+    text = unlimited(str, big)
+    assert representation.format_vector((big, -big)) == "%s,-%s" % (text, text)
+    assert representation.format_coefficients((0, big, 0)) == "0,%s" % text
+    assert representation.parse_vector(" %s,-%s " % (text, text)) == (big, -big)
+    assert representation.parse_coefficients("0,%s,0" % text) == (0, big)
