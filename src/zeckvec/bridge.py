@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from itertools import product, repeat
 from operator import add, mul
 
-from .errors import BridgeDomainError, CapExceededError, _at_least
+from .errors import BridgeDomainError, CapExceededError, _at_least, _int_or_bound
 from .fileio import atomic_write_text
 from .recurrence import RecurrenceVector, _held_blocks, greedy_digits, scalar_window
-from .representation import _int_or_bound
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 

@@ -73,7 +73,7 @@ def _write_trace(path: str, trace: normalize.NormalizationTrace):
     # as digits and commas, so nothing needs escaping
     lines = ['{"G": %s, "count": %d, "op": "%s", "pos": %d, "string": "%s"}\n'
              % (representation._int_text(step.mass), step.count, step.op, step.pos,
-                representation._ints_text(step.string))
+                ",".join(map(representation._int_text, step.string)))
              for step in trace.steps]
     atomic_write_text(path, "".join(lines))
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules, and the one range refusal."""
+"""Exception hierarchy shared by all modules, the one range refusal, and how
+a refusal names an integer."""
 
 
 class ZeckvecError(Exception):
@@ -56,3 +57,14 @@ class NonTerminationError(ZeckvecError):
 def _at_least(x, least: int, what: str) -> None:
     if x < least:   # every "<what> must be >= <least>" refusal has this text
         raise ValueError("%s must be >= %d" % (what, least))
+
+
+def _int_or_bound(x: int) -> str:
+    """x in decimal within the interpreter's digit limit; past it, "at least
+    2^N", or "at most -2^N" for a negative x."""
+    try:
+        return str(x)
+    except ValueError:
+        if x < 0:
+            return "at most -2^%d" % (x.bit_length() - 1)
+        return "at least 2^%d" % (x.bit_length() - 1)

@@ -37,7 +37,7 @@ import threading
 from bisect import bisect_right
 from operator import add, lt, mul
 
-from .errors import InvalidRecurrenceError, _at_least
+from .errors import InvalidRecurrenceError, _at_least, _int_or_bound
 
 
 class RecurrenceVector:
@@ -65,11 +65,11 @@ class RecurrenceVector:
         if k < 2:
             raise InvalidRecurrenceError("k >= 2 required, got k=%d" % k)
         if coeffs[0] <= 0:
-            raise InvalidRecurrenceError("c1 must be positive, got %d" % coeffs[0])
+            raise InvalidRecurrenceError("c1 must be positive, got %s" % _int_or_bound(coeffs[0]))
         if any(x < 0 for x in coeffs):
             raise InvalidRecurrenceError("all coefficients must be nonnegative: %r" % (coeffs,))
         if coeffs[-1] != 1:
-            raise InvalidRecurrenceError("ck must equal 1, got %d" % coeffs[-1])
+            raise InvalidRecurrenceError("ck must equal 1, got %s" % _int_or_bound(coeffs[-1]))
         weakly = all(coeffs[i] >= coeffs[i + 1] for i in range(k - 1))
         if not relaxed and not weakly:
             raise InvalidRecurrenceError(

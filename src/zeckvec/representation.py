@@ -225,7 +225,7 @@ def prefix_sum(a, n: int) -> int:
 # `int` and fall back to `decimal.Decimal`, which has no such limit.  Short
 # numbers take the builtins' own path, and a refusal carries the text `int`
 # gives when no limit applies.  A refusal's message names a number by
-# `_int_or_bound`, which costs little at any length.
+# `errors._int_or_bound`, which costs little at any length.
 
 # what `int` reads at any length: a sign, digits with single underscores
 _INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
@@ -250,24 +250,8 @@ def _parse_int(text: str) -> int:
         raise ValueError("invalid literal for int() with base 10: %.200r" % (text,)) from None
 
 
-def _int_or_bound(x: int) -> str:
-    """x in decimal within the interpreter's digit limit, "at least 2^N" past it."""
-    try:
-        return str(x)
-    except ValueError:
-        return "at least 2^%d" % (x.bit_length() - 1)
-
-
-def _ints_text(xs: tuple) -> str:
-    """The ints of a tuple, joined by commas, at any length."""
-    try:
-        return ",".join(map(str, xs))
-    except ValueError:
-        return ",".join(map(_int_text, xs))
-
-
 def format_coefficients(a) -> str:
-    return _ints_text(canonical(a))
+    return ",".join(map(_int_text, canonical(a)))
 
 
 def parse_coefficients(text: str) -> tuple:
@@ -278,7 +262,7 @@ def parse_coefficients(text: str) -> tuple:
 
 
 def format_vector(v) -> str:
-    return _ints_text(tuple(v))
+    return ",".join(map(_int_text, v))
 
 
 def parse_vector(text: str) -> tuple:

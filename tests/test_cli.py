@@ -131,6 +131,17 @@ def test_a_refusal_names_a_number_past_the_digit_limit_by_its_bits(capsys):
     assert (code, out, err) == (2, "", "error: region of at least 2^70331 points exceeds cap\n")
 
 
+@pytest.mark.parametrize("c,want", [
+    ("1," + "9" * 5000, "ck must equal 1, got at least 2^16609"),
+    ("-" + "9" * 5000 + ",1", "c1 must be positive, got at most -2^16609"),
+    ("-" + "9" * 50 + ",1", "c1 must be positive, got -" + "9" * 50),
+])
+def test_a_recurrence_refusal_names_a_coefficient_past_the_digit_limit_by_its_bits(capsys, c, want):
+    # 10^5000 - 1 has 16,610 bits; the refusal keeps its typed text
+    code, out, err = run(capsys, "seq", "--c=" + c, "--from", "1", "--to", "1")
+    assert (code, out, err) == (1, "", "error: %s\n" % want)
+
+
 def test_verify_prints_an_element_past_the_digit_limit(capsys):
     # the string 7...7 of 5000 digits is X_{-1} = e_1 taken 7...7 times
     text = "7" * 5000
