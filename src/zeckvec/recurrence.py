@@ -67,14 +67,16 @@ class RecurrenceVector:
         if coeffs[0] <= 0:
             raise InvalidRecurrenceError("c1 must be positive, got %s" % _int_or_bound(coeffs[0]))
         if any(x < 0 for x in coeffs):
-            raise InvalidRecurrenceError("all coefficients must be nonnegative: %r" % (coeffs,))
+            raise InvalidRecurrenceError("all coefficients must be nonnegative: (%s)"
+                                         % ", ".join(map(_int_or_bound, coeffs)))
         if coeffs[-1] != 1:
             raise InvalidRecurrenceError("ck must equal 1, got %s" % _int_or_bound(coeffs[-1]))
         weakly = all(coeffs[i] >= coeffs[i + 1] for i in range(k - 1))
         if not relaxed and not weakly:
             raise InvalidRecurrenceError(
                 "strict mode requires weakly decreasing coefficients; "
-                "construct with relaxed=True for probe use: %r" % (coeffs,))
+                "construct with relaxed=True for probe use: (%s)"
+                % ", ".join(map(_int_or_bound, coeffs)))
         self.coefficients = coeffs
         self.k = k
         self.relaxed = relaxed

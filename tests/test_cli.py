@@ -135,6 +135,12 @@ def test_a_refusal_names_a_number_past_the_digit_limit_by_its_bits(capsys):
     ("1," + "9" * 5000, "ck must equal 1, got at least 2^16609"),
     ("-" + "9" * 5000 + ",1", "c1 must be positive, got at most -2^16609"),
     ("-" + "9" * 50 + ",1", "c1 must be positive, got -" + "9" * 50),
+    ("1,-" + "9" * 5000 + ",1",
+     "all coefficients must be nonnegative: (1, at most -2^16609, 1)"),
+    ("1," + "9" * 5000 + ",1", "strict mode requires weakly decreasing coefficients; "
+     "construct with relaxed=True for probe use: (1, at least 2^16609, 1)"),
+    ("1,2,1", "strict mode requires weakly decreasing coefficients; "
+     "construct with relaxed=True for probe use: (1, 2, 1)"),
 ])
 def test_a_recurrence_refusal_names_a_coefficient_past_the_digit_limit_by_its_bits(capsys, c, want):
     # 10^5000 - 1 has 16,610 bits; the refusal keeps its typed text
