@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all modules, the one range refusal, and how
-a refusal names an integer."""
+a refusal names an integer or a string of them."""
 
 
 class ZeckvecError(Exception):
@@ -68,3 +68,9 @@ def _int_or_bound(x: int) -> str:
         if x < 0:
             return "at most -2^%d" % (x.bit_length() - 1)
         return "at least 2^%d" % (x.bit_length() - 1)
+
+
+def _tuple_or_bounds(a: tuple) -> str:
+    """repr(a) for a tuple of ints, with each element named by
+    `_int_or_bound`, so a refusal can quote a string of any size."""
+    return "(%s%s)" % (", ".join(map(_int_or_bound, a)), "," if len(a) == 1 else "")

@@ -22,8 +22,11 @@ applies:
 A round touches only positions n_p - 1 .. I + k, so the next round's scan
 resumes at the chunk start before n_p and keeps the chunk starts found before
 that.  Each round's `IterationRecord`, like each `TraceStep`, is a named
-tuple; its prefix mass is still a sum over the prefix, once per round, so a
-probe on a long string keeps that cost.
+tuple built by `tuple.__new__`.  Its prefix mass is a running sum below a
+boundary that moves to the round's n_p - 1, so a round's record reads the
+span the boundary moves over, not the prefix.  The loop counts the unit
+steps and keeps a trace's steps itself, by the rules of
+`NormalizationTrace.record`, and writes the count back on every exit.
 
 Every public entry validates its string once, by `canonical`, and scans it
 from position 1 once: the probes and `resolve_end_complete` classify it
@@ -61,7 +64,8 @@ from typing import NamedTuple, Optional
 from .bridge import _decompose_bridge
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
                      NonTerminationError, NotEndCompleteError,
-                     NotNearlySatisfyingError, NotSatisfyingError, _at_least)
+                     NotNearlySatisfyingError, NotSatisfyingError, _at_least,
+                     _tuple_or_bounds)
 from .recurrence import RecurrenceVector
 from .representation import KIND_NEARLY_SATISFYING, _classify, _scan_from, canonical
 
@@ -102,10 +106,12 @@ class NormalizationTrace:
     def record(self, op: str, pos: int, string, mass: int):
         """Count one unit step and keep it, or merge it into the borrow run
         it extends, as the class docstring says.  string is the state after
-        the step, a tuple or the rewriting loop's live list: it is copied
-        only for a step that is kept (`tuple` of a tuple is that tuple), and
-        the step is built by `tuple.__new__`, past the named tuple's
-        argument handling."""
+        the step, a tuple or a list: it is copied only for a step that is
+        kept (`tuple` of a tuple is that tuple).
+
+        This is the reference recorder: the rewriting loop keeps its steps
+        by the same rules inline, and the tests check every traced run of
+        the loop against traces that this method builds."""
         self.step_count += 1
         if op == "borrow" and self.steps and self._tail_step == self.step_count - 1:
             last = self.steps[-1]
@@ -204,6 +210,12 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
     round; carry_only raises NotEndCompleteError on a round that is not
     end-complete.  Returns (steps, max_support, reason): reason is None once
     a satisfies after the last bump, else "support_growth" or "step_budget".
+
+    trace, when given, gets the steps that `NormalizationTrace.record`
+    would keep, merged and thinned as it does, from a unit-step count kept
+    here and written back to the trace on every exit, a raise included.
+    A round's prefix mass is the sum of a below a boundary that moves to
+    the round's n_p - 1, so it reads only the span the boundary moves over.
     """
     _at_least(limit, 0, "budget")
     coeffs, k, total = c.coefficients, c.k, c.coefficient_total
@@ -215,76 +227,107 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
     starts = list(starts)
     kept = []
     p = starts.pop() if starts else 1
-    while True:
-        fail = _scan_from(coeffs, k, a, starts, p, kept)
-        if fail is None:
-            b = next(bumps, None)
-            if b is None:
+    bound = below = 0   # below == sum(a[:bound]) while iterations are kept
+    if trace is not None:
+        recorded, unit, tail = trace.steps, trace.step_count, trace._tail_step
+    try:
+        while True:
+            fail = _scan_from(coeffs, k, a, starts, p, kept)
+            if fail is None:
+                b = next(bumps, None)
+                if b is None:
+                    if trace is not None:
+                        trace.terminated = True
+                    return steps, max_support, None
+                # resume at the last chunk start at or before b (starts[0] is 1)
+                j = max(bisect_right(starts, b) - 1, 0)
+                p = starts[j] if starts else 1
+                kept = starts[:j:-1]
+                del starts[j:]
+                if b > len(a):
+                    a.extend([0] * (b - len(a)))
+                    max_support = max(max_support, b)
+                a[b - 1] += 1
+                if b <= bound:
+                    below += 1
+                g += 1
+                stop_at = steps + limit
+                continue
+            if support_cap is not None and len(a) > support_cap:
+                return steps, max_support, "support_growth"
+            if steps >= stop_at:
+                return steps, max_support, "step_budget"
+            fail_pos, matched = fail
+            i = starts[-1] - 1
+            if carry_only and (fail_pos != len(a) or matched != k - 1):
+                raise NotEndCompleteError("carry cascade produced a non-end-complete state")
+            if iterations is not None:
+                if i >= bound:
+                    below += sum(a[bound:i])
+                else:
+                    below -= sum(a[i:bound])
+                bound = i
+                g_before, prefix_mass = g, below
+            case = "carry_only"
+            if matched != k - 1:
+                # borrow from I = fail_pos; a_I > c_j >= 0, so it is legal
+                if fail_pos + k > len(a):
+                    a.extend([0] * (fail_pos + k - len(a)))
+                    max_support = max(max_support, len(a))
+                a[fail_pos - 1] -= 1
+                for l in range(k):
+                    a[fail_pos + l] += coeffs[l]
+                steps += 1
+                g += total - 1
                 if trace is not None:
-                    trace.terminated = True
-                return steps, max_support, None
-            # resume at the last chunk start at or before b (starts[0] is 1)
-            j = max(bisect_right(starts, b) - 1, 0)
-            p = starts[j] if starts else 1
-            kept = starts[:j:-1]
-            del starts[j:]
-            if b > len(a):
-                a.extend([0] * (b - len(a)))
-                max_support = max(max_support, b)
-            a[b - 1] += 1
-            g += 1
-            stop_at = steps + limit
-            continue
-        if support_cap is not None and len(a) > support_cap:
-            return steps, max_support, "support_growth"
-        if steps >= stop_at:
-            return steps, max_support, "step_budget"
-        fail_pos, matched = fail
-        i = starts[-1] - 1
-        if carry_only and (fail_pos != len(a) or matched != k - 1):
-            raise NotEndCompleteError("carry cascade produced a non-end-complete state")
-        if iterations is not None:
-            g_before, prefix_mass = g, sum(a[:i])
-        case = "carry_only"
-        if matched != k - 1:
-            # borrow from I = fail_pos; a_I > c_j >= 0, so it is legal
-            if fail_pos + k > len(a):
-                a.extend([0] * (fail_pos + k - len(a)))
-                max_support = max(max_support, len(a))
-            a[fail_pos - 1] -= 1
-            for l in range(k):
-                a[fail_pos + l] += coeffs[l]
-            steps += 1
-            g += total - 1
-            if trace is not None:
-                trace.record("borrow", fail_pos, a, g)
-            if history is not None:
-                history.append(g)
-            if steps < stop_at and len(a) >= i + k and all(map(ge, a[i:i + k], coeffs)):
-                case = "borrow_carry"
-            else:
-                case = "borrow_only"
-        if case != "borrow_only":
-            # carry into n_p - 1 (0 is the virtual position)
-            for l in range(k):
-                a[i + l] -= coeffs[l]
-            if i:
-                a[i - 1] += 1
-            while a and a[-1] == 0:
-                a.pop()
-            steps += 1
-            g += (1 - total) if i else -total
-            if trace is not None:
-                trace.record("carry", i, a, g)
-            if history is not None:
-                history.append(g)
-        if iterations is not None:
-            iterations.append(IterationRecord(fail_pos, i + 1, matched, case,
-                                              g_before, prefix_mass))
-        while kept and kept[-1] <= fail_pos + k:
-            kept.pop()
-        p = starts[-2] if len(starts) > 1 else 1
-        del starts[-2:]
+                    # `record`: a borrow right after a kept borrow from the
+                    # same position joins its run
+                    unit += 1
+                    if (tail == unit - 1 and recorded and recorded[-1].op == "borrow"
+                            and recorded[-1].pos == fail_pos):
+                        recorded[-1] = tuple.__new__(TraceStep, (
+                            "borrow", fail_pos, tuple(a), g, recorded[-1].count + 1))
+                        tail = unit
+                    elif unit <= TRACE_FULL_STEPS or unit % TRACE_THIN_EVERY == 0:
+                        recorded.append(tuple.__new__(TraceStep, (
+                            "borrow", fail_pos, tuple(a), g, 1)))
+                        tail = unit
+                if history is not None:
+                    history.append(g)
+                if steps < stop_at and len(a) >= i + k and all(map(ge, a[i:i + k], coeffs)):
+                    case = "borrow_carry"
+                else:
+                    case = "borrow_only"
+            if case != "borrow_only":
+                # carry into n_p - 1 (0 is the virtual position), which
+                # writes below the boundary only at n_p - 1
+                for l in range(k):
+                    a[i + l] -= coeffs[l]
+                if i:
+                    a[i - 1] += 1
+                    below += 1
+                while a and a[-1] == 0:
+                    a.pop()
+                steps += 1
+                g += (1 - total) if i else -total
+                if trace is not None:
+                    unit += 1
+                    if unit <= TRACE_FULL_STEPS or unit % TRACE_THIN_EVERY == 0:
+                        recorded.append(tuple.__new__(TraceStep, (
+                            "carry", i, tuple(a), g, 1)))
+                        tail = unit
+                if history is not None:
+                    history.append(g)
+            if iterations is not None:
+                iterations.append(tuple.__new__(IterationRecord, (
+                    fail_pos, i + 1, matched, case, g_before, prefix_mass)))
+            while kept and kept[-1] <= fail_pos + k:
+                kept.pop()
+            p = starts[-2] if len(starts) > 1 else 1
+            del starts[-2:]
+    finally:
+        if trace is not None:
+            trace.step_count, trace._tail_step = unit, tail
 
 
 def _step_budget(c: RecurrenceVector, budget) -> int:
@@ -322,7 +365,8 @@ def resolve_end_complete(c: RecurrenceVector, a):
     starts = []
     cls = _classify(c, a, starts)
     if not cls.end_complete:
-        raise NotEndCompleteError("not an end-complete nearly satisfying string: %r" % (a,))
+        raise NotEndCompleteError("not an end-complete nearly satisfying string: %s"
+                                  % _tuple_or_bounds(a))
     trace = NormalizationTrace()
     cur = list(a)
     _rewrite(c, cur, math.inf, trace, carry_only=True, starts=starts)
@@ -335,7 +379,8 @@ def normalize_nsr(c: RecurrenceVector, a, budget: int = DEFAULT_BUDGET) -> Probe
     starts = []
     cls = _classify(c, a, starts)
     if cls.kind != KIND_NEARLY_SATISFYING:
-        raise NotNearlySatisfyingError("input is not a nearly satisfying representation: %r" % (a,))
+        raise NotNearlySatisfyingError("input is not a nearly satisfying representation: %s"
+                                       % _tuple_or_bounds(a))
     return _reduce(c, a, budget=budget, starts=starts)
 
 
@@ -360,7 +405,8 @@ def increment(c: RecurrenceVector, a, i: int, budget=None, trace=None) -> tuple:
     a = canonical(a)
     starts = []
     if _scan_from(c.coefficients, c.k, a, starts, 1) is not None:
-        raise NotSatisfyingError("increment requires a satisfying representation: %r" % (a,))
+        raise NotSatisfyingError("increment requires a satisfying representation: %s"
+                                 % _tuple_or_bounds(a))
     _at_least(i, 1, "index")
     out = list(a)
     _bump_and_rewrite(c, out, (i,), budget, trace, starts)
@@ -414,7 +460,8 @@ def probe_termination(c: RecurrenceVector, a, budget: int = DEFAULT_BUDGET) -> P
     starts = []
     cls = _classify(c, a, starts)
     if cls.kind != KIND_NEARLY_SATISFYING:
-        raise NotNearlySatisfyingError("probe requires a nearly satisfying representation: %r" % (a,))
+        raise NotNearlySatisfyingError("probe requires a nearly satisfying representation: %s"
+                                       % _tuple_or_bounds(a))
     support_cap = len(a) + SUPPORT_SLACK_PER_K * c.k
     report = _reduce(c, a, budget=budget, support_cap=support_cap, starts=starts)
     if not report.terminated:

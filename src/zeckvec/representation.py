@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional
 
-from .errors import NotSatisfyingError, _at_least
+from .errors import NotSatisfyingError, _at_least, _tuple_or_bounds
 from .recurrence import RecurrenceVector, string_value
 
 KIND_SATISFYING = "satisfying"
@@ -36,7 +36,7 @@ def canonical(a) -> tuple:
     """Validate and trim a coefficient string (no trailing zeros, all entries >= 0)."""
     out = tuple(map(int, a))
     if out and min(out) < 0:
-        raise ValueError("coefficient strings are nonnegative: %r" % (out,))
+        raise ValueError("coefficient strings are nonnegative: %s" % _tuple_or_bounds(out))
     m = len(out)
     while m and out[m - 1] == 0:
         m -= 1
@@ -142,7 +142,7 @@ def chunk_decomposition(c: RecurrenceVector, a) -> ChunkDecomposition:
     a = canonical(a)
     result = scan(c, a)
     if not result.ok:
-        raise NotSatisfyingError("not a satisfying representation: %r" % (a,))
+        raise NotSatisfyingError("not a satisfying representation: %s" % _tuple_or_bounds(a))
     m = len(a)
     starts = result.starts
     spans = []

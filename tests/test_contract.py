@@ -4,16 +4,19 @@ contract shows here as a changed row."""
 
 import pytest
 
-from zeckvec import (InvalidRecurrenceError, NotNearlySatisfyingError, NotSatisfyingError,
-                     RecurrenceVector, ball_coverage, borrow, carry, decompose,
-                     enumerate_representations, increment, legal_decompose, probe_termination,
-                     resolve_end_complete, spanning_probe, summand_count, summand_distribution,
-                     support_shell)
+from zeckvec import (InvalidRecurrenceError, NotEndCompleteError, NotNearlySatisfyingError,
+                     NotSatisfyingError, RecurrenceVector, ball_coverage, borrow, canonical,
+                     carry, chunk_decomposition, decompose, enumerate_representations, increment,
+                     legal_decompose, normalize_nsr, probe_termination, resolve_end_complete,
+                     spanning_probe, summand_count, summand_distribution, support_shell)
 from zeckvec.analytics import exact_series
 from zeckvec.cli import main
 
 C211 = RecurrenceVector((2, 1, 1))
 R131 = RecurrenceVector((1, 3, 1), relaxed=True)
+# 5000 sevens, past CPython's 4300-digit limit on int -> str: a refusal
+# names it by its bits, since str() of it would raise
+SEVENS = 7 * (10 ** 5000 - 1) // 9
 
 REFUSALS = {
     "legal_decompose(c, -1)": (
@@ -65,6 +68,28 @@ REFUSALS = {
     "c.search(0)": (
         lambda: C211.search(0),
         ValueError, "support bound must be >= 1"),
+    "probe_termination(c, element past the digit limit)": (
+        lambda: probe_termination(R131, (SEVENS,)),
+        NotNearlySatisfyingError,
+        "probe requires a nearly satisfying representation: (at least 2^16609,)"),
+    "normalize_nsr(c, element past the digit limit)": (
+        lambda: normalize_nsr(C211, (1, SEVENS)),
+        NotNearlySatisfyingError,
+        "input is not a nearly satisfying representation: (1, at least 2^16609)"),
+    "increment(c, element past the digit limit, 1)": (
+        lambda: increment(C211, (SEVENS, 0, 1), 1),
+        NotSatisfyingError,
+        "increment requires a satisfying representation: (at least 2^16609, 0, 1)"),
+    "resolve_end_complete(c, element past the digit limit)": (
+        lambda: resolve_end_complete(C211, (SEVENS,)),
+        NotEndCompleteError,
+        "not an end-complete nearly satisfying string: (at least 2^16609,)"),
+    "canonical(element past the digit limit below zero)": (
+        lambda: canonical((SEVENS, -SEVENS)),
+        ValueError, "coefficient strings are nonnegative: (at least 2^16609, at most -2^16609)"),
+    "chunk_decomposition(c, element past the digit limit)": (
+        lambda: chunk_decomposition(C211, (0, SEVENS)),
+        NotSatisfyingError, "not a satisfying representation: (0, at least 2^16609)"),
 }
 
 

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -825,6 +826,125 @@ def test_rewrites_of_many_chunks_match_full_rescan(coeffs, budget):
         for b in done:
             cur = oracle_increment(c, cur, b, oracle, budget)
         assert vars(one_pass) == vars(oracle)
+
+
+# -- the loop's own step records against NormalizationTrace.record -----------
+
+@pytest.mark.parametrize("coeffs, a, budget, support_cap, reason", [
+    # past TRACE_FULL_STEPS, with borrow runs merged on both sides of it
+    ((1, 3, 1), (2,), 1200, None, "step_budget"),
+    ((1, 4, 2, 1), (2,), 3000, None, "step_budget"),
+    # the budget stops a run inside the unthinned prefix
+    ((1, 4, 2, 1), (1, 5), 300, None, "step_budget"),
+    # the support outgrows its cap, as the probes set it
+    ((1, 3, 1), (2,), 3000, 1 + 50 * 3, "support_growth"),
+], ids=["1,3,1-thinned", "1,4,2,1-thinned", "budget", "support-growth"])
+def test_the_loop_keeps_the_steps_record_keeps(coeffs, a, budget, support_cap, reason):
+    # the full-rescan oracle records every unit step through
+    # NormalizationTrace.record; the loop merges and thins in place
+    c = RecurrenceVector(coeffs, relaxed=True)
+    got = _reduce(c, a, budget=budget, support_cap=support_cap)
+    want = full_rescan_reduce(c, a, budget=budget, support_cap=support_cap)
+    assert got.reason == reason
+    assert any(step.count > 1 for step in got.trace.steps)
+    assert _report_fields(got) == _report_fields(want)
+    if got.steps > TRACE_FULL_STEPS + TRACE_THIN_EVERY:
+        assert_crosses_thinning(got.trace)
+
+
+def test_two_increments_share_one_trace_across_the_thinning():
+    # each increment diverges to its budget of 700 steps, so the second
+    # starts from the first's unit-step count and crosses TRACE_FULL_STEPS
+    c = RecurrenceVector((1, 4, 2, 1), relaxed=True)
+    got, want = NormalizationTrace(), NormalizationTrace()
+    for a, i in (((1,), 1), ((1, 0, 0, 1), 4)):
+        assert oracle_increment(c, a, i, want, budget=700) is None
+        with pytest.raises(NonTerminationError):
+            increment(c, a, i, budget=700, trace=got)
+        assert got.step_count == want.step_count
+    assert got.step_count == 1400
+    assert vars(got) == vars(want)
+    assert_crosses_thinning(got)
+
+
+def test_a_carry_only_refusal_leaves_the_trace_counting_its_steps():
+    # (2, 1, 4) takes one carry into the virtual position, to (0, 0, 3),
+    # which is not end-complete; the trace already holds a resolution
+    _, trace = resolve_end_complete(C211, (2, 1, 0, 2, 1, 1))
+    want = NormalizationTrace()
+    for step in trace.steps:
+        want.record(step.op, step.pos, step.string, step.mass)
+    want.terminated = True
+    history = []
+    with pytest.raises(NotEndCompleteError):
+        normalize._rewrite(C211, [2, 1, 4], math.inf, trace, history, carry_only=True)
+    want.record("carry", 0, (0, 0, 3), 3)
+    assert history == [3]
+    assert trace.step_count == len(want.steps) == 3
+    assert vars(trace) == vars(want)
+
+
+class _SliceCountedList(list):
+    """A list that counts, per round of the loop, the elements its slices
+    read: the loop slices a only for a round's prefix mass and for its
+    carry check, which reads k elements."""
+
+    def __init__(self, a, reads, iterations):
+        super().__init__(a)
+        self.reads, self.iterations = reads, iterations
+
+    def __getitem__(self, i):
+        out = list.__getitem__(self, i)
+        if isinstance(i, slice):
+            self.reads[len(self.iterations)] += len(out)
+        return out
+
+
+def prefix_mass_moves(iterations, reads, k):
+    """Each round's boundary move, from 0 before the first, after checking
+    that the round read at most k + its move."""
+    bound, moves = 0, []
+    for r, record in enumerate(iterations):
+        moves.append(abs(record.chunk_start - 1 - bound))
+        bound = record.chunk_start - 1
+        assert reads[r] <= k + moves[-1], (r, reads[r], moves[-1])
+    return moves
+
+
+@pytest.mark.parametrize("coeffs", STRICT, ids=lambda cs: ",".join(map(str, cs)))
+def test_the_prefix_mass_reads_what_its_boundary_moves_over(coeffs):
+    # the strings of the count test above, bumped at 1..k: a round reads
+    # at most k plus its boundary's move, and the moves stay within k a
+    # round, however long the string
+    c = RecurrenceVector(coeffs)
+    k = c.k
+    rng = random.Random(4000)
+    for length in (400, 4000):
+        out = list(satisfying_string(coeffs, length, rng))
+        for n in range(30):
+            starts = scan(c, tuple(out)).starts
+            iterations, reads = [], collections.Counter()
+            a = _SliceCountedList(out, reads, iterations)
+            normalize._rewrite(c, a, math.inf, iterations=iterations, bumps=(1 + n % k,),
+                               starts=starts)
+            moves = prefix_mass_moves(iterations, reads, k)
+            assert sum(moves) <= k * len(iterations), (length, n, moves)
+            out = list(a)
+
+
+def test_round_records_read_per_round_not_per_round_and_position():
+    # item 17's divergent probe, at 10,000 zeros then 2: the first round
+    # moves the boundary over the zeros, and the thousands of rounds after
+    # it read a few elements each, not the string's length each
+    c = RecurrenceVector((1, 4, 2, 1), relaxed=True)
+    iterations, reads = [], collections.Counter()
+    a = _SliceCountedList([0] * 10_000 + [2], reads, iterations)
+    assert normalize._rewrite(c, a, 10_000, iterations=iterations,
+                              support_cap=10_001 + 50 * c.k)[2] == "step_budget"
+    moves = prefix_mass_moves(iterations, reads, c.k)
+    assert len(iterations) > 5000
+    assert moves[0] == 10_000
+    assert sum(reads.values()) - moves[0] <= 2 * c.k * len(iterations)
 
 
 def test_trace_steps_are_named_tuples():
