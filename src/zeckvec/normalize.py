@@ -239,8 +239,9 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
                     if trace is not None:
                         trace.terminated = True
                     return steps, max_support, None
-                # resume at the last chunk start at or before b (starts[0] is 1)
-                j = max(bisect_right(starts, b) - 1, 0)
+                # resume at the last chunk start at or before b: starts[0]
+                # is 1, so j >= 0 unless starts is empty
+                j = bisect_right(starts, b) - 1
                 p = starts[j] if starts else 1
                 kept = starts[:j:-1]
                 del starts[j:]
