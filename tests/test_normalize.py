@@ -932,7 +932,7 @@ def test_the_prefix_mass_reads_what_its_boundary_moves_over(coeffs):
             out = list(a)
 
 
-def test_round_records_read_per_round_not_per_round_and_position():
+def test_round_records_read_a_few_elements_a_round_on_a_long_string():
     # item 17's divergent probe, at 10,000 zeros then 2: the first round
     # moves the boundary over the zeros, and the thousands of rounds after
     # it read a few elements each, not the string's length each
