@@ -15,8 +15,15 @@ prefix of a recursive walk over the lower half.  Each prefix's strings come
 as one batch of parallel iterables: the public iterator flattens them, the
 full list, the CSV rows, the shells and the ball covers consume them whole,
 and a shell, like each level of a ball cover after the first, builds only
-the strings of its own support.  The tests check it against the
-single recursive walk over all positions, string by string and in order.
+the strings of its own support.  The vectors that a caller keeps, those of
+the region, the shell and the iterator, read their coordinates from one
+table of ints built per call, wherever it holds fewer ints than the call
+yields points: for k >= 3 a region is a patch whose points share each
+coordinate value with many others.  For k = 2 no two points share a value,
+so each coordinate is made as a sum, as it is for relaxed c whose region
+lies near a line and for the CSV rows and ball covers, which drop each
+batch's vectors.  The tests check it against the single recursive walk
+over all positions, string by string and in order.
 """
 
 from __future__ import annotations
@@ -153,20 +160,40 @@ def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False)
     this generator sees every string of a region.
     """
     _at_least(n, 0, "support bound")
-    for strings, vectors in _batches(c, n):
+    for strings, vectors in _batches(c, n, keep=with_values):
         if with_values:
             yield from zip(list(strings), vectors)
         else:
             yield from strings
 
 
-def _batches(c: RecurrenceVector, n: int, exact: bool = False):
+def _value_table(coefficients: tuple, basis: list, count: int):
+    """The list of the ints between a lower and an upper bound on every
+    coordinate of a string over the basis, or None when it would hold at
+    least count ints, one per point of a call that yields count points.
+
+    No digit exceeds max(coefficients), which for relaxed c can be larger
+    than c1, so coordinate i lies between the sums of the negative and of
+    the positive d * X_{-p}[i] with d that digit.  The value x sits at
+    table[x - table[0]].
+    """
+    top = max(coefficients)
+    dim = range(len(coefficients) - 1)
+    least = top * min([sum([min(b[i], 0) for b in basis]) for i in dim])
+    greatest = top * max([sum([max(b[i], 0) for b in basis]) for i in dim])
+    if greatest - least + 1 >= count:
+        return None
+    return list(range(least, greatest + 1))
+
+
+def _batches(c: RecurrenceVector, n: int, exact: bool = False, keep: bool = False):
     """Yield the satisfying strings with support at most n, the empty string
     included, in lazy batches.
 
     Each batch is (strings, vectors), two parallel iterables, and the
     batches in order give the strings lexicographically.  With exact, only
-    the strings of support exactly n are built and yielded.
+    the strings of support exactly n are built and yielded.  With keep,
+    the caller holds the vectors past their batch.
 
     The walk follows the scanner automaton, whose state is the length of the
     prefix of the coefficients matched so far: a digit below the next
@@ -179,6 +206,25 @@ def _batches(c: RecurrenceVector, n: int, exact: bool = False):
     Per prefix it yields the prefix alone (unless exact: its support is at
     most m < n), then one batch of the suffixes its state admits, joined to
     the prefix by `map` and `zip`, not in bytecode.
+
+    Every coordinate a batch yields is either read from one table of ints
+    built per call (`_value_table`), or made as the prefix's value plus the
+    suffix's, one new int per point and coordinate.  The table serves a
+    caller that keeps the vectors (with keep), when it holds fewer ints
+    than the call yields points: properties of the call, c and n, not a
+    tuned number.  For k >= 3 the points of a region fill a
+    (k-1)-dimensional patch, so X_{n+1} of them take about
+    X_{n+1}^(1/(k-1)) values per coordinate, and the table holds each once.
+    For k = 2 the coordinate is the point, and by uniqueness no two points
+    share it, so the table's range holds at least one int per point and is
+    never built; relaxed (1,3,1), whose region lies near a line, has a range
+    of about 1.34 X_{n+1} and takes the sums too.  A caller that drops each
+    batch's vectors gains nothing from the table and would pay its building
+    per call, which in a ball cover is per level.  With the table, the walk
+    keeps the prefix's coordinates as offsets in it, and each coordinate is
+    read at the prefix's offset plus the suffix's value: one int made and
+    dropped per read, so the reads cost time linear in the points whatever
+    the table's length, and only the table's ints are held.
 
     A caller that keeps each string inside a new tuple lists the batch's
     strings first.  Otherwise a string's only referrer is that young tuple,
@@ -225,6 +271,14 @@ def _batches(c: RecurrenceVector, n: int, exact: bool = False):
             tails.append((strings, columns))
     buf = [0] * n
     val = [0] * (k - 1)
+    table = None
+    if keep:
+        seq = c.scalar()
+        count = seq.term(n + 1) - seq.term(n) if exact else seq.term(n + 1)
+        table = _value_table(coeffs, basis, count)
+    if table is not None:
+        # val holds the prefix's coordinates as offsets in the table
+        val = [-table[0]] * (k - 1)
 
     def prefixes(p, j, last):
         # positions p..m are free and the scanner is in state j at p; yields
@@ -251,10 +305,14 @@ def _batches(c: RecurrenceVector, n: int, exact: bool = False):
     try:
         for last, (strings, columns) in prefixes(1, 0, 0):
             pad = tuple(buf[:m])
+            head = tuple(val)
+            columns = [map(add, repeat(x), col) for x, col in zip(val, columns)]
+            if table is not None:
+                head = tuple(map(table.__getitem__, head))
+                columns = [map(table.__getitem__, col) for col in columns]
             if not exact:
-                yield (pad[:last],), (tuple(val),)
-            yield (map(add, repeat(pad), strings),
-                   zip(*[map(add, repeat(x), col) for x, col in zip(val, columns)]))
+                yield (pad[:last],), (head,)
+            yield map(add, repeat(pad), strings), zip(*columns)
     finally:
         # prefixes reaches itself through its closure; without this the
         # cycle would keep the suffix lists until a collection found it
@@ -334,7 +392,7 @@ def support_shell(c: RecurrenceVector, n: int,
     _at_least(n, 1, "shell index")
     _check_cap(c, n, cap, "region of {x} points exceeds cap")
     members = {}
-    for strings, vectors in _batches(c, n, exact=True):
+    for strings, vectors in _batches(c, n, exact=True, keep=True):
         members.update(zip(vectors, zip(repeat(n), list(strings))))
     return RegionSet(n, members)
 

@@ -65,7 +65,7 @@ from .bridge import _decompose_bridge
 from .errors import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
                      NonTerminationError, NotEndCompleteError,
                      NotNearlySatisfyingError, NotSatisfyingError, _at_least,
-                     _tuple_or_bounds)
+                     _int_or_bound, _tuple_or_bounds)
 from .recurrence import RecurrenceVector
 from .representation import KIND_NEARLY_SATISFYING, _classify, _scan_from, canonical
 
@@ -166,9 +166,11 @@ def carry(c: RecurrenceVector, a, i: int) -> tuple:
     for l in range(1, k + 1):
         have = a[i + l - 1] if i + l <= m else 0
         if have < coeffs[l - 1]:
+            # int(i): a bool or float position reads as %d showed it
             raise CarryBlockedError(
-                "carry into %d blocked: a_%d = %d < c_%d = %d"
-                % (i, i + l, have, l, coeffs[l - 1]))
+                "carry into %s blocked: a_%s = %s < c_%d = %s"
+                % (_int_or_bound(int(i)), _int_or_bound(int(i) + l), _int_or_bound(have), l,
+                   _int_or_bound(coeffs[l - 1])))
     out = list(a) + [0] * max(0, i + k - m)
     for l in range(1, k + 1):
         out[i + l - 1] -= coeffs[l - 1]
@@ -185,7 +187,8 @@ def borrow(c: RecurrenceVector, a, i: int) -> tuple:
     k = c.k
     m = len(a)
     if i > m or a[i - 1] < 1:
-        raise BorrowBlockedError("borrow from %d blocked: coefficient is zero" % i)
+        raise BorrowBlockedError("borrow from %s blocked: coefficient is zero"
+                                 % _int_or_bound(int(i)))
     out = list(a) + [0] * max(0, i + k - m)
     out[i - 1] -= 1
     for l in range(1, k + 1):

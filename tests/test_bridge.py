@@ -383,6 +383,65 @@ def test_the_walk_leaves_no_cycle_behind(coeffs):
             gc.enable()
 
 
+def _one_object_per_value(vectors):
+    vectors = list(vectors)
+    return len({id(x) for v in vectors for x in v}) == len({x for v in vectors for x in v})
+
+
+@pytest.mark.parametrize("coeffs, n", [((2, 1, 1), 10), ((3, 2, 1), 7)], ids=["2,1,1", "3,2,1"])
+def test_region_and_shell_hold_each_coordinate_value_once(coeffs, n):
+    # the coordinates are read from one table of ints per call, so points
+    # that share a value, in the same coordinate or another, share its int
+    c = RecurrenceVector(coeffs)
+    assert _one_object_per_value(support_region(c, n).vectors())
+    assert _one_object_per_value(support_shell(c, n).vectors())
+
+
+@pytest.mark.parametrize("coeffs, n", [((1, 2, 1), 14), ((1, 4, 2, 1), 11)],
+                         ids=["1,2,1", "1,4,2,1"])
+def test_relaxed_values_hold_each_coordinate_value_once(coeffs, n):
+    # relaxed digits reach max(c), above c1, and the table covers them: the
+    # values of (1,4,2,1) at n = 11 reach 943.  (1,3,1) takes the sums
+    # (test_only_calls_that_keep_vectors_build_a_table)
+    c = RecurrenceVector(coeffs, relaxed=True)
+    pairs = iter_representations(c, n, with_values=True)
+    assert _one_object_per_value(v for _, v in pairs)
+
+
+def test_only_calls_that_keep_vectors_build_a_table(monkeypatch):
+    # one table per walk whose vectors the caller keeps, and only where it
+    # holds fewer ints than the walk yields points: never for k = 2, where
+    # each point is its own coordinate, nor for (1,3,1) past n = 2, whose
+    # region lies near a line and whose points share few values.  Both are
+    # refused by the range rule itself
+    r131 = RecurrenceVector((1, 3, 1), relaxed=True)
+    built = []
+    table = bridge._value_table
+
+    def counted(coefficients, basis, count):
+        out = table(coefficients, basis, count)
+        built.append((coefficients, out is not None))
+        return out
+
+    monkeypatch.setattr(bridge, "_value_table", counted)
+    enumerate_representations(C211, 10)
+    list(iter_representations(C211, 10))
+    list(iter_representations(r131, 10))
+    regions_csv_text(C211, 6)
+    ball_coverage(C211, 3)
+    assert built == []
+    support_region(C211, 10)
+    support_shell(C211, 10)
+    list(iter_representations(C211, 6, with_values=True))
+    assert built == [((2, 1, 1), True)] * 3
+    built.clear()
+    support_region(FIB, 20)
+    support_shell(FIB, 20)
+    support_region(r131, 12)
+    support_shell(r131, 12)
+    assert built == [((1, 1), False)] * 2 + [((1, 3, 1), False)] * 2
+
+
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         enumerate_representations(C211, 10, cap=100)

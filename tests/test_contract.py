@@ -4,7 +4,8 @@ contract shows here as a changed row."""
 
 import pytest
 
-from zeckvec import (InvalidRecurrenceError, NotEndCompleteError, NotNearlySatisfyingError,
+from zeckvec import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
+                     NotEndCompleteError, NotNearlySatisfyingError,
                      NotSatisfyingError, RecurrenceVector, ball_coverage, borrow, canonical,
                      carry, chunk_decomposition, decompose, enumerate_representations, increment,
                      legal_decompose, normalize_nsr, probe_termination, resolve_end_complete,
@@ -90,6 +91,21 @@ REFUSALS = {
     "chunk_decomposition(c, element past the digit limit)": (
         lambda: chunk_decomposition(C211, (0, SEVENS)),
         NotSatisfyingError, "not a satisfying representation: (0, at least 2^16609)"),
+    "carry(c, a, 0) blocked": (
+        lambda: carry(C211, (2, 1), 0),
+        CarryBlockedError, "carry into 0 blocked: a_3 = 0 < c_3 = 1"),
+    "borrow(c, a, 7) blocked": (
+        lambda: borrow(C211, (2, 1, 1), 7),
+        BorrowBlockedError, "borrow from 7 blocked: coefficient is zero"),
+    "carry(c, a, position past the digit limit)": (
+        lambda: carry(C211, (2, 1, 1), 10 ** 5000),
+        CarryBlockedError, "carry into at least 2^16609 blocked: a_at least 2^16609 = 0 < c_1 = 2"),
+    "borrow(c, a, position past the digit limit)": (
+        lambda: borrow(C211, (2, 1, 1), 10 ** 5000),
+        BorrowBlockedError, "borrow from at least 2^16609 blocked: coefficient is zero"),
+    "carry(c with a coefficient past the digit limit, a, 1)": (
+        lambda: carry(RecurrenceVector((10 ** 5000, 1)), (1,), 1),
+        CarryBlockedError, "carry into 1 blocked: a_2 = 0 < c_1 = at least 2^16609"),
 }
 
 
