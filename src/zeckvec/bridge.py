@@ -19,7 +19,9 @@ the strings of its own support.  The vectors that a caller keeps, those of
 the region, the shell and the iterator, read their coordinates from one
 table of ints built per call, wherever it holds fewer ints than the call
 yields points: for k >= 3 a region is a patch whose points share each
-coordinate value with many others.  For k = 2 no two points share a value,
+coordinate value with many others.  Each suffix column, read at a prefix's
+offset in the table, becomes one list per call, which every prefix batch
+with that column and offset shares.  For k = 2 no two points share a value,
 so each coordinate is made as a sum, as it is for relaxed c whose region
 lies near a line and for the CSV rows and ball covers, which drop each
 batch's vectors.  The tests check it against the single recursive walk
@@ -208,12 +210,12 @@ def _batches(c: RecurrenceVector, n: int, exact: bool = False, keep: bool = Fals
     the prefix by `map` and `zip`, not in bytecode.
 
     Every coordinate a batch yields is either read from one table of ints
-    built per call (`_value_table`), or made as the prefix's value plus the
-    suffix's, one new int per point and coordinate.  The table serves a
-    caller that keeps the vectors (with keep), when it holds fewer ints
-    than the call yields points: properties of the call, c and n, not a
-    tuned number.  For k >= 3 the points of a region fill a
-    (k-1)-dimensional patch, so X_{n+1} of them take about
+    built per call (`_value_table`), through lists shared by the batches, or
+    made as the prefix's value plus the suffix's, one new int per point and
+    coordinate.  The table serves a caller that keeps the vectors (with
+    keep), when it holds fewer ints than the call yields points: properties
+    of the call, c and n, not a tuned number.  For k >= 3 the points of a
+    region fill a (k-1)-dimensional patch, so X_{n+1} of them take about
     X_{n+1}^(1/(k-1)) values per coordinate, and the table holds each once.
     For k = 2 the coordinate is the point, and by uniqueness no two points
     share it, so the table's range holds at least one int per point and is
@@ -221,10 +223,17 @@ def _batches(c: RecurrenceVector, n: int, exact: bool = False, keep: bool = Fals
     of about 1.34 X_{n+1} and takes the sums too.  A caller that drops each
     batch's vectors gains nothing from the table and would pay its building
     per call, which in a ball cover is per level.  With the table, the walk
-    keeps the prefix's coordinates as offsets in it, and each coordinate is
-    read at the prefix's offset plus the suffix's value: one int made and
-    dropped per read, so the reads cost time linear in the points whatever
-    the table's length, and only the table's ints are held.
+    keeps the prefix's coordinates as offsets in it.  A suffix column read
+    at an offset, the table's ints at the offset plus each of its values,
+    is built once per call as a list and handed to every batch whose prefix
+    has that scanner state and offset, so a point's vector is a `zip` over
+    shared lists, with no int made and no table read per point.  Each such
+    list is built for a batch that yields its length in points, so the
+    lists hold at most one slot per yielded point and coordinate, and only
+    the table's ints.  The sums path shares no lists: for k = 2, by
+    uniqueness, each (column, offset) pair occurs once, so a shared list
+    would only hold memory, and a caller that drops each batch's vectors
+    would keep lists that it never reads again.
 
     A caller that keeps each string inside a new tuple lists the batch's
     strings first.  Otherwise a string's only referrer is that young tuple,
@@ -300,16 +309,26 @@ def _batches(c: RecurrenceVector, n: int, exact: bool = False, keep: bool = Fals
                     val[i] -= d * b[i]
             buf[q - 1] = 0
 
+    # shared[id(col), x]: the table's ints at offset x plus col's values; the
+    # tails lists live for the whole walk, so a column's id names it
+    shared = {}
     # a nonzero digit after m is placed later than any in the prefix's
     # children, so the prefix's suffixes come before its children
     try:
         for last, (strings, columns) in prefixes(1, 0, 0):
             pad = tuple(buf[:m])
             head = tuple(val)
-            columns = [map(add, repeat(x), col) for x, col in zip(val, columns)]
-            if table is not None:
+            if table is None:
+                columns = [map(add, repeat(x), col) for x, col in zip(val, columns)]
+            else:
                 head = tuple(map(table.__getitem__, head))
-                columns = [map(table.__getitem__, col) for col in columns]
+                kept = []
+                for x, col in zip(val, columns):
+                    key = id(col), x
+                    if key not in shared:
+                        shared[key] = list(map(table.__getitem__, map(add, repeat(x), col)))
+                    kept.append(shared[key])
+                columns = kept
             if not exact:
                 yield (pad[:last],), (head,)
             yield map(add, repeat(pad), strings), zip(*columns)

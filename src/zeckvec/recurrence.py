@@ -583,7 +583,12 @@ class ScalarSequence(_TwoSided):
     def max_index_at_most(self, value: int) -> int:
         """Largest n >= 0 with X_n <= value (value >= 1)."""
         if value < 1:
-            raise ValueError("no term is at most %d: X_0 = X_1 = 1" % value)
+            # of int(value), so a float reads as %d showed it; past the digit
+            # limit the bound is "at most -2^N", which is not repeated
+            name = _int_or_bound(int(value))
+            if name.startswith("at most"):
+                name = "the given value, which is " + name
+            raise ValueError("no term is at most %s: X_0 = X_1 = 1" % name)
         # X_m >= m for m >= 1, so X_{value+1} is above value: the held terms
         # grow until the first one above value, and no further
         self.term_at_most(value + 1, value)

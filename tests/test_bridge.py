@@ -442,6 +442,39 @@ def test_only_calls_that_keep_vectors_build_a_table(monkeypatch):
     assert built == [((1, 1), False)] * 2 + [((1, 3, 1), False)] * 2
 
 
+@pytest.mark.parametrize("coeffs, relaxed, n, call", [
+    ((2, 1, 1), False, 10, "region"), ((2, 1, 1), False, 10, "shell"),
+    ((3, 2, 1), False, 7, "region"), ((3, 2, 1), False, 7, "shell"),
+    ((1, 2, 1), True, 14, "values"),
+], ids=["2,1,1-region", "2,1,1-shell", "3,2,1-region", "3,2,1-shell", "1,2,1-values"])
+def test_table_reads_stay_below_the_points(monkeypatch, coeffs, relaxed, n, call):
+    # each (suffix column, prefix offset) list of table ints is built once per
+    # call and shared by every batch that meets it, so the table is read
+    # fewer times than the call yields points, not once per point and
+    # coordinate
+    reads = []
+    table = bridge._value_table
+
+    class Counted(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return list.__getitem__(self, i)
+
+    def counted(coefficients, basis, count):
+        out = table(coefficients, basis, count)
+        return None if out is None else Counted(out)
+
+    monkeypatch.setattr(bridge, "_value_table", counted)
+    c = RecurrenceVector(coeffs, relaxed=relaxed)
+    if call == "region":
+        points = len(support_region(c, n))
+    elif call == "shell":
+        points = len(support_shell(c, n))
+    else:
+        points = sum(1 for _ in iter_representations(c, n, with_values=True))
+    assert 0 < len(reads) < points, (len(reads), points)
+
+
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         enumerate_representations(C211, 10, cap=100)

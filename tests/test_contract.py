@@ -103,6 +103,12 @@ REFUSALS = {
     "borrow(c, a, position past the digit limit)": (
         lambda: borrow(C211, (2, 1, 1), 10 ** 5000),
         BorrowBlockedError, "borrow from at least 2^16609 blocked: coefficient is zero"),
+    "c.scalar().max_index_at_most(-7)": (
+        lambda: C211.scalar().max_index_at_most(-7),
+        ValueError, "no term is at most -7: X_0 = X_1 = 1"),
+    "c.scalar().max_index_at_most(value past the digit limit)": (
+        lambda: C211.scalar().max_index_at_most(-10 ** 5000),
+        ValueError, "no term is at most the given value, which is at most -2^16609: X_0 = X_1 = 1"),
     "carry(c with a coefficient past the digit limit, a, 1)": (
         lambda: carry(RecurrenceVector((10 ** 5000, 1)), (1,), 1),
         CarryBlockedError, "carry into 1 blocked: a_2 = 0 < c_1 = at least 2^16609"),
