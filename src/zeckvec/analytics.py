@@ -1,12 +1,16 @@
 """Summand-count statistics over the scalar windows and minimality checking.
 
-The number of summands of a vector in shell n equals the number of summands
-of its scalar image, so distributions are computed on the integer interval
-[X_n, X_{n+1}) directly: exactly from the digit-sum histograms of the
-prefixes [0, X_{m+1}), each built from smaller ones by a greedy walk that
-stops where its remainder repeats (O(k n^2) list additions up to window n,
-within the enumeration cap), or by seeded uniform sampling.  Moments use
-population (biased) estimators.
+For weakly decreasing c the number of summands of a vector in shell n
+equals the number of summands of its scalar image, so distributions are
+computed on the integer interval [X_n, X_{n+1}) directly: exactly from the
+digit-sum histograms of the prefixes [0, X_{m+1}), each built from smaller
+ones by a greedy walk that stops where its remainder repeats (O(k n^2) list
+additions up to window n, within the enumeration cap), or by seeded uniform
+sampling.  Moments use population (biased) estimators.  For other c both
+modes count the same greedy digit sums, which need not be the shell's:
+greedy digits are not always satisfying strings, and at n = 6 the exact
+histogram differs from the digit sums of `support_shell` for (1,3,1) and
+(1,2,1), though it agrees for (1,0,1).
 
 The summand count of an integer is the digit sum of its legal decomposition,
 with multiplicity, as in `bridge.summand_count`: 5 = X_2 + X_1 + X_1 counts

@@ -1,12 +1,16 @@
-"""Carry/borrow rewriting: the engine that turns any representation into the
-unique satisfying one.
+"""Carry/borrow rewriting: the engine that turns a nearly satisfying string,
+or a satisfying one with 1 added at a position, into the unique satisfying
+one.
 
 Both elementary ops apply the defining recurrence at one position and preserve
-the represented vector.  A carry into position i adds 1 there and removes
-c1..ck from the k following positions (position 0 is virtual: its increment
-multiplies the zero vector and is discarded); a borrow is the inverse.  Mass
-bookkeeping: a carry at i >= 1 shifts the coefficient sum by 1 - sum(c), a
-borrow by sum(c) - 1, and a carry into the virtual position 0 by -sum(c).
+the represented vector: they are one signed unit step at a position q, which
+adds s at q and removes s*c1..s*ck from the k following positions.  A carry
+into q is the step with s = 1 (position 0 is virtual: its increment
+multiplies the zero vector and is discarded); a borrow from q is the step
+with s = -1, the carry run backwards.  Mass bookkeeping: a step at q >= 1
+shifts the coefficient sum by s*(1 - sum(c)), and a carry into the virtual
+position 0 by -sum(c).  The public `carry` and `borrow` check that their step
+is legal and take it on a tuple (`_shift`); the loop takes it in place.
 
 The reduction loop rewrites one list in place.  Each round locates the first
 overfilled element I with its chunk start n_p and matched length j, then
@@ -24,9 +28,10 @@ resumes at the chunk start before n_p and keeps the chunk starts found before
 that.  Each round's `IterationRecord`, like each `TraceStep`, is a named
 tuple built by `tuple.__new__`.  Its prefix mass is a running sum below a
 boundary that moves to the round's n_p - 1, so a round's record reads the
-span the boundary moves over, not the prefix.  The loop counts the unit
-steps and keeps a trace's steps itself, by the rules of
-`NormalizationTrace.record`, and writes the count back on every exit.
+span the boundary moves over, not the prefix.  Every unit step of the loop,
+a borrow or a carry, runs through one block, which counts it, moves the mass,
+keeps a trace's steps itself by the rules of `NormalizationTrace.record` and
+appends to the mass history; the count is written back on every exit.
 
 Every public entry validates its string once, by `canonical`, and scans it
 from position 1 once: the probes and `resolve_end_complete` classify it
@@ -161,9 +166,8 @@ def carry(c: RecurrenceVector, a, i: int) -> tuple:
     _at_least(i, 0, "carry position")
     a = canonical(a)
     coeffs = c.coefficients
-    k = c.k
     m = len(a)
-    for l in range(1, k + 1):
+    for l in range(1, c.k + 1):
         have = a[i + l - 1] if i + l <= m else 0
         if have < coeffs[l - 1]:
             # int(i): a bool or float position reads as %d showed it
@@ -171,28 +175,28 @@ def carry(c: RecurrenceVector, a, i: int) -> tuple:
                 "carry into %s blocked: a_%s = %s < c_%d = %s"
                 % (_int_or_bound(int(i)), _int_or_bound(int(i) + l), _int_or_bound(have), l,
                    _int_or_bound(coeffs[l - 1])))
-    out = list(a) + [0] * max(0, i + k - m)
-    for l in range(1, k + 1):
-        out[i + l - 1] -= coeffs[l - 1]
-    if i >= 1:
-        out[i - 1] += 1
-    return canonical(out)
+    return _shift(c, a, i, 1)
 
 
 def borrow(c: RecurrenceVector, a, i: int) -> tuple:
     """Borrow from position i >= 1; requires a_i >= 1."""
     _at_least(i, 1, "borrow position")
     a = canonical(a)
-    coeffs = c.coefficients
-    k = c.k
-    m = len(a)
-    if i > m or a[i - 1] < 1:
+    if i > len(a) or a[i - 1] < 1:
         raise BorrowBlockedError("borrow from %s blocked: coefficient is zero"
                                  % _int_or_bound(int(i)))
-    out = list(a) + [0] * max(0, i + k - m)
-    out[i - 1] -= 1
-    for l in range(1, k + 1):
-        out[i + l - 1] += coeffs[l - 1]
+    return _shift(c, a, i, -1)
+
+
+def _shift(c: RecurrenceVector, a: tuple, q: int, s: int) -> tuple:
+    """The canonical a after one signed unit step at q: s added at q and
+    s*c_l taken from q + l for l = 1..k, with q = 0 the virtual position
+    (a carry for s = 1, a borrow for s = -1)."""
+    out = list(a) + [0] * max(0, q + c.k - len(a))
+    if q:
+        out[q - 1] += s
+    for l, cl in enumerate(c.coefficients, q):
+        out[l] -= s * cl
     return canonical(out)
 
 
@@ -231,6 +235,8 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
     kept = []
     p = starts.pop() if starts else 1
     bound = below = 0   # below == sum(a[:bound]) while iterations are kept
+    lift, drop = 1 - total, -total   # a carry's mass move at q >= 1 (a borrow's: -lift), into 0
+    ks, new, full, thin = range(k), tuple.__new__, TRACE_FULL_STEPS, TRACE_THIN_EVERY
     if trace is not None:
         recorded, unit, tail = trace.steps, trace.step_count, trace._tail_step
     try:
@@ -272,58 +278,50 @@ def _rewrite(c: RecurrenceVector, a: list, limit, trace=None, history=None,
                     below -= sum(a[i:bound])
                 bound = i
                 g_before, prefix_mass = g, below
-            case = "carry_only"
-            if matched != k - 1:
+            if matched == k - 1:
+                case, q, s = "carry_only", i, 1
+            else:
                 # borrow from I = fail_pos; a_I > c_j >= 0, so it is legal
-                if fail_pos + k > len(a):
-                    a.extend([0] * (fail_pos + k - len(a)))
+                case, q, s = "borrow_only", fail_pos, -1
+            while True:
+                # one unit step: s at q, -s*c_l at q + l (a carry for s = 1,
+                # a borrow for s = -1); a carry writes below the boundary
+                # only at n_p - 1, and into 0, the virtual position, not at all
+                if q + k > len(a):
+                    a.extend([0] * (q + k - len(a)))
                     max_support = max(max_support, len(a))
-                a[fail_pos - 1] -= 1
-                for l in range(k):
-                    a[fail_pos + l] += coeffs[l]
+                if q:
+                    a[q - 1] += s
+                    if q <= bound:
+                        below += s
+                for l in ks:
+                    a[q + l] -= s * coeffs[l]
+                while a and a[-1] == 0:
+                    a.pop()
                 steps += 1
-                g += total - 1
+                g += s * lift if q else drop
                 if trace is not None:
                     # `record`: a borrow right after a kept borrow from the
                     # same position joins its run
                     unit += 1
-                    if (tail == unit - 1 and recorded and recorded[-1].op == "borrow"
-                            and recorded[-1].pos == fail_pos):
-                        recorded[-1] = tuple.__new__(TraceStep, (
-                            "borrow", fail_pos, tuple(a), g, recorded[-1].count + 1))
+                    if (s < 0 and tail == unit - 1 and recorded and recorded[-1].op == "borrow"
+                            and recorded[-1].pos == q):
+                        recorded[-1] = new(TraceStep, (
+                            "borrow", q, tuple(a), g, recorded[-1].count + 1))
                         tail = unit
-                    elif unit <= TRACE_FULL_STEPS or unit % TRACE_THIN_EVERY == 0:
-                        recorded.append(tuple.__new__(TraceStep, (
-                            "borrow", fail_pos, tuple(a), g, 1)))
-                        tail = unit
-                if history is not None:
-                    history.append(g)
-                if steps < stop_at and len(a) >= i + k and all(map(ge, a[i:i + k], coeffs)):
-                    case = "borrow_carry"
-                else:
-                    case = "borrow_only"
-            if case != "borrow_only":
-                # carry into n_p - 1 (0 is the virtual position), which
-                # writes below the boundary only at n_p - 1
-                for l in range(k):
-                    a[i + l] -= coeffs[l]
-                if i:
-                    a[i - 1] += 1
-                    below += 1
-                while a and a[-1] == 0:
-                    a.pop()
-                steps += 1
-                g += (1 - total) if i else -total
-                if trace is not None:
-                    unit += 1
-                    if unit <= TRACE_FULL_STEPS or unit % TRACE_THIN_EVERY == 0:
-                        recorded.append(tuple.__new__(TraceStep, (
-                            "carry", i, tuple(a), g, 1)))
+                    elif unit <= full or unit % thin == 0:
+                        recorded.append(new(TraceStep, (
+                            "carry" if s > 0 else "borrow", q, tuple(a), g, 1)))
                         tail = unit
                 if history is not None:
                     history.append(g)
+                # after a borrow, the carry into n_p - 1 when legal
+                if s > 0 or not (steps < stop_at and len(a) >= i + k
+                                 and all(map(ge, a[i:i + k], coeffs))):
+                    break
+                case, q, s = "borrow_carry", i, 1
             if iterations is not None:
-                iterations.append(tuple.__new__(IterationRecord, (
+                iterations.append(new(IterationRecord, (
                     fail_pos, i + 1, matched, case, g_before, prefix_mass)))
             while kept and kept[-1] <= fail_pos + k:
                 kept.pop()

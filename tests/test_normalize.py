@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 import zeckvec
 from zeckvec import (BorrowBlockedError, CarryBlockedError, InvalidRecurrenceError,
                      NonTerminationError, NotEndCompleteError, NotNearlySatisfyingError,
-                     RecurrenceVector, borrow, carry, classify, coefficient_sum, decompose,
-                     evaluate, increment, is_satisfying, normalize_nsr, prefix_sum,
+                     RecurrenceVector, borrow, canonical, carry, classify, coefficient_sum,
+                     decompose, evaluate, increment, is_satisfying, normalize_nsr, prefix_sum,
                      probe_termination, resolve_end_complete, scalar_term, scan,
                      spanning_probe, support_shell, vector_term)
 from zeckvec import bridge, normalize
@@ -66,6 +66,28 @@ def test_carry_borrow_preserve_value_and_shift_mass():
         assert evaluate(C211, back) == before
         assert coefficient_sum(back) - coefficient_sum(out) == total - 1
         done += 1
+
+
+@pytest.mark.parametrize("coeffs, relaxed", [(cs, False) for cs in STRICT] + [
+    ((1, 3, 1), True), ((1, 4, 2, 1), True), ((2, 2, 3, 1), True)],
+    ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else None)
+def test_carry_and_borrow_at_one_position_undo_each_other(coeffs, relaxed):
+    # one signed step each way: a carry planted legal at i >= 1, then the
+    # borrow from i, and a borrow from a digit a_i >= 1, then the carry into i
+    c = RecurrenceVector(coeffs, relaxed=relaxed)
+    k = c.k
+    rng = random.Random(38)
+    for _ in range(150):
+        base = [rng.randint(0, 3) for _ in range(rng.randint(1, 8))]
+        i = rng.randint(1, len(base) + 2)
+        planted = list(base) + [0] * (i + k - len(base))
+        for l, cl in enumerate(coeffs, start=i):
+            planted[l] += cl
+        a = tuple(planted)
+        assert borrow(c, carry(c, a, i), i) == canonical(a)
+        i = rng.choice([j for j, x in enumerate(base, start=1) if x] or [None])
+        if i is not None:
+            assert carry(c, borrow(c, base, i), i) == canonical(base)
 
 
 def test_carry_into_virtual_position_drops_mass():
