@@ -1,24 +1,18 @@
 """Summand-count statistics over the scalar windows and minimality checking.
 
-For weakly decreasing c the number of summands of a vector in shell n
-equals the number of summands of its scalar image, so distributions are
-computed on the integer interval [X_n, X_{n+1}) directly: exactly from the
-digit-sum histograms of the prefixes [0, X_{m+1}), each built from smaller
-ones by a greedy walk that stops where its remainder repeats (O(k n^2) list
-additions up to window n, within the enumeration cap), or by seeded uniform
-sampling.  Moments use population (biased) estimators.  For other c both
-modes count the same greedy digit sums, which need not be the shell's:
-greedy digits are not always satisfying strings, and at n = 6 the exact
-histogram differs from the digit sums of `support_shell` for (1,3,1) and
-(1,2,1), though it agrees for (1,0,1).
+For every c, a vector in shell n has as many summands as its scalar image:
+both sides count the satisfying strings of one chunk grammar.  So
+distributions are computed on the integer interval [X_n, X_{n+1}) directly:
+exactly from the digit-sum histograms of the prefixes [0, X_{m+1}), each
+built from the k before it (O((c1 + ... + ck) n^2) list additions up to
+window n, within the enumeration cap), or by seeded uniform sampling.
+Moments use population (biased) estimators.
 
 The summand count of an integer is the digit sum of its legal decomposition,
 with multiplicity, as in `bridge.summand_count`: 5 = X_2 + X_1 + X_1 counts
-3, not 2.  Sampled mode counts it by the same greedy walk without building
-the digits (`recurrence.greedy_count`).  Its distribution over a window
-tends to a Gaussian as n grows.  That is a limit in n, not a bound at a
-fixed window: for c = (2,1,1) the skewness is still about -0.22 at n = 24
-and shrinks like n^(-1/2).
+3, not 2.  Its distribution over a window tends to a Gaussian as n grows.
+That is a limit in n, not a bound at a fixed window: for c = (2,1,1) the
+skewness is still about -0.22 at n = 24 and shrinks like n^(-1/2).
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ from typing import Optional
 from .bridge import DEFAULT_ENUMERATION_CAP, _check_cap
 from .errors import OracleExhaustedError, _at_least
 from .normalize import decompose
-from .recurrence import RecurrenceVector, greedy_count
+from .recurrence import RecurrenceVector, greedy_count, legal_digits
 
 GOLDEN_RATIO = (1 + 5 ** 0.5) / 2
 FIBONACCI_MEAN_SLOPE = 1 / (GOLDEN_RATIO ** 2 + 1)   # 0.2763932...
@@ -91,56 +85,34 @@ def _moments(histogram: dict):
 
 
 def _prefix_histograms(c: RecurrenceVector):
-    """Yield hists[0], hists[1], ...: hists[m][s] counts the integers in
-    [0, X_{m+1}) with digit sum s.
+    """Yield hists[0], hists[1], ...: hists[m][s] counts the satisfying
+    strings of m digits, the integers in [0, X_{m+1}), with digit sum s.
 
-    A digit string is a greedy expansion exactly when every tail is worth
-    less than the next term up, so the greedy digits g of X_{m+1} - 1 (m of
-    them, leading first) bound every smaller value: each agrees with g above
-    some position i, has a digit d < g_i at i, and below i any greedy string
-    of i - 1 digits.  Each such choice adds hists[i - 1] shifted by the
-    digit sum above i plus d.
-
-    Step m walks g from X_m down and stops at the first position i whose
-    remainder is X_i - 1.  The rest of the walk and the final value are then
-    those of X_i - 1 itself, which hists[i - 1] already counts, so the step
-    adds hists[i - 1] once more, shifted by the digit sum down to i.  Every
-    walk stops by X_1, where the remainder is 0 = X_1 - 1 and hists[0] = [1]
-    counts X_{m+1} - 1 at sum(g).  The test is exact for every c.  For
-    weakly decreasing c the walk stops after the first chunk (at most k
-    digits), which gives the chunk recurrence
-    hists[m] = sum_j q^(s_j) [c_{j+1}]_q hists[m - 1 - j] of the generating
-    functions, so hists[0..n] take O(k n^2) list additions.  The lists live
-    in the generator alone, so nothing is held on c.
+    Split a string at its first chunk: c1..cj, a digit d < c_{j+1}, then any
+    string of m - 1 - j digits; or, when m < k, c1..cm whole.  So
+    hists[m] = sum_{j < min(k, m)} q^(c1+...+cj) [c_{j+1}]_q hists[m-1-j],
+    plus q^(c1+...+cm) when m < k.  Only the k lists before m are held, in
+    the generator alone, so nothing is held on c.
     """
-    seq = c.scalar()
-    terms = [1, 1]   # terms[i] = X_i, from X_0 = X_1 = 1
-    hists = [[1]]
-    yield hists[0]
+    coeffs, k = c.coefficients, c.k
+    held = [[1]]   # hists[m - 1], hists[m - 2], ..., at most k of them
+    yield held[0]
     for m in count(1):
-        terms.append(seq.term(m + 1))
-        z = terms[m + 1] - 1
         out = []
         above = 0
-        for i in range(m, 0, -1):
-            x = terms[i]
-            digit = 0
-            while z >= x:
-                z -= x
-                digit += 1
-            # one shifted copy of hists[i - 1] per unit of the digit, and
-            # one more at the cut
-            stop = z == x - 1
-            lower = hists[i - 1]
-            for base in range(above, above + digit + stop):
+        for j, lower in enumerate(held):
+            # one shifted copy of hists[m - 1 - j] per digit d < c_{j+1}
+            for base in range(above, above + coeffs[j]):
                 end = base + len(lower)
                 if end > len(out):
                     out.extend([0] * (end - len(out)))
                 out[base:end] = map(add, out[base:end], lower)
-            if stop:
-                break
-            above += digit
-        hists.append(out)
+            above += coeffs[j]
+        if m < k:
+            out.extend([0] * (above + 1 - len(out)))
+            out[above] += 1
+        held.insert(0, out)
+        del held[k:]
         yield out
 
 
@@ -182,22 +154,18 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
                          cap: int = DEFAULT_ENUMERATION_CAP) -> SummandStats:
     """Distribution of the summand count over the window [X_n, X_{n+1}).
 
-    The summand count of a value is the digit sum of `legal_decompose`, with
-    multiplicity, as in `bridge.summand_count`.  Exact mode counts every
-    integer in the window without visiting them, from the digit-sum
-    histograms of [0, X_{m+1}) for m <= n, each built from smaller ones by
-    the greedy walk of X_{m+1} - 1 cut where its remainder repeats (see
-    `_prefix_histograms`).  It requires X_{n+1} within the cap, which binds
-    exact mode only; the cost is O(k n^2) list additions for weakly
-    decreasing c, not a power of the width.  Sampled mode never reads the
-    cap.  It draws uniformly with an explicit seed; draws come from the bit
-    length of the window width with rejection, so runs are exactly
-    reproducible.  It counts each draw's summands by the greedy walk of
-    `legal_decompose` without building the digits: every draw lies in
-    [X_n, X_{n+1}), so every walk runs over the same terms X_n, ..., X_1.
-    The distribution is Gaussian only as a limit in n: skewness and excess
-    kurtosis shrink toward 0 as the window grows, but need not be small at
-    any fixed n.
+    The summand count of a value is the digit sum of `legal_decompose`, a
+    satisfying string, with multiplicity, as in `bridge.summand_count`.
+    Exact mode counts every integer in the window without visiting them,
+    from the prefix histograms of the chunk recurrence (`_prefix_histograms`).
+    It requires X_{n+1} within the cap, which binds exact mode only.
+    Sampled mode never reads the cap.  It draws uniformly with an explicit
+    seed, from the bit length of the window width with rejection, so runs
+    are exactly reproducible, and counts each draw's summands against
+    X_n, ..., X_1: by `greedy_count` for weakly decreasing c, by
+    `legal_digits` for other c.  The distribution is Gaussian only as a
+    limit in n: skewness and excess kurtosis shrink toward 0 as the window
+    grows, but need not be small at any fixed n.
     """
     _at_least(n, 1, "window index")
     if mode == "exact":
@@ -212,6 +180,11 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
     lo = seq.term(n)
     width = seq.term(n + 1) - lo
     terms = seq.descending(n)
+    if c.weakly_decreasing:
+        summands = greedy_count
+    else:
+        def summands(z, terms):
+            return sum(legal_digits(c.coefficients, z, terms)[0])
     rng = random.Random(seed)
     bits = width.bit_length()
     histogram = {}
@@ -220,7 +193,7 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
         r = rng.getrandbits(bits)
         if r >= width:
             continue
-        key = greedy_count(lo + r, terms)
+        key = summands(lo + r, terms)
         histogram[key] = histogram.get(key, 0) + 1
         drawn += 1
     total, mean, var, skew, kurt = _moments(histogram)

@@ -1,13 +1,13 @@
-"""Scalar bridge, greedy legal decomposition, and region enumeration.
+"""Scalar bridge, legal decomposition, and region enumeration.
 
 The bridge maps a lattice vector to a scalar by dotting with a window of
 scalar terms (reduced mod X_n); on a string with support below the window it
 reproduces the digit-for-digit scalar value, which transports uniqueness and
 summand statistics to the scalar side.  Untraced `decompose` is this map
-read backwards (`_decompose_bridge`): greedy digits by `legal_decompose`'s
-loop, no vector rewriting, held terms up to HELD_LEVEL_CAP and streamed ones
-above it; the independent checks are the tests' linear-scan oracle and the
-increment chain.
+read backwards (`_decompose_bridge`): greedy digits, which are legal for
+the weakly decreasing c it serves, no vector rewriting, held terms up to
+HELD_LEVEL_CAP and streamed ones above it; the independent checks are the
+tests' linear-scan oracle and the increment chain.
 
 The enumerator behind the regions splits the positions at their midpoint:
 suffix lists over the upper half, built once per call, are appended to each
@@ -37,7 +37,7 @@ from operator import add, mul
 
 from .errors import BridgeDomainError, CapExceededError, _at_least, _int_or_bound
 from .fileio import atomic_write_text
-from .recurrence import RecurrenceVector, _held_blocks, greedy_digits, scalar_window
+from .recurrence import RecurrenceVector, _held_blocks, greedy_digits, legal_digits, scalar_window
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -131,11 +131,11 @@ def _decompose_bridge(c: RecurrenceVector, v: tuple) -> tuple:
 
 
 def legal_decompose(c: RecurrenceVector, n: int) -> tuple:
-    """Greedy legal decomposition of a nonnegative integer over the scalar terms.
+    """Legal decomposition of a nonnegative integer over the scalar terms.
 
     Returns digits (b_1, ..., b_M) with n = sum_i b_i * X_{M-i+1}, leading
-    digit first.  For weakly decreasing coefficients the greedy digits read as
-    a string satisfy the same chunk grammar as the vector representations.
+    digit first.  Read as a string they satisfy the chunk grammar of the
+    vector representations, for every c (`legal_digits`).
     """
     if n < 0:
         raise ValueError("legal decomposition needs a nonnegative integer")
@@ -143,7 +143,7 @@ def legal_decompose(c: RecurrenceVector, n: int) -> tuple:
         return ()
     seq = c.scalar()
     top = seq.max_index_at_most(n)
-    return tuple(greedy_digits(n, seq.descending(top))[0])
+    return tuple(legal_digits(c.coefficients, n, seq.descending(top))[0])
 
 
 def summand_count(digits) -> int:

@@ -63,7 +63,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, product, repeat
-from operator import ge
+from operator import ge, index
 from typing import NamedTuple, Optional
 
 from .bridge import _decompose_bridge
@@ -162,7 +162,9 @@ class ProbeReport:
 
 
 def carry(c: RecurrenceVector, a, i: int) -> tuple:
-    """Carry into position i >= 0; requires a_{i+l} >= c_l for l = 1..k."""
+    """Carry into position i >= 0; requires a_{i+l} >= c_l for l = 1..k.
+    A position that is not an int (`operator.index`) raises TypeError."""
+    i = index(i)
     _at_least(i, 0, "carry position")
     a = canonical(a)
     coeffs = c.coefficients
@@ -170,21 +172,22 @@ def carry(c: RecurrenceVector, a, i: int) -> tuple:
     for l in range(1, c.k + 1):
         have = a[i + l - 1] if i + l <= m else 0
         if have < coeffs[l - 1]:
-            # int(i): a bool or float position reads as %d showed it
             raise CarryBlockedError(
                 "carry into %s blocked: a_%s = %s < c_%d = %s"
-                % (_int_or_bound(int(i)), _int_or_bound(int(i) + l), _int_or_bound(have), l,
+                % (_int_or_bound(i), _int_or_bound(i + l), _int_or_bound(have), l,
                    _int_or_bound(coeffs[l - 1])))
     return _shift(c, a, i, 1)
 
 
 def borrow(c: RecurrenceVector, a, i: int) -> tuple:
-    """Borrow from position i >= 1; requires a_i >= 1."""
+    """Borrow from position i >= 1; requires a_i >= 1.
+    A position that is not an int (`operator.index`) raises TypeError."""
+    i = index(i)
     _at_least(i, 1, "borrow position")
     a = canonical(a)
     if i > len(a) or a[i - 1] < 1:
         raise BorrowBlockedError("borrow from %s blocked: coefficient is zero"
-                                 % _int_or_bound(int(i)))
+                                 % _int_or_bound(i))
     return _shift(c, a, i, -1)
 
 

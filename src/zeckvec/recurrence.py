@@ -15,11 +15,11 @@ descending terms X_n..X_1, a term under a bound).
 the terms between: by powers of x modulo the characteristic polynomial, and
 by a product tree modulo its reciprocal whose leaves are each one dot product
 with packed columns.  `greedy_digits` is the one greedy expansion against
-descending terms, and `greedy_count` the same walk counting its summands
-only.  `_Blocks`, the bridge's one held object (`_held_blocks`), holds
-per recurrence, for weakly decreasing c only, the constants of the
-product tree and of its greedy, and the growth rate that picks the first
-level.  `_Blocks.value` is the one exact check of every bridge level's
+descending terms, `greedy_count` the same walk counting its summands
+only, and `legal_digits` the greedy capped by the chunk grammar.
+`_Blocks`, the bridge's one held object (`_held_blocks`), holds per
+recurrence, for weakly decreasing c only, the constants of the product
+tree and of its greedy, and the growth rate that picks the first level.  `_Blocks.value` is the one exact check of every bridge level's
 digits: a string of one leaf is k-1 plain dot products with held
 coordinates of X_{-1}..X_{-BLOCK}, and a longer one goes through the
 tree with the held packed columns.  `_Blocks.greedy` gives the streamed
@@ -47,8 +47,8 @@ class RecurrenceVector:
     constructor additionally demands weakly decreasing coefficients
     (c1 >= c2 >= ... >= ck), which is the regime where every integer vector
     has a unique satisfying representation and normalization provably
-    terminates.  Relaxed mode lifts the ordering requirement and exists for
-    the termination/spanning probes only.
+    terminates.  Relaxed mode lifts the ordering requirement; the grammar,
+    the regions and the summand statistics serve it as they serve strict c.
 
     One object may be shared by threads.  What it holds only grows, and one
     lock on it guards each growth: of a held term list (`_TwoSided._at`)
@@ -214,10 +214,9 @@ def greedy_digits(z: int, terms) -> tuple:
     digit per term, zeros included, and what is left of z, which is below
     the last term.
 
-    `legal_decompose`, the held bridge and, a block at a time,
-    `_Blocks.greedy` expand through this loop.  Greedy digits are
-    small (at most c1 for weakly decreasing coefficients), so subtracting
-    beats bisect and divmod.
+    The held bridge and, a block at a time, `_Blocks.greedy` expand through
+    this loop.  For weakly decreasing c greedy digits are `legal_digits`,
+    at most c1, so subtracting beats bisect and divmod.
     """
     arr = []
     append = arr.append
@@ -234,14 +233,30 @@ def greedy_digits(z: int, terms) -> tuple:
     return arr, z
 
 
+def legal_digits(coefficients, z: int, terms) -> tuple:
+    """`greedy_digits` with each digit capped by the chunk grammar's state s
+    (the chunk so far equals c1..cs): at most c_{s+1}, or c_k - 1 = 0 in
+    state k - 1.  Against X_M, ..., X_1 with z < X_{M+1}, nothing is left
+    and the digits are the z-th satisfying string of M digits, for every c.
+    """
+    caps = (*coefficients[:-1], coefficients[-1] - 1)
+    arr = []
+    state = 0
+    for x in terms:
+        d = min(z // x, caps[state])
+        z -= d * x
+        arr.append(d)
+        state = state + 1 if d == coefficients[state] else 0
+    return arr, z
+
+
 def greedy_count(z: int, terms) -> int:
     """Digit sum of `greedy_digits(z, terms)[0]`, without the digits.
 
-    Sampled `summand_distribution` counts each draw's summands here.  It
-    stays a loop of its own: the other greedy callers need the digits, and
-    one shared loop would branch on which caller it serves.  The inner
-    `while` counts a digit of any size, so relaxed coefficients need no
-    special case.
+    Sampled `summand_distribution` counts each draw's summands here for
+    weakly decreasing c.  It stays a loop of its own: the other greedy
+    callers need the digits, and one shared loop would branch on which
+    caller it serves.
     """
     count = 0
     for x in terms:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -9,13 +10,13 @@ import pytest
 
 from zeckvec import (CapExceededError, MinimalityResult, OracleExhaustedError,
                      RecurrenceVector, SpanningReport, check_minimality, coefficient_sum, decompose,
-                     gaussian_diagnostics, legal_decompose, scalar_bridge,
-                     scalar_term, spanning_probe, summand_distribution, support_region,
-                     vector_term)
+                     enumerate_representations, gaussian_diagnostics, legal_decompose,
+                     scalar_bridge, scalar_term, spanning_probe, summand_distribution,
+                     support_region, support_shell, vector_term)
 from zeckvec import analytics
 from zeckvec.analytics import (FIBONACCI_MEAN_SLOPE, SummandStats, _moments,
                                exact_series, stats_json_text)
-from zeckvec.recurrence import greedy_count, greedy_digits
+from zeckvec.recurrence import greedy_count, greedy_digits, legal_digits
 
 FIB = RecurrenceVector((1, 1))
 C211 = RecurrenceVector((2, 1, 1))
@@ -485,7 +486,8 @@ RELAXED_SMALL = [(1, 3, 1), (1, 2, 1), (2, 3, 1), (1, 0, 1), (2, 0, 0, 1),
                          ids=lambda cs: ",".join(map(str, cs)))
 def test_exact_mode_matches_sweep(monkeypatch, coeffs):
     # relaxed c whose greedy digits break the chunk grammar are included:
-    # exact mode counts greedy digit sums, as the sweep did, for every c
+    # exact mode counts the digit sums of satisfying strings, as the sweep
+    # of `legal_decompose` does, for every c
     c = RecurrenceVector(coeffs, relaxed=coeffs in RELAXED_SMALL)
     fed = []
 
@@ -589,16 +591,79 @@ def test_sampled_counts_equal_the_digit_sums(coeffs):
 
 
 def test_sampled_mode_makes_no_greedy_expansion_per_draw(monkeypatch):
-    # each accepted draw is counted by one digit-free greedy walk, and a
+    # each accepted draw is counted by one digit-free greedy walk for weakly
+    # decreasing c, by one capped walk (`legal_digits`) for other c, and a
     # rejected draw by none
-    calls = []
+    calls, capped_calls = [], []
 
     def counted(z, terms):
         calls.append(z)
         return greedy_count(z, terms)
+
+    def capped(coefficients, z, terms):
+        capped_calls.append(z)
+        return legal_digits(coefficients, z, terms)
     monkeypatch.setattr(analytics, "greedy_count", counted)
-    for c, n in [(FIB, 30), (C211, 200), (RecurrenceVector((1, 3, 1), relaxed=True), 40)]:
+    monkeypatch.setattr(analytics, "legal_digits", capped)
+    for c, n, walks in [(FIB, 30, calls), (C211, 200, calls),
+                        (RecurrenceVector((1, 3, 1), relaxed=True), 40, capped_calls)]:
         calls.clear()
+        capped_calls.clear()
         stats = summand_distribution(c, n, mode="sampled", size=50, seed=7)
         assert stats.size == 50
-        assert len(calls) == 50, (c, n)
+        assert len(walks) == 50 and len(calls) + len(capped_calls) == 50, (c, n)
+
+
+# -- one grammar on both sides ---------------------------------------------------
+
+GRAMMAR_RELAXED = RELAXED_SMALL + [(1, 2, 2, 1), (1, 0, 2, 1)]
+BENCH_STRICT = [(1, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 2, 1)]
+
+
+def small_windows(c):
+    """n <= 9 with X_{n+1} <= 20,000."""
+    return [n for n in range(1, 10) if scalar_term(c, n + 1) <= 20_000]
+
+
+@pytest.mark.parametrize("coeffs", GRAMMAR_RELAXED + BENCH_STRICT,
+                         ids=lambda cs: ",".join(map(str, cs)))
+def test_exact_window_is_the_shells_digit_sums(coeffs):
+    # the vectors of shell n and the integers of window n are counted by the
+    # same satisfying strings, for every c
+    c = RecurrenceVector(coeffs, relaxed=coeffs in GRAMMAR_RELAXED)
+    windows = small_windows(c)
+    assert windows
+    for n in windows:
+        shell = {}
+        for _first, a in support_shell(c, n).members.values():
+            shell[sum(a)] = shell.get(sum(a), 0) + 1
+        assert summand_distribution(c, n).histogram == dict(sorted(shell.items())), (coeffs, n)
+
+
+@pytest.mark.parametrize("coeffs", GRAMMAR_RELAXED, ids=lambda cs: ",".join(map(str, cs)))
+def test_legal_decompose_follows_the_enumerators_order(coeffs):
+    # the z-th satisfying string of support at most n, its positions read
+    # from n down to 1 (so the enumerator's trailing zeros lead), is the
+    # digit string of z with its leading zeros dropped
+    c = RecurrenceVector(coeffs, relaxed=True)
+    for n in [0] + small_windows(c):
+        strings = enumerate_representations(c, n)
+        assert len(strings) == scalar_term(c, n + 1)
+        for z, a in enumerate(strings):
+            digits = tuple(a) + (0,) * (n - len(a))
+            assert legal_decompose(c, z) == digits[next((i for i, d in enumerate(digits) if d),
+                                                        n):], (coeffs, n, z)
+
+
+def test_exact_series_holds_k_histograms():
+    c = RecurrenceVector((2, 1, 1))
+    cap = scalar_term(c, 401)
+    tracemalloc.start()
+    try:
+        for stats in exact_series(c, 1, 400, cap=cap):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.n == 400
+    assert peak < 1_000_000, peak

@@ -103,6 +103,24 @@ REFUSALS = {
     "borrow(c, a, position past the digit limit)": (
         lambda: borrow(C211, (2, 1, 1), 10 ** 5000),
         BorrowBlockedError, "borrow from at least 2^16609 blocked: coefficient is zero"),
+    "carry(c, a, float position inside the string)": (
+        lambda: carry(C211, (2, 1, 1), 1.0),
+        TypeError, "'float' object cannot be interpreted as an integer"),
+    "carry(c, a, float position past the string)": (
+        lambda: carry(C211, (0,), 5.0),
+        TypeError, "'float' object cannot be interpreted as an integer"),
+    "borrow(c, a, float position inside the string)": (
+        lambda: borrow(C211, (2, 1, 1), 1.0),
+        TypeError, "'float' object cannot be interpreted as an integer"),
+    "borrow(c, a, float position past the string)": (
+        lambda: borrow(C211, (0,), 5.0),
+        TypeError, "'float' object cannot be interpreted as an integer"),
+    "carry(c, a, True) blocked": (
+        lambda: carry(C211, (2,), True),
+        CarryBlockedError, "carry into 1 blocked: a_2 = 0 < c_1 = 2"),
+    "borrow(c, a, True) blocked": (
+        lambda: borrow(C211, (0, 1), True),
+        BorrowBlockedError, "borrow from 1 blocked: coefficient is zero"),
     "c.scalar().max_index_at_most(-7)": (
         lambda: C211.scalar().max_index_at_most(-7),
         ValueError, "no term is at most -7: X_0 = X_1 = 1"),

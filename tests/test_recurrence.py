@@ -234,6 +234,30 @@ def greedy_oracle(xs, value):
     return top, tuple(digits)
 
 
+def capped_oracle(coeffs, xs, value):
+    """(max index, digits) by a linear scan over xs that caps each digit by
+    the scanner's rule: after j digits of the current chunk equal c1..cj,
+    the next one is at most c_{j+1}, and below c_k when j = k - 1, since a
+    full copy of c does not satisfy; a digit equal to c_{j+1} extends the
+    chunk and a smaller one closes it."""
+    top, _ = greedy_oracle(xs, value)
+    if not value:
+        return top, ()
+    digits, j, k = [], 0, len(coeffs)
+    for idx in range(top, 0, -1):
+        q = min(value // xs[idx], coeffs[j] if j < k - 1 else coeffs[j] - 1)
+        value -= q * xs[idx]
+        digits.append(q)
+        j = j + 1 if q == coeffs[j] else 0
+    assert value == 0, (coeffs, digits)
+    return top, tuple(digits)
+
+
+def legal_oracle(coeffs, relaxed, xs, value):
+    """The strict rows' greedy scan, the relaxed rows' capped scan."""
+    return capped_oracle(coeffs, xs, value) if relaxed else greedy_oracle(xs, value)
+
+
 def assert_max_index(c, value, top):
     """max_index_at_most(value) is the oracle's top for value >= 1; no term
     is at most 0 (X_0 = X_1 = 1), so value 0 is refused."""
@@ -257,13 +281,13 @@ def test_legal_decompose_matches_linear_scan():
         for n in range(1, 61):
             values.update((xs[n], xs[n] - 1, xs[n + 1] - 1))
         for value in sorted(values):
-            top, digits = greedy_oracle(xs, value)
+            top, digits = legal_oracle(coeffs, relaxed, xs, value)
             assert legal_decompose(c, value) == digits, (coeffs, value)
             assert_max_index(c, value, top)
     for _ in range(2000):
         c, xs = tables[rng.choice(cases)[0]]
         value = rng.randrange(xs[rng.randint(1, 60)])
-        top, digits = greedy_oracle(xs, value)
+        top, digits = legal_oracle(c.coefficients, c.relaxed, xs, value)
         assert legal_decompose(c, value) == digits, (c, value)
         assert_max_index(c, value, top)
 
@@ -284,7 +308,7 @@ def test_legal_decompose_matches_linear_scan_on_wide_windows(coeffs, relaxed):
     for n in [200, 1000] + [rng.randint(200, 1000) for _ in range(10)]:
         for value in (xs[n], xs[n + 1] - 1, rng.randrange(xs[n], xs[n + 1]),
                       rng.randrange(xs[n], xs[n + 1])):
-            top, digits = greedy_oracle(xs, value)
+            top, digits = legal_oracle(coeffs, relaxed, xs, value)
             assert legal_decompose(c, value) == digits, (coeffs, n, value)
             assert len(digits) == top
 
