@@ -134,7 +134,10 @@ def exact_series(c: RecurrenceVector, n_min: int, n_max: int,
     n_max in turn, building the prefix histograms once for the whole series.
 
     Each window's cap is checked when the window is reached, so the windows
-    before the first one beyond the cap are yielded first.
+    before the first one beyond the cap are yielded first.  The cap bounds
+    the window's outcome count X_{n+1}, and so the size of the counts a
+    window's histogram holds; it bounds neither the time nor the memory,
+    which grow with n, not with X_{n+1}.
     """
     _at_least(n_min, 1, "window index")
     hists = _prefix_histograms(c)
@@ -158,7 +161,9 @@ def summand_distribution(c: RecurrenceVector, n: int, mode: str = "exact",
     satisfying string, with multiplicity, as in `bridge.summand_count`.
     Exact mode counts every integer in the window without visiting them,
     from the prefix histograms of the chunk recurrence (`_prefix_histograms`).
-    It requires X_{n+1} within the cap, which binds exact mode only.
+    It requires X_{n+1}, the window's outcome count, within the cap, which
+    binds exact mode only and bounds the size of the counts it returns, not
+    its time or memory (see `exact_series`).
     Sampled mode never reads the cap.  It draws uniformly with an explicit
     seed, from the bit length of the window width with rejection, so runs
     are exactly reproducible, and counts each draw's summands against

@@ -10,8 +10,9 @@ HELD_LEVEL_CAP and streamed ones above it; the independent checks are the
 tests' linear-scan oracle and the increment chain.
 
 The enumerator behind the regions splits the positions at their midpoint:
-suffix lists over the upper half, built once per call, are appended to each
-prefix of a recursive walk over the lower half.  Each prefix's strings come
+suffix lists over the upper half are appended to each prefix of one list
+over the lower half, both built once per call, position by position.  Each
+prefix's strings come
 as one batch of parallel iterables: the public iterator flattens them, the
 full list, the CSV rows, the shells and the ball covers consume them whole,
 and a shell, like each level of a ball cover after the first, builds only
@@ -24,8 +25,8 @@ offset in the table, becomes one list per call, which every prefix batch
 with that column and offset shares.  For k = 2 no two points share a value,
 so each coordinate is made as a sum, as it is for relaxed c whose region
 lies near a line and for the CSV rows and ball covers, which drop each
-batch's vectors.  The tests check it against the single recursive walk
-over all positions, string by string and in order.
+batch's vectors.  The tests check it against a single recursive walk over
+all positions, string by string and in order.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def iter_representations(c: RecurrenceVector, n: int, with_values: bool = False)
     included, lexicographically.
 
     With values enabled, each yield is (string, vector).  The strings come
-    from `_batches`, one batch per prefix of the split walk, and with values
+    from `_batches`, one batch per prefix of the split positions, and with values
     each batch's strings are listed before they are paired (see `_batches`).
     `support_region` reads its strings from here, so a tracer that wraps
     this generator sees every string of a region.
@@ -203,11 +204,13 @@ def _batches(c: RecurrenceVector, n: int, exact: bool = False, keep: bool = Fals
     copy of the coefficients is rejected.  It splits the positions at
     m = n // 2.  The suffixes over positions m+1..n are built once per call,
     one list per scanner state at m+1, with one column per coordinate of
-    their vectors.  A recursive walk over positions 1..m visits each prefix
-    once, about X_{m+1} of them, keeping the prefix's vector along the walk.
-    Per prefix it yields the prefix alone (unless exact: its support is at
-    most m < n), then one batch of the suffixes its state admits, joined to
-    the prefix by `map` and `zip`, not in bytecode.
+    their vectors.  The prefixes over positions 1..m are one list, built
+    the same way from p = 1 up to m: about X_{m+1} of them, lexicographic,
+    each with its scanner state at m+1 and its vector.  A zero moves the
+    state as any digit does, so the state stays exact through a prefix's
+    trailing zeros.  Per prefix it yields the prefix alone (unless exact:
+    its support is at most m < n), then one batch of the suffixes its state
+    admits, joined to the prefix by `map` and `zip`, not in bytecode.
 
     Every coordinate a batch yields is either read from one table of ints
     built per call (`_value_table`), through lists shared by the batches, or
@@ -222,12 +225,13 @@ def _batches(c: RecurrenceVector, n: int, exact: bool = False, keep: bool = Fals
     never built; relaxed (1,3,1), whose region lies near a line, has a range
     of about 1.34 X_{n+1} and takes the sums too.  A caller that drops each
     batch's vectors gains nothing from the table and would pay its building
-    per call, which in a ball cover is per level.  With the table, the walk
-    keeps the prefix's coordinates as offsets in it.  A suffix column read
-    at an offset, the table's ints at the offset plus each of its values,
-    is built once per call as a list and handed to every batch whose prefix
-    has that scanner state and offset, so a point's vector is a `zip` over
-    shared lists, with no int made and no table read per point.  Each such
+    per call, which in a ball cover is per level.  With the table, the
+    prefix list holds each prefix's coordinates as offsets in it.  A suffix
+    column read at an offset, the table's ints at the offset plus each of
+    its values, is built once per call as a list and handed to every batch
+    whose prefix has that scanner state and offset, so a point's vector is
+    a `zip` over shared lists, with no int made and no table read per
+    point.  Each such
     list is built for a batch that yields its length in points, so the
     lists hold at most one slot per yielded point and coordinate, and only
     the table's ints.  The sums path shares no lists: for k = 2, by
@@ -245,12 +249,7 @@ def _batches(c: RecurrenceVector, n: int, exact: bool = False, keep: bool = Fals
     """
     coeffs = c.coefficients
     k = c.k
-    dim = range(k - 1)
     basis = c.vector().basis(n) if n >= 1 else []
-    # zero_run[j]: how many zeros from state j keep matching the coefficients
-    zero_run = [0] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        zero_run[j] = zero_run[j + 1] + 1 if coeffs[j] == 0 else 0
     m = n // 2
     # tails[s]: the nonempty strings over positions p..n accepted from state s
     # at p, up to their last nonzero digit and lexicographic, and one column
@@ -278,64 +277,47 @@ def _batches(c: RecurrenceVector, n: int, exact: bool = False, keep: bool = Fals
                         column.append(d * x)
                     column += map(add, repeat(d * x), col)
             tails.append((strings, columns))
-    buf = [0] * n
-    val = [0] * (k - 1)
     table = None
     if keep:
         seq = c.scalar()
         count = seq.term(n + 1) - seq.term(n) if exact else seq.term(n + 1)
         table = _value_table(coeffs, basis, count)
-    if table is not None:
-        # val holds the prefix's coordinates as offsets in the table
-        val = [-table[0]] * (k - 1)
-
-    def prefixes(p, j, last):
-        # positions p..m are free and the scanner is in state j at p; yields
-        # (last nonzero position, suffixes admitted at m + 1) with buf and val
-        # holding the prefix, then the children, a nonzero digit placed late
-        # to early, which is lexicographic order
-        gap = m + 1 - p
-        yield last, tails[j + gap if gap <= zero_run[j] else 0]
-        for q in range(m, p - 1, -1):
-            s = j + q - p if q - p <= zero_run[j] else 0
+    # heads: every string over positions 1..m, padded to length m and
+    # lexicographic, as (pad, scanner state at m + 1, last nonzero position,
+    # coordinates), the coordinates as offsets in the table when there is
+    # one.  Built from p = 1 up to m, each prefix extended at p by a zero
+    # first, then by its nonzero digits in increasing order.
+    heads = [((), 0, 0, (0 if table is None else -table[0],) * (k - 1))]
+    for p in range(1, m + 1):
+        b = basis[p - 1]
+        grown = []
+        for pad, s, last, val in heads:
             top = coeffs[s]
-            b = basis[q - 1]
+            grown.append((pad + (0,), s + 1 if top == 0 else 0, last, val))
             for d in range(1, top + 1 if s + 1 < k else top):
-                buf[q - 1] = d
-                for i in dim:
-                    val[i] += d * b[i]
-                yield from prefixes(q + 1, s + 1 if d == top else 0, q)
-                for i in dim:
-                    val[i] -= d * b[i]
-            buf[q - 1] = 0
-
+                grown.append((pad + (d,), s + 1 if d == top else 0, p,
+                              tuple([x + d * y for x, y in zip(val, b)])))
+        heads = grown
     # shared[id(col), x]: the table's ints at offset x plus col's values; the
     # tails lists live for the whole walk, so a column's id names it
     shared = {}
-    # a nonzero digit after m is placed later than any in the prefix's
-    # children, so the prefix's suffixes come before its children
-    try:
-        for last, (strings, columns) in prefixes(1, 0, 0):
-            pad = tuple(buf[:m])
-            head = tuple(val)
-            if table is None:
-                columns = [map(add, repeat(x), col) for x, col in zip(val, columns)]
-            else:
-                head = tuple(map(table.__getitem__, head))
-                kept = []
-                for x, col in zip(val, columns):
-                    key = id(col), x
-                    if key not in shared:
-                        shared[key] = list(map(table.__getitem__, map(add, repeat(x), col)))
-                    kept.append(shared[key])
-                columns = kept
-            if not exact:
-                yield (pad[:last],), (head,)
-            yield map(add, repeat(pad), strings), zip(*columns)
-    finally:
-        # prefixes reaches itself through its closure; without this the
-        # cycle would keep the suffix lists until a collection found it
-        del prefixes
+    for pad, s, last, val in heads:
+        strings, columns = tails[s]
+        head = val
+        if table is None:
+            columns = [map(add, repeat(x), col) for x, col in zip(val, columns)]
+        else:
+            head = tuple(map(table.__getitem__, val))
+            kept = []
+            for x, col in zip(val, columns):
+                key = id(col), x
+                if key not in shared:
+                    shared[key] = list(map(table.__getitem__, map(add, repeat(x), col)))
+                kept.append(shared[key])
+            columns = kept
+        if not exact:
+            yield (pad[:last],), (head,)
+        yield map(add, repeat(pad), strings), zip(*columns)
 
 
 def _check_cap(c: RecurrenceVector, n: int, cap: int, message: str) -> int:

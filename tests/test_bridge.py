@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import random
 import time
 import tracemalloc
 from itertools import product
@@ -245,6 +246,29 @@ def test_split_walk_matches_the_nested_walk(coeffs):
                 ball_coverage(c, r, cap=scalar_term(c, n))
 
 
+def test_split_walk_matches_the_nested_walk_on_drawn_relaxed_c():
+    # the prefixes carry the scanner state through every zero they hold, so
+    # draw c whose inner zeros and digits above c1 move it in other ways:
+    # k = 2..5, c1 >= 1, inner entries 0..3, ck = 1, every n with X_{n+1} <= 5000
+    rng = random.Random(2026)
+    drawn = set()
+    while len(drawn) < 25:
+        k = rng.randint(2, 5)
+        drawn.add((rng.randint(1, 3),) + tuple(rng.randint(0, 3) for _ in range(k - 2)) + (1,))
+    for coeffs in sorted(drawn):
+        c = RecurrenceVector(coeffs, relaxed=True)
+        n = 0
+        while scalar_term(c, n + 1) <= 5000:
+            pairs = list(nested_walk(c, n, with_values=True))
+            assert list(iter_representations(c, n, with_values=True)) == pairs, (coeffs, n)
+            region = {v: (len(a), a) for a, v in pairs}
+            assert list(support_region(c, n).members.items()) == list(region.items()), (coeffs, n)
+            if n >= 1:
+                shell = {v: (len(a), a) for a, v in pairs if len(a) >= n}
+                assert list(support_shell(c, n).members.items()) == list(shell.items()), (coeffs, n)
+            n += 1
+
+
 @pytest.mark.parametrize("coeffs", WALK_VECTORS + WALK_RELAXED,
                          ids=lambda coeffs: ",".join(map(str, coeffs)))
 def test_shell_walk_builds_only_the_shell(coeffs):
@@ -359,8 +383,9 @@ def test_region_csv_holds_no_region(coeffs, n):
 @pytest.mark.parametrize("coeffs", [(1, 1), (2, 1, 1), (3, 2, 1)],
                          ids=lambda cs: ",".join(map(str, cs)))
 def test_the_walk_leaves_no_cycle_behind(coeffs):
-    # the split walk's recursive generator must not hold itself alive: with
-    # the collector off, a collection right after each call finds nothing
+    # the enumerator's generator, its prefix list and its suffix lists must
+    # form no cycle: with the collector off, a collection right after each
+    # call finds nothing
     c = RecurrenceVector(coeffs)
     calls = [lambda: support_region(c, 9), lambda: support_shell(c, 9),
              lambda: enumerate_representations(c, 9), lambda: ball_coverage(c, 3)]
